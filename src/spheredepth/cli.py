@@ -233,21 +233,13 @@ def run_rankbench(args) -> ExperimentReport:
             X = gen_mixture(spec_cache[d], args.n, (args.seed, d, run))
             density = mixture_density(X.data, spec_cache[d])
             for method in methods:
-                if method == "sphere":
-                    results = batch_depth(
-                        X.data, X, DepthParams(r=args.r, s=args.s),
-                        OptimizerConfig(seed=args.seed), threads=args.threads,
-                    )
-                    scores = np.array([res.value for res in results])
-                elif method == "kspatial":
-                    kernel = KernelConfig(bandwidth_h=args.bandwidth)
-                    scores = np.array(
-                        [kernelized_spatial_depth(z, X, kernel) for z in X.data]
-                    )
-                elif method == "density":
+                if method == "density":
                     scores = density
                 else:
-                    raise ValueError(f"rankbench method must be sphere/kspatial/density")
+                    scores = np.array(_depth_scores(
+                        method, X.data, X, args.r, args.s, args.seed, args.threads,
+                        grid_size=None, bandwidth=args.bandwidth, regularization=None,
+                    )["depths"])
                 runs[method]["spearman"].append(spearman(scores, density))
                 runs[method]["kendall"].append(kendall_tau(scores, density))
         for method in methods:
@@ -311,29 +303,22 @@ def _exclude_self_terms(value: float, z: np.ndarray, reference: SampleSet) -> fl
 def _htest_depth_fn(
     method: str, r: float, s: float, seed: int, threads: int, exclude_self: bool = True
 ):
-    if method == "sphere":
-        params = DepthParams(r=r, s=s)
-        cfg = OptimizerConfig(seed=seed)
+    if method not in ("sphere", "mahalanobis"):
+        raise ValueError(f"htest method must be 'sphere' or 'mahalanobis', got {method!r}")
 
-        def fn(points, reference):
-            results = batch_depth(points, reference, params, cfg, threads=threads)
-            values = [res.value for res in results]
-            if exclude_self:
-                values = [
-                    _exclude_self_terms(v, z, reference)
-                    for v, z in zip(values, np.asarray(points))
-                ]
-            return np.array(values)
+    def fn(points, reference):
+        values = _depth_scores(
+            method, points, reference, r, s, seed, threads,
+            grid_size=None, bandwidth=None, regularization=0.0,
+        )["depths"]
+        if method == "sphere" and exclude_self:
+            values = [
+                _exclude_self_terms(v, z, reference)
+                for v, z in zip(values, np.asarray(points))
+            ]
+        return np.array(values)
 
-        return fn
-    if method == "mahalanobis":
-
-        def fn(points, reference):
-            model = fit_mahalanobis(reference, regularization=0.0)
-            return np.array([mahalanobis_depth(z, model) for z in points])
-
-        return fn
-    raise ValueError(f"htest method must be 'sphere' or 'mahalanobis', got {method!r}")
+    return fn
 
 
 def run_htest(args) -> ExperimentReport:
@@ -446,22 +431,25 @@ def run_speedbench(args) -> ExperimentReport:
 
     from .optim import riemannian_descent
 
-    def call(method: str, X: SampleSet) -> None:
+    def call(method: str, X: SampleSet):
         if method == "sphere":
-            riemannian_descent(z, X, params, sphere_cfg)
-        else:
-            halfspace_depth(z, X, hd_cfg)
+            return riemannian_descent(z, X, params, sphere_cfg)
+        return halfspace_depth(z, X, hd_cfg)
 
     times: dict = {}
     batches: dict = {}
+    # Solver iterations for sphere, Nelder-Mead evaluations for halfspace.
+    iterations: dict = {}
     for method in args.methods:
         call(method, datasets[n_list[0]])  # warm-up at the smallest n
         times[method] = {}
         batches[method] = {}
+        iterations[method] = {}
         for n in n_list:
             start = time.perf_counter()
-            call(method, datasets[n])
+            result = call(method, datasets[n])
             estimate = time.perf_counter() - start
+            iterations[method][str(n)] = result.iterations
             # Batch calls inside each sample so sub-millisecond solves are
             # timed against ~30 ms of work; median of 3 per-call times.
             reps = max(1, min(200, int(0.03 / max(estimate, 1e-9))))
@@ -474,7 +462,12 @@ def run_speedbench(args) -> ExperimentReport:
             times[method][str(n)] = median(samples)
             batches[method][str(n)] = reps
 
-    metrics: dict = {"seconds": times, "calls_per_sample": batches, "warmup_n": n_list[0]}
+    metrics: dict = {
+        "seconds": times,
+        "calls_per_sample": batches,
+        "iterations": iterations,
+        "warmup_n": n_list[0],
+    }
     if "sphere" in times and "halfspace" in times:
         metrics["halfspace_over_sphere"] = {
             str(n): times["halfspace"][str(n)] / times["sphere"][str(n)] for n in n_list

@@ -15,6 +15,11 @@ and exact grid oracles that minimize over a finite set of directions.  The
 oracles serve as desk-scale ground truth for the continuous infimum; the
 fast solver lives in :mod:`spheredepth.optim`.
 
+The objective has one implementation, the private ``_Objective`` kernel:
+the loss, the gradient, the grid oracle and the solver all evaluate it.
+Per query it computes ``w = X - z`` and ``||w||**2`` once; each direction,
+or block of directions, then costs one product with the data.
+
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.
 """
@@ -225,13 +230,39 @@ def sigmoid_derivative(t, s: float):
     return out
 
 
-def _ball_args(u: np.ndarray, z: np.ndarray, X: SampleSet, r: float) -> np.ndarray:
-    # r**2 - ||x_i - z - r*u||**2 for every sample, vectorized over rows.
-    w = X.data - (z + r * u)
-    t = np.einsum("ij,ij->i", w, w)
-    t -= r * r
-    np.negative(t, out=t)
-    return t
+class _Objective:
+    """The objective of one query point.  With ``w_i = x_i - z`` the ball
+    argument expands as
+    ``r**2 - ||w_i - r*u||**2 = 2r <w_i, u> - ||w_i||**2 + r**2 (1 - ||u||**2)``.
+    """
+
+    def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams):
+        self.w = X.data - z
+        self.w2 = np.einsum("ij,ij->i", self.w, self.w)
+        self.r, self.s = params.r, params.s
+
+    def ball_args(self, U: np.ndarray) -> np.ndarray:
+        """``2r <w_i, u> - ||w_i||**2`` for one direction ``(d,)`` or a
+        block ``(d, m)``; this is the ball argument on the unit sphere."""
+        t = self.w @ U
+        t *= 2.0 * self.r
+        t -= self.w2 if t.ndim == 1 else self.w2[:, None]
+        return t
+
+    def sigmoids(self, u: np.ndarray) -> np.ndarray:
+        """Per-sample smoothed ball membership at any ambient ``u``."""
+        t = self.ball_args(u)
+        t += self.r * self.r * (1.0 - float(u @ u))
+        t /= self.s
+        return expit(t, out=t)
+
+    def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Ambient gradient ``c @ w - r (sum c) u`` from the sigmoids ``p``
+        at ``u``, with ``c_i = sig_s'_i * 2r/n``."""
+        c = 1.0 - p
+        c *= p
+        c *= 2.0 * self.r / (self.s * p.size)
+        return c @ self.w - (self.r * float(c.sum())) * u
 
 
 def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
@@ -245,9 +276,7 @@ def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
         raise ValueError("sphere_loss requires s > 0; use the grid oracle for s = 0")
     u = _as_vector(u, X.d, name="direction")
     z = _as_vector(z, X.d, name="query point")
-    t = _ball_args(u, z, X, params.r)
-    t /= params.s
-    return float(np.mean(expit(t)))
+    return float(np.mean(_Objective(z, X, params).sigmoids(u)))
 
 
 def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
@@ -261,32 +290,8 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
         raise ValueError("sphere_loss_gradient requires s > 0")
     u = _as_vector(u, X.d, name="direction")
     z = _as_vector(z, X.d, name="query point")
-    r = params.r
-    w = X.data - (z + r * u)
-    t = np.einsum("ij,ij->i", w, w)
-    t -= r * r
-    np.negative(t, out=t)
-    coef = sigmoid_derivative(t, params.s)
-    coef *= 2.0 * r / X.n
-    return coef @ w
-
-
-def _loss_and_gradient(
-    u: np.ndarray, z: np.ndarray, X: SampleSet, params: DepthParams
-) -> tuple[float, np.ndarray]:
-    # Shared single pass for the descent loop; inputs already validated.
-    # Kept lean on temporaries: this dominates the solver's wall time.
-    r, s = params.r, params.s
-    w = X.data - (z + r * u)
-    t = np.einsum("ij,ij->i", w, w)
-    t -= r * r
-    t /= -s
-    p = expit(t)
-    loss = float(np.mean(p))
-    np.subtract(1.0, p, out=t)
-    p *= t
-    p *= 2.0 * r / (s * X.n)
-    return loss, p @ w
+    objective = _Objective(z, X, params)
+    return objective.gradient(objective.sigmoids(u), u)
 
 
 def grid_oracle_sphere_depth(
@@ -303,24 +308,22 @@ def grid_oracle_sphere_depth(
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
     if grid.m < 1:
         raise ValueError("direction grid is empty")
-    r, s = params.r, params.s
-
-    # With w_i = x_i - z and ||u|| = 1 the r**2 terms cancel:
-    # r**2 - ||w_i - r*u_j||**2 = 2r <w_i, u_j> - ||w_i||**2
-    w = X.data - z
-    w2 = np.einsum("ij,ij->i", w, w)
+    # Grid directions are unit vectors, so the ball argument needs no
+    # remainder term: a sample at the query sits at exactly t = 0, which
+    # the s = 0 indicator counts as inside.
+    objective = _Objective(z, X, params)
 
     best_val = np.inf
     best_idx = -1
     block = max(1, _ORACLE_BLOCK_ENTRIES // X.n)
     for start in range(0, grid.m, block):
         chunk = grid.directions[start : start + block]
-        t = (2.0 * r) * (w @ chunk.T) - w2[:, None]
-        if s == 0:
+        t = objective.ball_args(chunk.T)
+        if params.s == 0:
             vals = np.mean(t >= 0.0, axis=0)
         else:
-            t /= s
-            vals = np.mean(expit(t), axis=0)
+            t /= params.s
+            vals = np.mean(expit(t, out=t), axis=0)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DepthParams,
-    SampleSet,
-    _as_vector,
-    _loss_and_gradient,
-    sphere_loss,
-    unit_direction,
-)
+from .core import DepthParams, SampleSet, _as_vector, _Objective, unit_direction
 
 __all__ = [
     "OptimizerConfig",
@@ -120,6 +113,10 @@ def exp_map(u, v, alpha: float) -> np.ndarray:
         raise ValueError("exp_map requires v orthogonal to u")
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must be in [0, pi], got {alpha}")
+    return _geodesic(u, v, alpha)
+
+
+def _geodesic(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
     out = math.cos(alpha) * u + math.sin(alpha) * v
     return out / np.linalg.norm(out)
 
@@ -158,9 +155,11 @@ def riemannian_descent(
     if params.s <= 0:
         raise ValueError("riemannian_descent requires s > 0")
     z = _as_vector(z, X.d, name="query point")
+    objective = _Objective(z, X, params)
 
     u = _initial_direction(z, X, cfg)
-    cur_loss, grad = _loss_and_gradient(u, z, X, params)
+    p = objective.sigmoids(u)
+    cur_loss, grad = float(np.mean(p)), objective.gradient(p, u)
     best_loss, best_u = cur_loss, u
     alpha = cfg.alpha0
 
@@ -172,15 +171,16 @@ def riemannian_descent(
     converged = False
     steps = 0
     for it in range(1, cfg.max_iter + 1):
-        tangent = grad - np.dot(grad, u) * u
+        tangent = tangent_project(u, grad)
         tnorm = float(np.linalg.norm(tangent))
         if tnorm < _STATIONARY_NORM:
             converged = True
             break
-        v = tangent / -tnorm
-        new_u = math.cos(alpha) * u + math.sin(alpha) * v
-        new_u /= np.linalg.norm(new_u)
-        new_loss = sphere_loss(new_u, z, X, params)
+        new_u = _geodesic(u, tangent / -tnorm, alpha)
+        # One pass over the data per trial direction; a move reuses its
+        # sigmoids for the gradient at the new iterate.
+        p = objective.sigmoids(new_u)
+        new_loss = float(np.mean(p))
         steps = it
 
         if new_loss < best_loss:
@@ -195,8 +195,7 @@ def riemannian_descent(
             else:
                 # Literal policy: keep the worse iterate but leave the
                 # reference loss at its previous value.
-                u = new_u
-                _, grad = _loss_and_gradient(u, z, X, params)
+                u, grad = new_u, objective.gradient(p, new_u)
                 reported = new_loss
         elif cur_loss - new_loss < cfg.tol:
             u, cur_loss = new_u, new_loss
@@ -205,7 +204,7 @@ def riemannian_descent(
             stop = True
         else:
             u, cur_loss = new_u, new_loss
-            _, grad = _loss_and_gradient(u, z, X, params)
+            grad = objective.gradient(p, u)
             reported = cur_loss
 
         if trace:

@@ -122,21 +122,6 @@ def homogeneity_test(
     return result, bool(abs(result.z_stat) > critical)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; tied values share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     x = _as_1d(a, "first argument")
     y = _as_1d(b, "second argument")
@@ -149,9 +134,11 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def spearman(a, b) -> float:
     """Pearson correlation of the average-rank vectors of ``a`` and ``b``."""
+    from scipy.stats import rankdata  # deferred: the import costs about 0.5 s
+
     x, y = _check_pair(a, b)
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
+    rx = rankdata(x, method="average")
+    ry = rankdata(y, method="average")
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     vx = float(dx @ dx)
@@ -163,20 +150,22 @@ def spearman(a, b) -> float:
 
 def kendall_tau(a, b) -> float:
     """Tie-corrected Kendall tau-b over all pairs."""
+    from scipy.stats import kendalltau
+
     x, y = _check_pair(a, b)
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(x.size, k=1)
-    prod = sx[iu] * sy[iu]
-    concordant = int(np.count_nonzero(prod > 0))
-    discordant = int(np.count_nonzero(prod < 0))
-    ties_x = int(np.count_nonzero(sx[iu] == 0))
-    ties_y = int(np.count_nonzero(sy[iu] == 0))
-    n0 = x.size * (x.size - 1) // 2
-    denom = np.sqrt(float(n0 - ties_x) * float(n0 - ties_y))
-    if denom == 0.0:
-        raise ValueError("constant input: all pairs tied")
-    return (concordant - discordant) / denom
+    pairs = x.size * (x.size - 1) // 2
+    untied_x, untied_y = pairs - _tied_pairs(x), pairs - _tied_pairs(y)
+    if untied_x == 0 or untied_y == 0:
+        raise ValueError("constant input: all pairs tied")  # scipy returns nan
+    # scipy divides by the two roots in turn; recover its integer numerator
+    # (concordant minus discordant pairs) and divide once, as tau-b reads.
+    numerator = round(kendalltau(x, y).statistic * np.sqrt(untied_x) * np.sqrt(untied_y))
+    return numerator / np.sqrt(float(untied_x) * float(untied_y))
+
+
+def _tied_pairs(values: np.ndarray) -> int:
+    counts = np.unique(values, return_counts=True)[1]
+    return int(np.sum(counts * (counts - 1) // 2))
 
 
 def rank_correlations(a, b) -> RankCorrelationResult:
@@ -185,6 +174,8 @@ def rank_correlations(a, b) -> RankCorrelationResult:
 
 def auroc(scores, labels) -> RocResult:
     """Tie-averaged Mann-Whitney AUROC of anomaly scores against 0/1 labels."""
+    from scipy.stats import rankdata
+
     s = _as_1d(scores, "scores")
     lab = np.asarray(labels).reshape(-1)
     if lab.size != s.size:
@@ -196,6 +187,6 @@ def auroc(scores, labels) -> RocResult:
     neg = lab.size - pos
     if pos == 0 or neg == 0:
         raise ValueError("AUROC requires at least one positive and one negative label")
-    ranks = _average_ranks(s)
+    ranks = rankdata(s, method="average")
     u = float(ranks[lab].sum()) - pos * (pos + 1) / 2.0
     return RocResult(auroc=u / (pos * neg), positives=pos, negatives=neg)

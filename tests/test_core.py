@@ -171,15 +171,38 @@ class TestSphereLoss:
         value = sphere_loss([1.0, 0.0], [1.0, 1.0], X, DepthParams(r=1.0, s=1.0))
         assert value == pytest.approx(0.5, abs=1e-12)
 
-    def test_matches_naive_summation(self):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "unit", "norm-0.5", "norm-2", "d1", "n1", "duplicates", "far-query",
+            "scaled-1e8", "scaled-1e-8",
+        ],
+    )
+    def test_matches_naive_summation(self, case):
         rng = np.random.default_rng(20)
-        X = SampleSet(rng.standard_normal((20, 3)))
-        z = rng.standard_normal(3)
-        u = unit_direction(rng.standard_normal(3))
-        params = DepthParams(r=1.3, s=0.8)
-        np.testing.assert_allclose(
-            sphere_loss(u, z, X, params), _naive_loss(u, z, X, params), atol=1e-12
-        )
+        n, d = {"d1": (20, 1), "n1": (1, 3)}.get(case, (20, 3))
+        data = rng.standard_normal((n, d))
+        if case == "duplicates":
+            data = np.vstack([data[:10], data[:10]])
+        z = rng.standard_normal(d)
+        if case == "far-query":
+            z = np.full(d, 1e3)
+        u = unit_direction(rng.standard_normal(d))
+        u = u * {"norm-0.5": 0.5, "norm-2": 2.0}.get(case, 1.0)
+        c = {"scaled-1e8": 1e8, "scaled-1e-8": 1e-8}.get(case, 1.0)
+        X, z = SampleSet(c * data), c * z
+        params = DepthParams(r=1.3 * c, s=0.8 * c**2)
+
+        with np.errstate(over="ignore"):
+            naive = _naive_loss(u, z, X, params)
+        np.testing.assert_allclose(sphere_loss(u, z, X, params), naive, atol=1e-12)
+
+        w = X.data - z - params.r * u
+        gap = params.r**2 - np.sum(w**2, axis=1)
+        coef = sigmoid_derivative(gap, params.s) * 2 * params.r / X.n
+        naive_grad = np.sum(coef[:, None] * w, axis=0)
+        grad = sphere_loss_gradient(u, z, X, params)
+        assert np.linalg.norm(grad - naive_grad) <= 1e-12 * np.linalg.norm(naive_grad)
 
     def test_open_interval(self):
         rng = np.random.default_rng(21)

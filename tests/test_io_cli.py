@@ -334,6 +334,8 @@ class TestSpeedbenchCommand:
         assert payload["metrics"]["warmup_n"] == 1000
         assert "1000" in payload["metrics"]["seconds"]["sphere"]
         assert "2000" in payload["metrics"]["seconds"]["sphere"]
+        # The far query z = (10, 10, 10) is stationary at the start.
+        assert payload["metrics"]["iterations"]["sphere"] == {"1000": 0, "2000": 0}
 
     def test_decreasing_n_rejected(self, capsys):
         code = main(["speedbench", "--n-list", "2000", "1000"])

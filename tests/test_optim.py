@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheredepth import core
 from spheredepth import (
     DepthParams,
     DirectionGrid,
@@ -178,6 +179,26 @@ class TestRiemannianDescent:
         X = SampleSet([[0.0, 0.0]])
         with pytest.raises(ValueError, match="s > 0"):
             riemannian_descent([1.0, 1.0], X, DepthParams(r=1.0, s=0.0))
+
+    @pytest.mark.parametrize("revert", [True, False])
+    def test_one_objective_pass_per_trial_direction(self, monkeypatch, revert):
+        # The start and every trial direction cost one kernel call; a move
+        # reuses that call's sigmoids for its gradient.
+        calls = []
+        kernel = core._Objective.ball_args
+
+        def counting(objective, U):
+            calls.append(U)
+            return kernel(objective, U)
+
+        monkeypatch.setattr(core._Objective, "ball_args", counting)
+        rng = np.random.default_rng(0)
+        X = SampleSet(rng.standard_normal((200, 2)))
+        cfg = OptimizerConfig(revert_on_increase=revert, record_trace=True)
+        res = riemannian_descent([0.5, -0.2], X, DepthParams(r=1.0, s=0.3), cfg)
+        assert res.iterations >= 5
+        assert res.increase_iterations
+        assert len(calls) == 1 + res.iterations
 
 
 class TestInitialization:
