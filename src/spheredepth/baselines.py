@@ -6,6 +6,9 @@ multiple restarts work around plateau stalls.  Mahalanobis depth is the
 classical ``1 / (1 + (z-mu)' S^{-1} (z-mu))``.  The kernelized spatial
 depth is the spatial depth computed in the RKHS of a Gaussian kernel,
 expanded through the kernel trick so only pairwise distances are needed.
+Like the Mahalanobis depth it is fitted once per sample: the fit holds the
+n x n matrix ``E = 1 - K`` of the reference Gram (O(n**2) memory), and a
+query then costs one n x n matrix-vector product.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from .core import SampleSet, _as_vector
 from .optim import DepthResult
@@ -22,9 +26,11 @@ __all__ = [
     "HalfspaceConfig",
     "MahalanobisModel",
     "KernelConfig",
+    "KernelSpatialModel",
     "halfspace_depth",
     "fit_mahalanobis",
     "mahalanobis_depth",
+    "fit_kernelized_spatial",
     "kernelized_spatial_depth",
 ]
 
@@ -93,6 +99,30 @@ class KernelConfig:
     def __post_init__(self):
         if self.bandwidth_h <= 0:
             raise ValueError(f"bandwidth_h must be > 0, got {self.bandwidth_h}")
+
+
+@dataclass(frozen=True, eq=False)
+class KernelSpatialModel:
+    """Reference sample fitted for kernelized spatial depth.
+
+    ``complement`` is ``E = 1 - K`` for the Gaussian Gram ``K`` of ``data``
+    with squared bandwidth ``h2``; it does not depend on the query.
+    """
+
+    data: np.ndarray
+    h2: float
+    complement: np.ndarray
+
+    def __post_init__(self):
+        n = self.data.shape[0]
+        if self.complement.shape != (n, n):
+            raise ValueError(
+                f"complement shape {self.complement.shape} does not match n={n}"
+            )
+
+    @property
+    def d(self) -> int:
+        return self.data.shape[1]
 
 
 def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> DepthResult:
@@ -187,39 +217,46 @@ def mahalanobis_depth(z, model: MahalanobisModel) -> float:
     return 1.0 / (1.0 + max(q, 0.0))
 
 
-def kernelized_spatial_depth(z, X: SampleSet, kernel: KernelConfig | None = None) -> float:
+def fit_kernelized_spatial(
+    X: SampleSet, kernel: KernelConfig | None = None
+) -> KernelSpatialModel:
+    """Fit ``E = 1 - exp(-||x_i - x_j||**2 / h**2)`` once for the sample.
+
+    The squared distances are summed coordinate by coordinate (``cdist``),
+    not expanded as ``|x|**2 + |y|**2 - 2 x.y``, which loses them once the
+    data sit far from the origin; ``expm1`` keeps ``E`` exact near 0.
+    """
+    if kernel is None:
+        kernel = KernelConfig()
+    h2 = kernel.bandwidth_h**2
+    complement = cdist(X.data, X.data, "sqeuclidean")
+    complement /= -h2
+    np.expm1(complement, out=complement)
+    np.negative(complement, out=complement)
+    return KernelSpatialModel(data=X.data, h2=h2, complement=complement)
+
+
+def kernelized_spatial_depth(z, model: KernelSpatialModel) -> float:
     """Spatial depth in the RKHS of a Gaussian kernel.
 
-    ``1 - || (1/n) sum_i (phi(z) - phi(x_i)) / ||phi(z) - phi(x_i)|| ||``
+    ``1 - || (1/m) sum_i (phi(z) - phi(x_i)) / ||phi(z) - phi(x_i)|| ||``
     expanded via the kernel trick.  Samples coinciding with ``z`` have a
     zero displacement in the RKHS and are dropped from the average; if all
     samples coincide with ``z`` the depth is 1.
     """
-    if kernel is None:
-        kernel = KernelConfig()
-    z = _as_vector(z, X.d, name="query point")
-    h2 = kernel.bandwidth_h**2
-
-    diff = X.data - z
-    dz2 = np.einsum("ij,ij->i", diff, diff)
-    # eta_i = 1 - k(z, x_i) = ||phi(z) - phi(x_i)||**2 / 2, via expm1 for
-    # full precision near coincidence.
-    eta = -np.expm1(-dz2 / h2)
+    z = _as_vector(z, model.d, name="query point")
+    diff = model.data - z
+    # eta_i = 1 - k(z, x_i) = ||delta_i||**2 / 2 with delta_i = phi(z) - phi(x_i),
+    # via expm1 for full precision near coincidence.
+    eta = -np.expm1(-np.einsum("ij,ij->i", diff, diff) / model.h2)
     keep = eta > 0.0
-    if not np.any(keep):
+    m = np.count_nonzero(keep)
+    if m == 0:
         return 1.0
-    kept = X.data[keep]
-    eta = eta[keep]
-    kz = 1.0 - eta  # k(z, x_i)
-
-    sq = np.einsum("ij,ij->i", kept, kept)
-    cross = kept @ kept.T
-    dxx2 = sq[:, None] + sq[None, :] - 2.0 * cross
-    kxx = np.exp(-np.maximum(dxx2, 0.0) / h2)
-
-    # <delta_i, delta_j> = 1 - k(z,x_i) - k(z,x_j) + k(x_i,x_j),
-    # ||delta_i|| = sqrt(2 * eta_i)
-    inner = 1.0 - kz[:, None] - kz[None, :] + kxx
-    scale = np.sqrt(2.0 * eta)
-    norm2 = float(np.sum(inner / (scale[:, None] * scale[None, :]))) / eta.size**2
+    # <delta_i, delta_j> = eta_i + eta_j - E_ij; weights a_i = 1 / ||delta_i||
+    # and b_i = a_i * eta_i give m**2 norm2 = 2 (sum b)(sum a) - a'Ea.
+    a = np.zeros_like(eta)
+    a[keep] = 1.0 / np.sqrt(2.0 * eta[keep])
+    b = np.sqrt(eta / 2.0)
+    norm2 = (2.0 * b.sum() * a.sum() - float(a @ (model.complement @ a))) / m**2
     return float(np.clip(1.0 - np.sqrt(max(norm2, 0.0)), 0.0, 1.0))

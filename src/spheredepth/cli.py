@@ -28,6 +28,7 @@ from . import __version__
 from .baselines import (
     HalfspaceConfig,
     KernelConfig,
+    fit_kernelized_spatial,
     fit_mahalanobis,
     halfspace_depth,
     kernelized_spatial_depth,
@@ -100,15 +101,21 @@ def _depth_scores(
     grid_size: int,
     bandwidth: float,
     regularization: float,
+    oracle_option: str | None = None,
 ) -> dict:
-    """Evaluate one depth method on every row of ``points``."""
+    """Evaluate one depth method on every row of ``points``.
+
+    ``oracle_option`` names the calling subcommand's method flag when it
+    offers ``oracle-grid``; the s = 0 error then points to it.
+    """
     out: dict = {}
     if method == "sphere":
         if s == 0:
-            raise ValueError(
-                "method 'sphere' requires s > 0; use --method oracle-grid for the "
-                "indicator depth (s = 0)"
+            hint = (
+                f"; use {oracle_option} oracle-grid for the indicator depth (s = 0)"
+                if oracle_option else ""
             )
+            raise ValueError(f"method 'sphere' requires s > 0{hint}")
         cfg = OptimizerConfig(seed=seed)
         results = batch_depth(points, X, DepthParams(r=r, s=s), cfg, threads=threads)
         out["depths"] = [res.value for res in results]
@@ -127,8 +134,8 @@ def _depth_scores(
         model = fit_mahalanobis(X, regularization)
         out["depths"] = [mahalanobis_depth(z, model) for z in points]
     elif method == "kspatial":
-        kernel = KernelConfig(bandwidth_h=bandwidth)
-        out["depths"] = [kernelized_spatial_depth(z, X, kernel) for z in points]
+        model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=bandwidth))
+        out["depths"] = [kernelized_spatial_depth(z, model) for z in points]
     else:
         raise ValueError(f"unknown method {method!r}; choose from {DEPTH_METHODS}")
     return out
@@ -146,7 +153,7 @@ def run_depth(args) -> ExperimentReport:
 
     out = _depth_scores(
         args.method, points, X, r, s, args.seed, args.threads,
-        args.grid_size, args.bandwidth, args.regularization,
+        args.grid_size, args.bandwidth, args.regularization, oracle_option="--method",
     )
     metrics = dict(out)
     if args.oracle_check is not None:
@@ -191,7 +198,7 @@ def run_contour(args) -> tuple[ExperimentReport, str]:
     depths = np.asarray(
         _depth_scores(
             args.method, pts, X, r, s, args.seed, args.threads,
-            args.grid_size, args.bandwidth, args.regularization,
+            args.grid_size, args.bandwidth, args.regularization, oracle_option="--method",
         )["depths"]
     ).reshape(ny, nx)
 
@@ -388,7 +395,7 @@ def run_anomaly(args) -> ExperimentReport:
         depths = np.asarray(
             _depth_scores(
                 method, X.data, X, r, s, args.seed, args.threads,
-                args.grid_size, args.bandwidth, args.regularization,
+                args.grid_size, args.bandwidth, args.regularization, oracle_option="--methods",
             )["depths"]
         )
         scores = 1.0 - depths
@@ -412,6 +419,25 @@ def run_anomaly(args) -> ExperimentReport:
         metrics=metrics,
         provenance=_provenance(args.seed),
     )
+
+
+def _time_call(fn) -> tuple:
+    """``(result, seconds per call, calls per sample)`` for ``fn()``.
+
+    Calls are batched inside each sample so sub-millisecond solves are timed
+    against ~30 ms of work; the time is the median of 3 per-call samples.
+    """
+    start = time.perf_counter()
+    result = fn()
+    estimate = time.perf_counter() - start
+    reps = max(1, min(200, int(0.03 / max(estimate, 1e-9))))
+    samples = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        samples.append((time.perf_counter() - start) / reps)
+    return result, median(samples), reps
 
 
 def run_speedbench(args) -> ExperimentReport:
@@ -446,21 +472,10 @@ def run_speedbench(args) -> ExperimentReport:
         batches[method] = {}
         iterations[method] = {}
         for n in n_list:
-            start = time.perf_counter()
-            result = call(method, datasets[n])
-            estimate = time.perf_counter() - start
+            result, times[method][str(n)], batches[method][str(n)] = _time_call(
+                lambda: call(method, datasets[n])
+            )
             iterations[method][str(n)] = result.iterations
-            # Batch calls inside each sample so sub-millisecond solves are
-            # timed against ~30 ms of work; median of 3 per-call times.
-            reps = max(1, min(200, int(0.03 / max(estimate, 1e-9))))
-            samples = []
-            for _ in range(3):
-                start = time.perf_counter()
-                for _ in range(reps):
-                    call(method, datasets[n])
-                samples.append((time.perf_counter() - start) / reps)
-            times[method][str(n)] = median(samples)
-            batches[method][str(n)] = reps
 
     metrics: dict = {
         "seconds": times,
@@ -468,6 +483,20 @@ def run_speedbench(args) -> ExperimentReport:
         "iterations": iterations,
         "warmup_n": n_list[0],
     }
+    if "sphere" in args.methods:
+        # z above is far from the data, where the solver stops at iteration 0;
+        # the sample mean is an in-distribution query that makes it descend.
+        centred_times, centred_batches, centred_iterations = {}, {}, {}
+        for n in n_list:
+            X = datasets[n]
+            mean = X.data.mean(axis=0)
+            result, centred_times[str(n)], centred_batches[str(n)] = _time_call(
+                lambda: riemannian_descent(mean, X, params, sphere_cfg)
+            )
+            centred_iterations[str(n)] = result.iterations
+        metrics["centred_seconds"] = {"sphere": centred_times}
+        metrics["centred_calls_per_sample"] = {"sphere": centred_batches}
+        metrics["centred_iterations"] = {"sphere": centred_iterations}
     if "sphere" in times and "halfspace" in times:
         metrics["halfspace_over_sphere"] = {
             str(n): times["halfspace"][str(n)] / times["sphere"][str(n)] for n in n_list

@@ -1,9 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete.  The homogeneity-test criteria (8 and 9) are
-Monte-Carlo studies over hundreds of replications and dominate the
-runtime (about ten minutes total).
+lines as they complete.  Every test here carries the ``acceptance`` marker,
+so ``pytest -m "not acceptance"`` runs the rest of the suite alone.  The
+homogeneity-test criteria (8 and 9) are Monte-Carlo studies over hundreds
+of replications and dominate the runtime (about seven minutes total).
 
 Real-dataset AUROC checks (criterion 11) activate when ODDS CSV exports
 named ``wine.csv`` / ``breastw.csv`` (numeric features with the 0/1 label
@@ -22,6 +23,8 @@ import pytest
 
 import spheredepth as sd
 from spheredepth.cli import _build_parser, run_anomaly, run_htest, run_rankbench, run_speedbench
+
+pytestmark = pytest.mark.acceptance
 
 PARSER = _build_parser()
 

@@ -1,5 +1,7 @@
 """Tests for the halfspace, Mahalanobis, and kernelized spatial depths."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from spheredepth import (
     KernelConfig,
     MahalanobisModel,
     SampleSet,
+    fit_kernelized_spatial,
     fit_mahalanobis,
     grid_oracle_halfspace_depth,
     grid_oracle_sphere_depth,
@@ -155,15 +158,39 @@ def _gram_oracle(z, X, h):
     return 1.0 - np.sqrt(max(float(vec @ gram @ vec), 0.0))
 
 
+def _decimal_reference(z, X, h):
+    """Spatial depth from the kernel-trick expansion in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pts = [[Decimal(float(v)) for v in row] for row in X.data]
+        q = [Decimal(float(v)) for v in z]
+        h2 = Decimal(h) ** 2
+
+        def k(p, r):
+            return (-sum((a - b) ** 2 for a, b in zip(p, r)) / h2).exp()
+
+        kz = [k(q, p) for p in pts]
+        kept = [i for i, kzi in enumerate(kz) if kzi < 1]
+        if not kept:
+            return 1.0
+        scale = {i: (2 * (1 - kz[i])).sqrt() for i in kept}
+        total = sum(
+            (1 - kz[i] - kz[j] + k(pts[i], pts[j])) / (scale[i] * scale[j])
+            for i in kept
+            for j in kept
+        )
+        return float(1 - (total / len(kept) ** 2).sqrt())
+
+
 class TestKernelizedSpatialDepth:
     def test_single_distinct_sample(self):
-        X = SampleSet([[1.0, 1.0]])
-        assert kernelized_spatial_depth([0.0, 0.0], X) == pytest.approx(0.0, abs=1e-12)
+        model = fit_kernelized_spatial(SampleSet([[1.0, 1.0]]))
+        assert kernelized_spatial_depth([0.0, 0.0], model) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_symmetric_gram_oracle(self):
         X = SampleSet([[1.0, 0.5], [-1.0, 0.5]])
         z = [0.0, 0.0]
-        ours = kernelized_spatial_depth(z, X, KernelConfig(bandwidth_h=1.3))
+        ours = kernelized_spatial_depth(z, fit_kernelized_spatial(X, KernelConfig(bandwidth_h=1.3)))
         assert ours == pytest.approx(_gram_oracle(np.array(z), X, 1.3), abs=1e-12)
 
     def test_random_instances_match_gram_oracle(self):
@@ -172,15 +199,17 @@ class TestKernelizedSpatialDepth:
             X = SampleSet(rng.standard_normal((15, 3)))
             z = rng.standard_normal(3)
             h = rng.uniform(0.5, 2.0)
-            ours = kernelized_spatial_depth(z, X, KernelConfig(bandwidth_h=h))
+            model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=h))
+            ours = kernelized_spatial_depth(z, model)
             assert ours == pytest.approx(_gram_oracle(z, X, h), abs=1e-10)
 
     def test_argmax_near_symmetry_center(self):
         rng = np.random.default_rng(9)
         X = SampleSet(np.vstack([rng.standard_normal((200, 2)), -rng.standard_normal((200, 2))]))
         xs = np.linspace(-2, 2, 21)
+        model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=2.0))
         values = {
-            (x, y): kernelized_spatial_depth([x, y], X, KernelConfig(bandwidth_h=2.0))
+            (x, y): kernelized_spatial_depth([x, y], model)
             for x in xs
             for y in xs
         }
@@ -189,20 +218,20 @@ class TestKernelizedSpatialDepth:
 
     def test_coincident_sample_dropped(self):
         X = SampleSet([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        value = kernelized_spatial_depth([0.0, 0.0], X)
-        reduced = SampleSet([[2.0, 0.0], [0.0, 2.0]])
+        value = kernelized_spatial_depth([0.0, 0.0], fit_kernelized_spatial(X))
+        reduced = fit_kernelized_spatial(SampleSet([[2.0, 0.0], [0.0, 2.0]]))
         assert value == pytest.approx(kernelized_spatial_depth([0.0, 0.0], reduced), abs=1e-12)
 
     def test_all_coincident(self):
         X = SampleSet([[1.0, 1.0], [1.0, 1.0]])
-        assert kernelized_spatial_depth([1.0, 1.0], X) == 1.0
+        assert kernelized_spatial_depth([1.0, 1.0], fit_kernelized_spatial(X)) == 1.0
 
     def test_bounds(self):
         rng = np.random.default_rng(10)
-        X = SampleSet(rng.standard_normal((40, 2)))
+        model = fit_kernelized_spatial(SampleSet(rng.standard_normal((40, 2))))
         for _ in range(20):
             z = rng.uniform(-3, 3, 2)
-            assert 0.0 <= kernelized_spatial_depth(z, X) <= 1.0
+            assert 0.0 <= kernelized_spatial_depth(z, model) <= 1.0
 
     def test_isometry_invariance(self):
         rng = np.random.default_rng(11)
@@ -210,6 +239,34 @@ class TestKernelizedSpatialDepth:
         z = rng.standard_normal(3)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         b = rng.uniform(-4, 4, 3)
-        before = kernelized_spatial_depth(z, X)
-        after = kernelized_spatial_depth(Q @ z + b, SampleSet(X.data @ Q.T + b))
+        before = kernelized_spatial_depth(z, fit_kernelized_spatial(X))
+        moved = fit_kernelized_spatial(SampleSet(X.data @ Q.T + b))
+        after = kernelized_spatial_depth(Q @ z + b, moved)
         assert abs(before - after) <= 1e-10
+
+    def test_isometry_invariance_large_offset(self):
+        # At an offset of 1e6, |x|**2 is about 3e12, so the expansion
+        # |x|**2 + |y|**2 - 2 x.y would round each squared distance by ~1e-3.
+        rng = np.random.default_rng(11)
+        X = SampleSet(rng.standard_normal((60, 3)))
+        z = rng.standard_normal(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        b = 1e6 * np.ones(3)
+        before = kernelized_spatial_depth(z, fit_kernelized_spatial(X))
+        moved = fit_kernelized_spatial(SampleSet(X.data @ Q.T + b))
+        after = kernelized_spatial_depth(Q @ z + b, moved)
+        assert abs(before - after) <= 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_near_coincident_query_matches_decimal_reference(self, d):
+        rng = np.random.default_rng((12, d))
+        X = SampleSet(rng.standard_normal((25, d)))
+        z = X.data[0].copy()
+        z[0] += 1e-6
+        value = kernelized_spatial_depth(z, fit_kernelized_spatial(X))
+        assert abs(value - _decimal_reference(z, X, 1.0)) <= 1e-10
+
+    def test_query_dimension_mismatch(self):
+        model = fit_kernelized_spatial(SampleSet([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="query point"):
+            kernelized_spatial_depth([0.0, 0.0, 0.0], model)

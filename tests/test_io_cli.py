@@ -141,6 +141,12 @@ class TestDepthCommand:
         assert code == 2
         assert "oracle-grid" in capsys.readouterr().err
 
+    def test_s_zero_hint_names_method_flag(self, capsys):
+        code = main(["depth", "--n", "20", "--query", "0,0", "--r", "1", "--s", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s > 0" in err and "--method oracle-grid" in err
+
     def test_oracle_check_gap(self, capsys):
         code = main([
             "depth", "--generator", "gaussian", "--n", "200", "--d", "2",
@@ -221,6 +227,15 @@ class TestContourCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_s_zero_hint_names_method_flag(self, capsys):
+        code = main([
+            "contour", "--n", "20", "--bounds", "-1", "1", "-1", "1",
+            "--resolution", "2", "2", "--r", "1", "--s", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s > 0" in err and "--method oracle-grid" in err
+
     def test_requires_2d(self, tmp_path, capsys):
         code = main([
             "contour", "--generator", "gaussian", "--n", "30", "--d", "3",
@@ -240,6 +255,15 @@ class TestRankbenchCommand:
         payload = json.loads(capsys.readouterr().out)
         runs = payload["metrics"]["correlations"]["density"]["2"]["spearman_runs"]
         assert runs == [1.0, 1.0]
+
+    def test_s_zero_names_no_oracle_grid(self, capsys):
+        code = main([
+            "rankbench", "--dims", "2", "--n", "20", "--runs", "1",
+            "--methods", "sphere", "--s", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s > 0" in err and "oracle-grid" not in err
 
     def test_repeatable(self, tmp_path):
         args = [
@@ -264,6 +288,12 @@ class TestHtestCommand:
         for key in ("fg", "gf"):
             assert len(payload["metrics"][key]["z_stats"]) == 2
             assert 0.0 <= payload["metrics"][key]["rejection_rate"] <= 1.0
+
+    def test_s_zero_names_no_oracle_grid(self, capsys):
+        code = main(["htest", "--n", "20", "--m", "20", "--reps", "1", "--s", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s > 0" in err and "oracle-grid" not in err
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -305,6 +335,15 @@ class TestAnomalyCommand:
         assert payload["parameters"]["r"] > 0
         assert payload["parameters"]["s"] > 0
 
+    def test_s_zero_hint_names_methods_flag(self, separable_csv, capsys):
+        code = main([
+            "anomaly", "--csv", str(separable_csv), "--label-column", "y",
+            "--methods", "sphere", "--s", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "s > 0" in err and "--methods oracle-grid" in err
+
     def test_single_class_rejected(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("a,y\n1,0\n2,0\n")
@@ -336,6 +375,11 @@ class TestSpeedbenchCommand:
         assert "2000" in payload["metrics"]["seconds"]["sphere"]
         # The far query z = (10, 10, 10) is stationary at the start.
         assert payload["metrics"]["iterations"]["sphere"] == {"1000": 0, "2000": 0}
+        # The sample mean is in distribution, so the solver has to descend.
+        centred = payload["metrics"]["centred_iterations"]["sphere"]
+        assert set(centred) == {"1000", "2000"}
+        assert all(v > 0 for v in centred.values())
+        assert set(payload["metrics"]["centred_seconds"]["sphere"]) == {"1000", "2000"}
 
     def test_decreasing_n_rejected(self, capsys):
         code = main(["speedbench", "--n-list", "2000", "1000"])
