@@ -20,6 +20,13 @@ the loss, the gradient, the grid oracle and the solver all evaluate it.
 Per query it computes ``w = X - z`` and ``||w||**2`` once; each direction,
 or block of directions, then costs one product with the data.
 
+The sigmoid is ``1 / (1 + exp(-t/s))`` on numpy's vectorised ``exp``,
+evaluated in place.  For samples far outside the ball ``exp`` overflows to
+``inf`` and the sigmoid is exactly 0.  That overflow is expected, so each
+public entry point (and the solver in :mod:`spheredepth.optim`) holds
+``np.errstate(over="ignore")`` once around its work; every other
+floating-point error keeps the caller's setting.
+
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.
 """
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "SampleSet",
@@ -201,15 +207,32 @@ class OracleResult(NamedTuple):
     index: int
 
 
-def sigmoid(t, s: float):
-    """Numerically stable logistic ``1 / (1 + exp(-t/s))``.
+def _logistic_of_negated(m: np.ndarray) -> np.ndarray:
+    """Overwrite ``m = -t/s`` with ``sigmoid(t, s) = 1 / (1 + exp(m))``.
 
-    Saturates cleanly to 0 or 1 for large ``|t/s|`` instead of overflowing.
-    Accepts scalars or arrays.
+    Vectorised ``exp``, then ``+ 1`` and a reciprocal, all in place.  Where
+    ``exp`` overflows to ``inf`` the result is exactly 0; the caller holds
+    ``np.errstate(over="ignore")`` once around its whole computation.
+    """
+    np.exp(m, out=m)
+    m += 1.0
+    return np.reciprocal(m, out=m)
+
+
+def sigmoid(t, s: float):
+    """Logistic ``1 / (1 + exp(-t/s))``, computed from ``exp(-t/s)``.
+
+    Agrees with scipy's logistic to 4 ulp wherever that exceeds 1e-300.
+    Saturates to exactly 1 for large ``t/s``; for large ``-t/s`` ``exp``
+    overflows and the value is exactly 0, without a warning.  Accepts
+    scalars or arrays.
     """
     if s <= 0:
         raise ValueError(f"smoothing scale s must be > 0, got {s}")
-    out = expit(np.asarray(t, dtype=np.float64) / s)
+    m = np.array(t, dtype=np.float64)
+    m /= -s
+    with np.errstate(over="ignore"):
+        out = _logistic_of_negated(m)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -250,11 +273,12 @@ class _Objective:
         return t
 
     def sigmoids(self, u: np.ndarray) -> np.ndarray:
-        """Per-sample smoothed ball membership at any ambient ``u``."""
+        """Per-sample smoothed ball membership at any ambient ``u``.  Far
+        samples overflow ``exp``; callers hold ``np.errstate(over="ignore")``."""
         t = self.ball_args(u)
         t += self.r * self.r * (1.0 - float(u @ u))
-        t /= self.s
-        return expit(t, out=t)
+        t /= -self.s
+        return _logistic_of_negated(t)
 
     def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Ambient gradient ``c @ w - r (sum c) u`` from the sigmoids ``p``
@@ -276,7 +300,8 @@ def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
         raise ValueError("sphere_loss requires s > 0; use the grid oracle for s = 0")
     u = _as_vector(u, X.d, name="direction")
     z = _as_vector(z, X.d, name="query point")
-    return float(np.mean(_Objective(z, X, params).sigmoids(u)))
+    with np.errstate(over="ignore"):
+        return float(np.mean(_Objective(z, X, params).sigmoids(u)))
 
 
 def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
@@ -291,7 +316,8 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
     u = _as_vector(u, X.d, name="direction")
     z = _as_vector(z, X.d, name="query point")
     objective = _Objective(z, X, params)
-    return objective.gradient(objective.sigmoids(u), u)
+    with np.errstate(over="ignore"):
+        return objective.gradient(objective.sigmoids(u), u)
 
 
 def grid_oracle_sphere_depth(
@@ -316,18 +342,19 @@ def grid_oracle_sphere_depth(
     best_val = np.inf
     best_idx = -1
     block = max(1, _ORACLE_BLOCK_ENTRIES // X.n)
-    for start in range(0, grid.m, block):
-        chunk = grid.directions[start : start + block]
-        t = objective.ball_args(chunk.T)
-        if params.s == 0:
-            vals = np.mean(t >= 0.0, axis=0)
-        else:
-            t /= params.s
-            vals = np.mean(expit(t, out=t), axis=0)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
+    with np.errstate(over="ignore"):
+        for start in range(0, grid.m, block):
+            chunk = grid.directions[start : start + block]
+            t = objective.ball_args(chunk.T)
+            if params.s == 0:
+                vals = np.mean(t >= 0.0, axis=0)
+            else:
+                t /= -params.s
+                vals = np.mean(_logistic_of_negated(t), axis=0)
+            j = int(np.argmin(vals))
+            if vals[j] < best_val:
+                best_val = float(vals[j])
+                best_idx = start + j
     return OracleResult(best_val, grid.directions[best_idx].copy(), best_idx)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from spheredepth import (
     DepthParams,
@@ -114,6 +115,24 @@ class TestSigmoid:
             sigmoid(1.0, 0.0)
         with pytest.raises(ValueError, match="s must be"):
             sigmoid(1.0, -1.0)
+
+    @pytest.mark.parametrize("s", [1.0, 0.01, 3.0])
+    @pytest.mark.parametrize("inputs", ["grid", "random"])
+    def test_matches_scipy_reference(self, inputs, s):
+        if inputs == "grid":
+            t = np.linspace(-800.0, 800.0, 160_001)
+        else:
+            rng = np.random.default_rng(31)
+            t = rng.standard_normal(100_000) * rng.choice([1.0, 30.0, 300.0], 100_000)
+        ref = expit(t / s)
+        got = sigmoid(t, s)
+        normal = ref > 1e-300
+        ulps = np.abs(got[normal].view(np.int64) - ref[normal].view(np.int64))
+        assert ulps.max() <= 4
+        saturated = (ref == 0.0) | (ref == 1.0)
+        np.testing.assert_array_equal(got[saturated], ref[saturated])
+        assert np.all((got[~normal] >= 0.0) & (got[~normal] <= 1e-300))
+        assert sigmoid(0.0, s) == 0.5
 
     def test_array_input(self):
         out = sigmoid(np.array([-1.0, 0.0, 1.0]), 2.0)

@@ -1,10 +1,15 @@
 """Tests for CSV ingestion, report emission, and the CLI subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spheredepth
 from spheredepth import ExperimentReport, load_labeled_csv
 from spheredepth.cli import main
 from spheredepth.io import write_text_atomic
@@ -385,3 +390,19 @@ class TestSpeedbenchCommand:
         code = main(["speedbench", "--n-list", "2000", "1000"])
         assert code == 2
         assert "non-decreasing" in capsys.readouterr().err
+
+
+def test_cli_import_defers_scipy_optimize():
+    # scipy.optimize costs a large share of the CLI's start-up; only the
+    # halfspace baseline needs it, and it imports it when called.
+    src = str(Path(spheredepth.__file__).resolve().parents[1])
+    code = "import sys, spheredepth.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Tests for the manifold descent solver and its geometric primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from spheredepth import (
     sigmoid,
     sphere_depth,
     sphere_loss,
+    sphere_loss_gradient,
     tangent_project,
     unit_direction,
 )
@@ -295,6 +298,31 @@ class TestBatchDepth:
         X = SampleSet([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="point 1"):
             batch_depth([[0.0, 0.0], [np.nan, 0.0]], X, DepthParams(r=1.0, s=1.0))
+
+
+class TestFloatingPointErrors:
+    @pytest.mark.parametrize("s", [1.0, 1e-2, 1e-4])
+    @pytest.mark.parametrize("z", [(0.0, 0.0), (50.0, 50.0), (1e4, -1e4)])
+    def test_overflow_suppression_stays_local(self, z, s):
+        # Far samples overflow exp inside the sigmoid; the library must
+        # absorb that without touching the caller's error state.
+        X = SampleSet(np.random.default_rng(23).standard_normal((50, 2)))
+        params = DepthParams(r=1.0, s=s)
+        u = np.array([0.6, 0.8])
+        grid = DirectionGrid.generate(64, 2)
+        raising = np.errstate(over="raise", invalid="raise", divide="raise")
+        with raising, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                riemannian_descent(z, X, params).value,
+                batch_depth([z, z], X, params)[1].value,
+                grid_oracle_sphere_depth(z, X, params, grid).value,
+                sphere_loss(u, z, X, params),
+            ]
+            grad = sphere_loss_gradient(u, z, X, params)
+            assert np.geterr()["over"] == "raise"
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert np.all(np.isfinite(grad))
 
 
 class TestSolverOracleAgreement:
