@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import SampleSet, _as_vector
 from .optim import DepthResult
@@ -227,6 +226,8 @@ def fit_kernelized_spatial(
     not expanded as ``|x|**2 + |y|**2 - 2 x.y``, which loses them once the
     data sit far from the origin; ``expm1`` keeps ``E`` exact near 0.
     """
+    from scipy.spatial.distance import cdist  # deferred: it adds about 0.5 s to the import
+
     if kernel is None:
         kernel = KernelConfig()
     h2 = kernel.bandwidth_h**2

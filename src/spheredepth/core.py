@@ -17,8 +17,16 @@ fast solver lives in :mod:`spheredepth.optim`.
 
 The objective has one implementation, the private ``_Objective`` kernel:
 the loss, the gradient, the grid oracle and the solver all evaluate it.
-Per query it computes ``w = X - z`` and ``||w||**2`` once; each direction,
-or block of directions, then costs one product with the data.
+Per query it computes ``w = X - z``, ``||w||**2`` and, for ``s > 0``,
+``||w||**2 / s`` once.  For ``s > 0`` each direction, or block of
+directions, then costs one product ``w @ (U * (-2r/s))`` that already
+yields ``-t/s``: the scale multiplies the d-vector or d x m block, not the
+n-vector, and one add of ``||w||**2 / s`` finishes the argument of the
+sigmoid.  The ``s = 0`` indicator needs only the sign of ``t`` and keeps
+the unscaled ``t = 2r (w @ U) - ||w||**2``.
+:class:`SampleSet` stores its data column-major, so ``X - z``, ``||w||**2``
+and the per-feature means run over contiguous n-vectors rather than n rows
+of length d.
 
 The sigmoid is ``1 / (1 + exp(-t/s))`` on numpy's vectorised ``exp``,
 evaluated in place.  For samples far outside the ball ``exp`` overflows to
@@ -95,13 +103,16 @@ class SampleSet:
     """Immutable n-by-d matrix of observations (the empirical distribution).
 
     Rows are observations, columns are features.  Entries must be finite.
-    The underlying array is copied and marked read-only.
+    The underlying array is copied column-major (Fortran order) and marked
+    read-only: each feature is one contiguous n-vector, so the per-column
+    passes of the objective kernel and the axis-0 reductions stream through
+    memory instead of looping over n rows of length d.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.data, name="sample data").copy()
+        arr = _as_matrix(self.data, name="sample data").copy(order="F")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -256,37 +267,57 @@ def sigmoid_derivative(t, s: float):
 class _Objective:
     """The objective of one query point.  With ``w_i = x_i - z`` the ball
     argument expands as
-    ``r**2 - ||w_i - r*u||**2 = 2r <w_i, u> - ||w_i||**2 + r**2 (1 - ||u||**2)``.
+    ``t_i = r**2 - ||w_i - r*u||**2 = 2r <w_i, u> - ||w_i||**2 + r**2 (1 - ||u||**2)``.
+
+    For ``s > 0`` the sigmoid needs only ``-t/s``, so the constants are
+    folded into what is computed once per query (``||w_i||**2 / s``) or per
+    direction (the d-vector ``u * (-2r/s)``); an evaluation is then one
+    product with the data, one add and the logistic.
     """
 
     def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams):
         self.w = X.data - z
         self.w2 = np.einsum("ij,ij->i", self.w, self.w)
         self.r, self.s = params.r, params.s
+        if self.s > 0:
+            self.w2_s = self.w2 / self.s
 
     def ball_args(self, U: np.ndarray) -> np.ndarray:
         """``2r <w_i, u> - ||w_i||**2`` for one direction ``(d,)`` or a
-        block ``(d, m)``; this is the ball argument on the unit sphere."""
+        block ``(d, m)``; this is the ball argument on the unit sphere, and
+        what the ``s = 0`` indicator compares with 0."""
         t = self.w @ U
         t *= 2.0 * self.r
         t -= self.w2 if t.ndim == 1 else self.w2[:, None]
         return t
 
+    def folded_args(self, U: np.ndarray) -> np.ndarray:
+        """``-t/s = (||w_i||**2 - 2r <w_i, u>) / s`` on the unit sphere for
+        one direction ``(d,)`` or a block ``(d, m)`` (``s > 0``): one product
+        with the data, the scale applied to ``U`` rather than to the result."""
+        m = self.w @ (U * (-2.0 * self.r / self.s))
+        m += self.w2_s if m.ndim == 1 else self.w2_s[:, None]
+        return m
+
     def sigmoids(self, u: np.ndarray) -> np.ndarray:
         """Per-sample smoothed ball membership at any ambient ``u``.  Far
         samples overflow ``exp``; callers hold ``np.errstate(over="ignore")``."""
-        t = self.ball_args(u)
-        t += self.r * self.r * (1.0 - float(u @ u))
-        t /= -self.s
-        return _logistic_of_negated(t)
+        m = self.folded_args(u)
+        remainder = self.r * self.r * (1.0 - float(u @ u))
+        if remainder != 0.0:
+            m -= remainder / self.s
+        return _logistic_of_negated(m)
 
     def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Ambient gradient ``c @ w - r (sum c) u`` from the sigmoids ``p``
-        at ``u``, with ``c_i = sig_s'_i * 2r/n``."""
+        """Ambient gradient ``(2r/(s n)) (c @ w - r (sum c) u)`` from the
+        sigmoids ``p`` at ``u``, with ``c_i = p_i (1 - p_i)``; the scale
+        multiplies the d-vector, not the n-vector ``c``."""
         c = 1.0 - p
         c *= p
-        c *= 2.0 * self.r / (self.s * p.size)
-        return c @ self.w - (self.r * float(c.sum())) * u
+        g = c @ self.w
+        g -= (self.r * float(c.sum())) * u
+        g *= 2.0 * self.r / (self.s * p.size)
+        return g
 
 
 def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
@@ -345,12 +376,10 @@ def grid_oracle_sphere_depth(
     with np.errstate(over="ignore"):
         for start in range(0, grid.m, block):
             chunk = grid.directions[start : start + block]
-            t = objective.ball_args(chunk.T)
             if params.s == 0:
-                vals = np.mean(t >= 0.0, axis=0)
+                vals = np.mean(objective.ball_args(chunk.T) >= 0.0, axis=0)
             else:
-                t /= -params.s
-                vals = np.mean(_logistic_of_negated(t), axis=0)
+                vals = np.mean(_logistic_of_negated(objective.folded_args(chunk.T)), axis=0)
             j = int(np.argmin(vals))
             if vals[j] < best_val:
                 best_val = float(vals[j])

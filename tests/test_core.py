@@ -42,6 +42,16 @@ class TestSampleSet:
         X = SampleSet(np.zeros((5, 3)))
         assert X.n == 5 and X.d == 3
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_column_major_read_only_copy(self, layout):
+        A = np.arange(24.0).reshape(8, 3)
+        A = {"C": A, "F": np.asfortranarray(A), "strided": A[::2]}[layout]
+        X = SampleSet(A)
+        assert X.data.flags.f_contiguous
+        assert not X.data.flags.writeable
+        np.testing.assert_array_equal(X.data, A)
+        assert not np.shares_memory(X.data, A)
+
 
 class TestDepthParams:
     def test_rejects_nonpositive_radius(self):
@@ -194,7 +204,7 @@ class TestSphereLoss:
         "case",
         [
             "unit", "norm-0.5", "norm-2", "d1", "n1", "duplicates", "far-query",
-            "scaled-1e8", "scaled-1e-8",
+            "scaled-1e8", "scaled-1e-8", "small-s", "large-s",
         ],
     )
     def test_matches_naive_summation(self, case):
@@ -209,8 +219,15 @@ class TestSphereLoss:
         u = unit_direction(rng.standard_normal(d))
         u = u * {"norm-0.5": 0.5, "norm-2": 2.0}.get(case, 1.0)
         c = {"scaled-1e8": 1e8, "scaled-1e-8": 1e-8}.get(case, 1.0)
+        s = {"small-s": 1e-3, "large-s": 1e3}.get(case, 0.8) * c**2
+        if case == "small-s":
+            # At s = 1e-3 every random sample saturates the sigmoid; put three
+            # within a few s of the sphere, where the gradient lives.
+            for i, gap in enumerate([-2.0 * s, 0.5 * s, 3.0 * s]):
+                e = unit_direction(rng.standard_normal(d))
+                data[i] = z + 1.3 * u + np.sqrt(1.3**2 - gap) * e
         X, z = SampleSet(c * data), c * z
-        params = DepthParams(r=1.3 * c, s=0.8 * c**2)
+        params = DepthParams(r=1.3 * c, s=s)
 
         with np.errstate(over="ignore"):
             naive = _naive_loss(u, z, X, params)

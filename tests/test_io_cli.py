@@ -392,11 +392,13 @@ class TestSpeedbenchCommand:
         assert "non-decreasing" in capsys.readouterr().err
 
 
-def test_cli_import_defers_scipy_optimize():
-    # scipy.optimize costs a large share of the CLI's start-up; only the
-    # halfspace baseline needs it, and it imports it when called.
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.spatial"])
+def test_cli_import_defers_scipy(module):
+    # scipy.optimize and scipy.spatial cost most of the CLI's start-up; only
+    # the halfspace and kernel-spatial baselines need them, and they import
+    # them when called.
     src = str(Path(spheredepth.__file__).resolve().parents[1])
-    code = "import sys, spheredepth.cli; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, spheredepth.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

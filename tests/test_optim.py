@@ -188,13 +188,13 @@ class TestRiemannianDescent:
         # The start and every trial direction cost one kernel call; a move
         # reuses that call's sigmoids for its gradient.
         calls = []
-        kernel = core._Objective.ball_args
+        kernel = core._Objective.folded_args
 
         def counting(objective, U):
             calls.append(U)
             return kernel(objective, U)
 
-        monkeypatch.setattr(core._Objective, "ball_args", counting)
+        monkeypatch.setattr(core._Objective, "folded_args", counting)
         rng = np.random.default_rng(0)
         X = SampleSet(rng.standard_normal((200, 2)))
         cfg = OptimizerConfig(revert_on_increase=revert, record_trace=True)
