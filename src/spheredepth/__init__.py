@@ -7,114 +7,14 @@ data generators, and dataset/report I/O.
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    HalfspaceConfig,
-    KernelConfig,
-    KernelSpatialModel,
-    MahalanobisModel,
-    fit_kernelized_spatial,
-    fit_mahalanobis,
-    halfspace_depth,
-    kernelized_spatial_depth,
-    mahalanobis_depth,
-)
-from .core import (
-    DepthParams,
-    DirectionGrid,
-    OracleResult,
-    SampleSet,
-    grid_oracle_halfspace_depth,
-    grid_oracle_sphere_depth,
-    sigmoid,
-    sigmoid_derivative,
-    sphere_loss,
-    sphere_loss_gradient,
-    unit_direction,
-)
-from .datagen import (
-    MixtureSpec,
-    StandardizationStats,
-    StudentSpec,
-    bi_gaussian_spec,
-    gen_mixture,
-    gen_student_t,
-    gen_truncated_gaussian,
-    mixture_density,
-    standardize,
-)
-from .io import ExperimentReport, LabeledDataset, load_features_csv, load_labeled_csv
-from .optim import (
-    DepthResult,
-    OptimizerConfig,
-    batch_depth,
-    default_params,
-    exp_map,
-    riemannian_descent,
-    sphere_depth,
-    tangent_project,
-)
-from .stats import (
-    QualityIndexResult,
-    RankCorrelationResult,
-    RocResult,
-    auroc,
-    homogeneity_test,
-    kendall_tau,
-    quality_index,
-    rank_correlations,
-    spearman,
-)
+from . import baselines, core, datagen, io, optim, stats
+from .baselines import *  # noqa: F403
+from .core import *  # noqa: F403
+from .datagen import *  # noqa: F403
+from .io import *  # noqa: F403
+from .optim import *  # noqa: F403
+from .stats import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "SampleSet",
-    "DepthParams",
-    "DirectionGrid",
-    "OracleResult",
-    "unit_direction",
-    "sigmoid",
-    "sigmoid_derivative",
-    "sphere_loss",
-    "sphere_loss_gradient",
-    "grid_oracle_sphere_depth",
-    "grid_oracle_halfspace_depth",
-    "OptimizerConfig",
-    "DepthResult",
-    "tangent_project",
-    "exp_map",
-    "riemannian_descent",
-    "default_params",
-    "sphere_depth",
-    "batch_depth",
-    "HalfspaceConfig",
-    "MahalanobisModel",
-    "KernelConfig",
-    "KernelSpatialModel",
-    "halfspace_depth",
-    "fit_mahalanobis",
-    "mahalanobis_depth",
-    "fit_kernelized_spatial",
-    "kernelized_spatial_depth",
-    "QualityIndexResult",
-    "RankCorrelationResult",
-    "RocResult",
-    "quality_index",
-    "homogeneity_test",
-    "spearman",
-    "kendall_tau",
-    "rank_correlations",
-    "auroc",
-    "MixtureSpec",
-    "StudentSpec",
-    "StandardizationStats",
-    "bi_gaussian_spec",
-    "gen_mixture",
-    "gen_student_t",
-    "gen_truncated_gaussian",
-    "mixture_density",
-    "standardize",
-    "ExperimentReport",
-    "LabeledDataset",
-    "load_labeled_csv",
-    "load_features_csv",
+__all__ = ["__version__"] + [
+    name for module in (core, optim, baselines, stats, datagen, io) for name in module.__all__
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SampleSet, _as_vector
-from .optim import DepthResult
+from .optim import DepthResult, OptimizerConfig, _initial_direction
 
 __all__ = [
     "HalfspaceConfig",
@@ -33,30 +33,24 @@ __all__ = [
 ]
 
 
+# Nelder-Mead controls for the halfspace-depth minimization.  The initial
+# simplex offsets are of order 1 (comparable to the unit direction itself),
+# because tiny simplices stall immediately on the objective's plateaus.
+_SIMPLEX_TOLERANCE = 1e-4
+_MAX_EVALS = 400
+_INITIAL_SIMPLEX_SCALE = 1.0
+
+
 @dataclass(frozen=True)
 class HalfspaceConfig:
-    """Nelder-Mead controls for the halfspace-depth minimization.
-
-    ``initial_simplex_scale`` sets the vertex offsets around each start;
-    offsets of order 1 (comparable to the unit direction itself) are needed
-    because tiny simplices stall immediately on the objective's plateaus.
-    """
+    """Restarts and seed of the halfspace-depth minimization."""
 
     restarts: int = 10
     seed: int = 0
-    simplex_tolerance: float = 1e-4
-    max_evals: int = 400
-    initial_simplex_scale: float = 1.0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.simplex_tolerance <= 0:
-            raise ValueError("simplex_tolerance must be > 0")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        if self.initial_simplex_scale <= 0:
-            raise ValueError("initial_simplex_scale must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +141,7 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
         return float(np.count_nonzero(data @ uu >= z @ uu)) / n
 
     rng = np.random.default_rng(cfg.seed)
-    starts = []
-    mean = data.mean(axis=0)
-    if np.linalg.norm(mean) < 1e-12:
-        mean = np.zeros(X.d)
-        mean[0] = 1.0
-    starts.append(mean / np.linalg.norm(mean))
+    starts = [_initial_direction(z, X, OptimizerConfig(init="paper-mean"))]
     for _ in range(cfg.restarts - 1):
         g = rng.standard_normal(X.d)
         starts.append(g / np.linalg.norm(g))
@@ -162,15 +151,15 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
     total_evals = 0
     eye = np.eye(X.d)
     for x0 in starts:
-        simplex = np.vstack([x0] + [x0 + cfg.initial_simplex_scale * e for e in eye])
+        simplex = np.vstack([x0] + [x0 + _INITIAL_SIMPLEX_SCALE * e for e in eye])
         res = minimize(
             objective,
             x0,
             method="Nelder-Mead",
             options={
-                "xatol": cfg.simplex_tolerance,
-                "fatol": cfg.simplex_tolerance,
-                "maxfev": cfg.max_evals,
+                "xatol": _SIMPLEX_TOLERANCE,
+                "fatol": _SIMPLEX_TOLERANCE,
+                "maxfev": _MAX_EVALS,
                 "initial_simplex": simplex,
             },
         )

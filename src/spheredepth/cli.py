@@ -157,9 +157,10 @@ def run_depth(args) -> ExperimentReport:
     )
     metrics = dict(out)
     if args.oracle_check is not None:
-        grid = DirectionGrid.generate(args.oracle_check, X.d, seed=args.seed)
-        params = DepthParams(r=r, s=s)
-        oracle = [grid_oracle_sphere_depth(z, X, params, grid).value for z in points]
+        oracle = _depth_scores(
+            "oracle-grid", points, X, r, s, args.seed, args.threads,
+            args.oracle_check, args.bandwidth, args.regularization,
+        )["depths"]
         metrics["oracle_depths"] = oracle
         metrics["max_oracle_gap"] = max(
             abs(a - b) for a, b in zip(metrics["depths"], oracle)

@@ -351,6 +351,22 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
         return objective.gradient(objective.sigmoids(u), u)
 
 
+def _grid_minimum(grid: DirectionGrid, n: int, block_values) -> OracleResult:
+    """Minimum over the grid of ``block_values``, which maps an ``(m, d)``
+    block of directions to its ``m`` values; blocks hold about
+    ``_ORACLE_BLOCK_ENTRIES`` n-by-m entries.  Ties break to the lowest index."""
+    best_val = np.inf
+    best_idx = -1
+    block = max(1, _ORACLE_BLOCK_ENTRIES // n)
+    for start in range(0, grid.m, block):
+        vals = block_values(grid.directions[start : start + block])
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best_idx = start + j
+    return OracleResult(best_val, grid.directions[best_idx].copy(), best_idx)
+
+
 def grid_oracle_sphere_depth(
     z, X: SampleSet, params: DepthParams, grid: DirectionGrid
 ) -> OracleResult:
@@ -363,28 +379,18 @@ def grid_oracle_sphere_depth(
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
-    if grid.m < 1:
-        raise ValueError("direction grid is empty")
     # Grid directions are unit vectors, so the ball argument needs no
     # remainder term: a sample at the query sits at exactly t = 0, which
     # the s = 0 indicator counts as inside.
     objective = _Objective(z, X, params)
 
-    best_val = np.inf
-    best_idx = -1
-    block = max(1, _ORACLE_BLOCK_ENTRIES // X.n)
+    def block_values(chunk: np.ndarray) -> np.ndarray:
+        if params.s == 0:
+            return np.mean(objective.ball_args(chunk.T) >= 0.0, axis=0)
+        return np.mean(_logistic_of_negated(objective.folded_args(chunk.T)), axis=0)
+
     with np.errstate(over="ignore"):
-        for start in range(0, grid.m, block):
-            chunk = grid.directions[start : start + block]
-            if params.s == 0:
-                vals = np.mean(objective.ball_args(chunk.T) >= 0.0, axis=0)
-            else:
-                vals = np.mean(_logistic_of_negated(objective.folded_args(chunk.T)), axis=0)
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val = float(vals[j])
-                best_idx = start + j
-    return OracleResult(best_val, grid.directions[best_idx].copy(), best_idx)
+        return _grid_minimum(grid, X.n, block_values)
 
 
 def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleResult:
@@ -397,19 +403,8 @@ def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleR
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
-    if grid.m < 1:
-        raise ValueError("direction grid is empty")
 
-    best_val = np.inf
-    best_idx = -1
-    block = max(1, _ORACLE_BLOCK_ENTRIES // X.n)
-    for start in range(0, grid.m, block):
-        chunk = grid.directions[start : start + block]
-        proj = X.data @ chunk.T
-        zproj = chunk @ z
-        vals = np.mean(proj >= zproj[None, :], axis=0)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
-    return OracleResult(best_val, grid.directions[best_idx].copy(), best_idx)
+    def block_values(chunk: np.ndarray) -> np.ndarray:
+        return np.mean(X.data @ chunk.T >= (chunk @ z)[None, :], axis=0)
+
+    return _grid_minimum(grid, X.n, block_values)

@@ -134,36 +134,44 @@ def gen_mixture(spec: MixtureSpec, n: int, seed) -> SampleSet:
     return SampleSet(out)
 
 
-def gen_student_t(spec: StudentSpec, n: int, seed, max_rounds: int = 1000) -> SampleSet:
-    """Draw ``n`` truncated multivariate-t samples via rejection resampling.
-
-    Each draw is ``mean + (L g) / sqrt(chi2_df / df)``; draws with norm
-    above ``truncation_norm`` are redrawn until accepted.
-    """
+def _rejection_sample(n: int, d: int, seed, truncation_norm, max_rounds: int, draw) -> SampleSet:
+    """``n`` rows from rounds of ``draw(rng, k)``, which returns ``k`` candidate
+    rows; rows with norm above ``truncation_norm`` are redrawn next round."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if truncation_norm is not None and truncation_norm <= 0:
+        raise ValueError("truncation_norm must be > 0 or None")
     rng = np.random.default_rng(seed)
-    chol = _cholesky_spd(spec.scale, "scale")
-    out = np.empty((n, spec.d))
+    out = np.empty((n, d))
     filled = 0
     for _ in range(max_rounds):
-        need = n - filled
-        g = rng.standard_normal((need, spec.d))
-        chi = rng.chisquare(spec.df, size=need)
-        x = spec.mean + (g @ chol.T) / np.sqrt(chi / spec.df)[:, None]
-        if spec.truncation_norm is None:
-            accept = np.ones(need, dtype=bool)
-        else:
-            accept = np.linalg.norm(x, axis=1) <= spec.truncation_norm
-        taken = x[accept]
-        out[filled : filled + taken.shape[0]] = taken
-        filled += taken.shape[0]
+        x = draw(rng, n - filled)
+        if truncation_norm is not None:
+            x = x[np.linalg.norm(x, axis=1) <= truncation_norm]
+        out[filled : filled + x.shape[0]] = x
+        filled += x.shape[0]
         if filled == n:
             return SampleSet(out)
     raise ValueError(
         f"rejection sampling did not fill {n} draws in {max_rounds} rounds; "
         "truncation_norm is likely too small"
     )
+
+
+def gen_student_t(spec: StudentSpec, n: int, seed, max_rounds: int = 1000) -> SampleSet:
+    """Draw ``n`` truncated multivariate-t samples via rejection resampling.
+
+    Each draw is ``mean + (L g) / sqrt(chi2_df / df)``; draws with norm
+    above ``truncation_norm`` are redrawn until accepted.
+    """
+    chol = _cholesky_spd(spec.scale, "scale")
+
+    def draw(rng, k: int) -> np.ndarray:
+        g = rng.standard_normal((k, spec.d))
+        chi = rng.chisquare(spec.df, size=k)
+        return spec.mean + (g @ chol.T) / np.sqrt(chi / spec.df)[:, None]
+
+    return _rejection_sample(n, spec.d, seed, spec.truncation_norm, max_rounds, draw)
 
 
 def gen_truncated_gaussian(
@@ -174,26 +182,9 @@ def gen_truncated_gaussian(
     A bounded-support stand-in for the standard normal (the truncation at
     the default radius 10 removes ~1e-21 of the mass in low dimension).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if truncation_norm is not None and truncation_norm <= 0:
-        raise ValueError("truncation_norm must be > 0 or None")
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, d))
-    filled = 0
-    for _ in range(max_rounds):
-        need = n - filled
-        x = rng.standard_normal((need, d))
-        if truncation_norm is None:
-            accept = np.ones(need, dtype=bool)
-        else:
-            accept = np.linalg.norm(x, axis=1) <= truncation_norm
-        taken = x[accept]
-        out[filled : filled + taken.shape[0]] = taken
-        filled += taken.shape[0]
-        if filled == n:
-            return SampleSet(out)
-    raise ValueError("rejection sampling stalled; truncation_norm is too small")
+    return _rejection_sample(
+        n, d, seed, truncation_norm, max_rounds, lambda rng, k: rng.standard_normal((k, d))
+    )
 
 
 def mixture_density(points, spec: MixtureSpec) -> np.ndarray:

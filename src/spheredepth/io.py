@@ -26,7 +26,6 @@ __all__ = [
     "ExperimentReport",
     "load_labeled_csv",
     "load_features_csv",
-    "write_text_atomic",
 ]
 
 
@@ -78,9 +77,6 @@ class ExperimentReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    def write(self, path) -> None:
-        write_text_atomic(path, self.to_json())
-
 
 def write_text_atomic(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory."""
@@ -97,15 +93,15 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def _parse_cell(cell: str, row: int, col: int) -> float:
+def _parse_cell(cell: str, path: Path, row: int, col: int) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise ValueError(
-            f"row {row}, column {col}: cannot parse {cell!r} as a number"
+            f"{path}: row {row}, column {col}: cannot parse {cell!r} as a number"
         ) from None
     if not math.isfinite(value):
-        raise ValueError(f"row {row}, column {col}: non-finite value {cell!r}")
+        raise ValueError(f"{path}: row {row}, column {col}: non-finite value {cell!r}")
     return value
 
 
@@ -118,33 +114,36 @@ def _looks_numeric(row: list[str]) -> bool:
     return True
 
 
-def _read_rows(path: Path, delimiter: str) -> tuple[list[list[str]], bool]:
+def _read_table(
+    path: Path, delimiter: str
+) -> tuple[list[str] | None, np.ndarray, list[tuple[int, list[str]]]]:
+    """Parse a numeric CSV into ``(header or None, values, rows)``.
+
+    ``rows`` holds ``(file line, cells)`` for each data row; blank lines are
+    skipped but still counted, so errors name the row as it is in the file
+    (1-based, as are the columns).
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
+        reader = csv.reader(handle, delimiter=delimiter)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: file is empty")
-    has_header = not _looks_numeric(rows[0])
-    if has_header and len(rows) == 1:
+    header = None if _looks_numeric(rows[0][1]) else rows.pop(0)[1]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return rows, has_header
+    width = len(rows[0][1])
+    values = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            values[i, j] = _parse_cell(cell.strip(), path, line, j + 1)
+    return header, values, rows
 
 
 def load_features_csv(path, delimiter: str = ",") -> SampleSet:
     """Read an all-numeric CSV (every column a feature) as a SampleSet."""
-    path = Path(path)
-    rows, has_header = _read_rows(path, delimiter)
-    data_rows = rows[1:] if has_header else rows
-    width = len(data_rows[0])
-    offset = 2 if has_header else 1
-    out = np.empty((len(data_rows), width))
-    for i, row in enumerate(data_rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            out[i, j] = _parse_cell(cell.strip(), i + offset, j + 1)
-    return SampleSet(out)
+    return SampleSet(_read_table(Path(path), delimiter)[1])
 
 
 def load_labeled_csv(path, label_column, delimiter: str = ",") -> LabeledDataset:
@@ -155,11 +154,8 @@ def load_labeled_csv(path, label_column, delimiter: str = ",") -> LabeledDataset
     and column (both 1-based in messages).
     """
     path = Path(path)
-    rows, has_header = _read_rows(path, delimiter)
-    header = rows[0] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-
-    width = len(data_rows[0])
+    header, values, rows = _read_table(path, delimiter)
+    width = values.shape[1]
     if width < 2:
         raise ValueError(f"{path}: need at least one feature column and a label column")
 
@@ -177,25 +173,13 @@ def load_labeled_csv(path, label_column, delimiter: str = ",") -> LabeledDataset
         if not 0 <= label_idx < width:
             raise ValueError(f"{path}: label column index {label_column} out of range")
 
-    features = np.empty((len(data_rows), width - 1))
-    labels = np.empty(len(data_rows), dtype=np.int64)
-    offset = 2 if has_header else 1  # 1-based file row of the first data row
-    for i, row in enumerate(data_rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
-            )
-        feat_j = 0
-        for j, cell in enumerate(row):
-            value = _parse_cell(cell.strip(), i + offset, j + 1)
-            if j == label_idx:
-                if value not in (0.0, 1.0):
-                    raise ValueError(
-                        f"{path}: row {i + offset}, column {j + 1}: "
-                        f"label must be 0 or 1, got {cell!r}"
-                    )
-                labels[i] = int(value)
-            else:
-                features[i, feat_j] = value
-                feat_j += 1
+    labels = values[:, label_idx]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        line, row = rows[bad[0]]
+        raise ValueError(
+            f"{path}: row {line}, column {label_idx + 1}: "
+            f"label must be 0 or 1, got {row[label_idx]!r}"
+        )
+    features = np.delete(values, label_idx, axis=1)
     return LabeledDataset(samples=SampleSet(features), labels=labels, name=path.stem)

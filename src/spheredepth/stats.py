@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SampleSet
+from .core import SampleSet, _as_vector
 
 __all__ = [
     "QualityIndexResult",
@@ -62,15 +62,6 @@ class RocResult:
     negatives: int
 
 
-def _as_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def quality_index(depths_f, depths_g) -> QualityIndexResult:
     """Fraction of pairs with ``depths_f[i] <= depths_g[j]``.
 
@@ -78,8 +69,8 @@ def quality_index(depths_f, depths_g) -> QualityIndexResult:
     two-sided standard-normal tail.  Equal pairs satisfy the inequality and
     are counted in ``tie_pairs``.
     """
-    df = _as_1d(depths_f, "depths_f")
-    dg = _as_1d(depths_g, "depths_g")
+    df = _as_vector(depths_f, name="depths_f")
+    dg = _as_vector(depths_g, name="depths_g")
     n, m = df.size, dg.size
 
     gsorted = np.sort(dg)
@@ -123,8 +114,8 @@ def homogeneity_test(
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_1d(a, "first argument")
-    y = _as_1d(b, "second argument")
+    x = _as_vector(a, name="first argument")
+    y = _as_vector(b, name="second argument")
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
@@ -176,7 +167,7 @@ def auroc(scores, labels) -> RocResult:
     """Tie-averaged Mann-Whitney AUROC of anomaly scores against 0/1 labels."""
     from scipy.stats import rankdata
 
-    s = _as_1d(scores, "scores")
+    s = _as_vector(scores, name="scores")
     lab = np.asarray(labels).reshape(-1)
     if lab.size != s.size:
         raise ValueError(f"length mismatch: {s.size} scores vs {lab.size} labels")

@@ -18,6 +18,7 @@ from spheredepth import (
     sphere_loss_gradient,
     unit_direction,
 )
+from spheredepth import core
 
 
 class TestSampleSet:
@@ -374,6 +375,46 @@ class TestGridOracleHalfspaceDepth:
         grid = DirectionGrid.generate(64, 2)
         res = grid_oracle_halfspace_depth([-2.0, 7.0], X, grid)
         assert res.value == 1.0
+
+
+def _oracle(kind, z, X, grid):
+    """The halfspace oracle, or the sphere oracle at r = 1 and s = ``kind``."""
+    if kind == "halfspace":
+        return grid_oracle_halfspace_depth(z, X, grid)
+    return grid_oracle_sphere_depth(z, X, DepthParams(r=1.0, s=kind), grid)
+
+
+class TestOracleBlocks:
+    """A grid split over many blocks gives the one-block value and index."""
+
+    @pytest.mark.parametrize("kind", [0.0, 0.5, "halfspace"])
+    def test_blocks_match_one_block(self, kind, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = SampleSet(rng.standard_normal((40, 2)))
+        grid = DirectionGrid.generate(300, 2)
+        queries = list(rng.uniform(-2.0, 2.0, size=(8, 2))) + [X.data[3]]
+        assert core._ORACLE_BLOCK_ENTRIES // X.n >= grid.m
+        whole = [_oracle(kind, z, X, grid) for z in queries]
+        monkeypatch.setattr(core, "_ORACLE_BLOCK_ENTRIES", 7 * X.n)  # 43 blocks
+        for z, one in zip(queries, whole):
+            res = _oracle(kind, z, X, grid)
+            assert (res.value, res.index) == (one.value, one.index)
+
+    @pytest.mark.parametrize(
+        "kind, z, rows",
+        [
+            (0.0, [1e3, 1e3], [[0.0, 0.0], [1.0, -1.0], [0.5, 2.0]]),
+            (0.5, [1e3, 1e3], [[0.0, 0.0], [1.0, -1.0], [0.5, 2.0]]),
+            ("halfspace", [2.0, -1.0], [[2.0, -1.0]]),
+        ],
+    )
+    def test_all_ties_go_to_index_zero(self, kind, z, rows, monkeypatch):
+        X = SampleSet(rows)
+        grid = DirectionGrid.generate(64, 2)
+        monkeypatch.setattr(core, "_ORACLE_BLOCK_ENTRIES", 5 * X.n)  # 13 blocks
+        res = _oracle(kind, z, X, grid)
+        assert res.value == (1.0 if kind == "halfspace" else 0.0)
+        assert res.index == 0
 
 
 class TestObjectiveProperties:

@@ -97,6 +97,20 @@ class TestGenStudentT:
         with pytest.raises(ValueError, match="truncation"):
             gen_student_t(spec, 100, seed=9, max_rounds=5)
 
+    def test_pinned_rows(self):
+        # Several rejection rounds at this truncation; the rows pin the stream.
+        scale = np.array([[1.0, 0.3], [0.3, 2.0]])
+        spec = StudentSpec(df=2, mean=[0.5, -0.25], scale=scale, truncation_norm=1.5)
+        np.testing.assert_array_equal(
+            gen_student_t(spec, 4, seed=13).data,
+            [
+                [1.2414279722978308, 0.04690718183149628],
+                [0.14192885682904383, 1.082206269436301],
+                [1.181808595711778, -0.7062736947475561],
+                [-1.1775486673949906, -0.21573906364411943],
+            ],
+        )
+
 
 class TestTruncatedGaussian:
     def test_norm_bound(self):
@@ -108,6 +122,22 @@ class TestTruncatedGaussian:
             gen_truncated_gaussian(3, 100, seed=11).data,
             gen_truncated_gaussian(3, 100, seed=11).data,
         )
+
+    def test_pinned_rows(self):
+        # The first round's four draws all lie outside the unit disc.
+        np.testing.assert_array_equal(
+            gen_truncated_gaussian(2, 4, seed=12, truncation_norm=1.0).data,
+            [
+                [-0.02194788627038025, 0.4958800664642217],
+                [-0.05785496250096947, 0.6128622742800935],
+                [0.6578901620545003, -0.34440266642056316],
+                [-0.49737203549585546, -0.1147727834068699],
+            ],
+        )
+
+    def test_impossible_truncation_errors(self):
+        with pytest.raises(ValueError, match="truncation"):
+            gen_truncated_gaussian(2, 100, seed=9, truncation_norm=1e-12, max_rounds=5)
 
 
 class TestMixtureDensity:

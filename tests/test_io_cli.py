@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import spheredepth
-from spheredepth import ExperimentReport, load_labeled_csv
+from spheredepth import ExperimentReport, load_features_csv, load_labeled_csv
 from spheredepth.cli import main
 from spheredepth.io import write_text_atomic
 
@@ -93,6 +94,38 @@ class TestLoadLabeledCsv:
         again = load_labeled_csv(out, "y")
         np.testing.assert_array_equal(ds.samples.data, again.samples.data)
         np.testing.assert_array_equal(ds.labels, again.labels)
+
+
+class TestLoadFeaturesCsv:
+    def test_header_detected(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("x,y\n1,2\n3,4.5\n")
+        np.testing.assert_array_equal(load_features_csv(path).data, [[1, 2], [3, 4.5]])
+
+    def test_headerless(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("1,2\n3,4.5\n")
+        np.testing.assert_array_equal(load_features_csv(path).data, [[1, 2], [3, 4.5]])
+
+
+@pytest.mark.parametrize(
+    "text, load, message",
+    [
+        ("a,b,label\n1,2,0\n\n3,x,1\n", lambda p: load_labeled_csv(p, "label"),
+         "row 4, column 2: cannot parse 'x'"),
+        ("a,label\n1,0\n\n2,5\n", lambda p: load_labeled_csv(p, "label"),
+         "row 4, column 2: label must be 0 or 1, got '5'"),
+        ("a,b\n1,2\n\n3,x\n", load_features_csv, "row 4, column 2: cannot parse 'x'"),
+        ("1,2\n\n\n3\n", load_features_csv, "row 4 has 1 cells, expected 2"),
+    ],
+    ids=["labeled-cell", "labeled-label", "features-cell", "features-ragged"],
+)
+def test_csv_errors_name_file_row_after_blank_lines(tmp_path, text, load, message):
+    # Errors name the file and the row as counted in it, blank lines included.
+    path = tmp_path / "gaps.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load(path)
 
 
 class TestExperimentReport:
@@ -408,3 +441,26 @@ def test_cli_import_defers_scipy(module):
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_public_surface():
+    assert sorted(spheredepth.__all__) == sorted([
+        "__version__",
+        "DepthParams", "DirectionGrid", "OracleResult", "SampleSet",
+        "grid_oracle_halfspace_depth", "grid_oracle_sphere_depth", "sigmoid",
+        "sigmoid_derivative", "sphere_loss", "sphere_loss_gradient", "unit_direction",
+        "DepthResult", "OptimizerConfig", "batch_depth", "default_params", "exp_map",
+        "riemannian_descent", "sphere_depth", "tangent_project",
+        "HalfspaceConfig", "KernelConfig", "KernelSpatialModel", "MahalanobisModel",
+        "fit_kernelized_spatial", "fit_mahalanobis", "halfspace_depth",
+        "kernelized_spatial_depth", "mahalanobis_depth",
+        "QualityIndexResult", "RankCorrelationResult", "RocResult", "auroc",
+        "homogeneity_test", "kendall_tau", "quality_index", "rank_correlations", "spearman",
+        "MixtureSpec", "StandardizationStats", "StudentSpec", "bi_gaussian_spec",
+        "gen_mixture", "gen_student_t", "gen_truncated_gaussian", "mixture_density",
+        "standardize",
+        "ExperimentReport", "LabeledDataset", "load_features_csv", "load_labeled_csv",
+    ])
+    for name in spheredepth.__all__:
+        assert getattr(spheredepth, name) is not None
+    assert callable(spheredepth.io.write_text_atomic)
