@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SampleSet, _as_vector
-from .optim import DepthResult, OptimizerConfig, _initial_direction
+from .optim import DepthResult, _initial_direction
 
 __all__ = [
     "HalfspaceConfig",
@@ -141,7 +141,7 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
         return float(np.count_nonzero(data @ uu >= z @ uu)) / n
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [_initial_direction(z, X, OptimizerConfig(init="paper-mean"))]
+    starts = [_initial_direction(z, X, "paper-mean")]
     for _ in range(cfg.restarts - 1):
         g = rng.standard_normal(X.d)
         starts.append(g / np.linalg.norm(g))

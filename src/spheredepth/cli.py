@@ -116,7 +116,7 @@ def _depth_scores(
                 if oracle_option else ""
             )
             raise ValueError(f"method 'sphere' requires s > 0{hint}")
-        cfg = OptimizerConfig(seed=seed)
+        cfg = OptimizerConfig()
         results = batch_depth(points, X, DepthParams(r=r, s=s), cfg, threads=threads)
         out["depths"] = [res.value for res in results]
         out["iterations"] = [res.iterations for res in results]
@@ -448,7 +448,7 @@ def run_speedbench(args) -> ExperimentReport:
     d = args.d
     z = np.full(d, 10.0)
     params = DepthParams(r=1.0, s=1.0)
-    sphere_cfg = OptimizerConfig(seed=args.seed)
+    sphere_cfg = OptimizerConfig()
     hd_cfg = HalfspaceConfig(restarts=args.restarts, seed=args.seed)
 
     datasets = {

@@ -5,14 +5,13 @@ The solver minimizes the smoothed ball-mass objective of
 projects the ambient gradient onto the tangent space at the current
 iterate, normalizes the descent direction, and moves along the geodesic
 ``cos(alpha) * u + sin(alpha) * v``.  The step angle starts at ``alpha0``
-(``pi`` by default) and is halved whenever a step fails to decrease the
-loss; it is never re-increased within a call.
+(``pi`` by default).  A step that raises the loss is rejected: the iterate
+stays where it is and the angle halves, and it is never re-increased
+within a call.  Accepted steps therefore never raise the loss, and the
+current iterate is always the best one visited.
 
-Two step policies are provided.  The default (``revert_on_increase=True``)
-rejects worsening moves before halving, which makes the reported loss
-sequence monotone.  The literal policy (``revert_on_increase=False``)
-keeps the worsening iterate and only halves the angle, reproducing the
-plain printed procedure; the best visited value is reported either way.
+In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
+direction, so the solver compares the start with the other point.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ __all__ = [
     "batch_depth",
 ]
 
-INIT_MODES = ("paper-mean", "mean-minus-z", "fixed-direction", "seeded-random")
+INIT_MODES = ("paper-mean", "mean-minus-z")
 
 # Tangent gradients below this norm are treated as stationary points.
 _STATIONARY_NORM = 1e-14
@@ -47,17 +46,14 @@ class OptimizerConfig:
     """Controls for :func:`riemannian_descent`.
 
     ``init`` selects the starting direction: the normalized sample mean
-    (``paper-mean``), the normalized ``mean - z`` (translation-equivariant),
-    a user-supplied ``direction``, or a seeded random unit vector.
+    (``paper-mean``) or the normalized ``mean - z`` (``mean-minus-z``,
+    translation-equivariant).
     """
 
     tol: float = 1e-6
     alpha0: float = math.pi
     max_iter: int = 1000
     init: str = "paper-mean"
-    revert_on_increase: bool = True
-    seed: int = 0
-    direction: np.ndarray | None = None
     record_trace: bool = False
 
     def __post_init__(self):
@@ -69,8 +65,6 @@ class OptimizerConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.init == "fixed-direction" and self.direction is None:
-            raise ValueError("init='fixed-direction' requires a direction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,16 +115,10 @@ def _geodesic(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _initial_direction(z: np.ndarray, X: SampleSet, cfg: OptimizerConfig) -> np.ndarray:
-    if cfg.init == "paper-mean":
-        anchor = X.data.mean(axis=0)
-    elif cfg.init == "mean-minus-z":
-        anchor = X.data.mean(axis=0) - z
-    elif cfg.init == "fixed-direction":
-        return unit_direction(cfg.direction, d=X.d)
-    else:  # seeded-random
-        rng = np.random.default_rng(cfg.seed)
-        anchor = rng.standard_normal(X.d)
+def _initial_direction(z: np.ndarray, X: SampleSet, init: str) -> np.ndarray:
+    anchor = X.data.mean(axis=0)
+    if init == "mean-minus-z":
+        anchor = anchor - z
     norm = float(np.linalg.norm(anchor))
     if norm < 1e-12:
         # Degenerate anchor (e.g. centered data): fall back to e_1.
@@ -145,10 +133,12 @@ def riemannian_descent(
 ) -> DepthResult:
     """Minimize the smoothed sphere-depth objective by geodesic descent.
 
-    Returns the best loss value encountered and its direction.  A tangent
-    gradient with norm below 1e-14 terminates immediately as a stationary
-    point (converged, not an error); otherwise the loop stops when an
-    accepted step improves by less than ``tol`` or ``max_iter`` is hit.
+    Returns the final iterate and its loss.  A tangent gradient with norm
+    below 1e-14 terminates immediately as a stationary point (converged,
+    not an error).  Otherwise the loop stops when an accepted step improves
+    by less than ``tol`` or ``max_iter`` is hit; on an exact tie the step's
+    start is kept.  In d = 1 the one trial is the other point of the
+    sphere, and the solve ends after it.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -157,13 +147,12 @@ def riemannian_descent(
     z = _as_vector(z, X.d, name="query point")
     objective = _Objective(z, X, params)
 
-    u = _initial_direction(z, X, cfg)
+    u = _initial_direction(z, X, cfg.init)
     # Far samples overflow exp in the sigmoid to an exact 0; the error state
     # is entered once per solve, as entering it costs about 1.4 us.
     with np.errstate(over="ignore"):
         p = objective.sigmoids(u)
         cur_loss, grad = float(p.sum()) / p.size, objective.gradient(p, u)
-        best_loss, best_u = cur_loss, u
         alpha = cfg.alpha0
 
         trace = cfg.record_trace
@@ -174,51 +163,43 @@ def riemannian_descent(
         converged = False
         steps = 0
         for it in range(1, cfg.max_iter + 1):
-            tangent = tangent_project(u, grad)
-            tnorm = float(np.linalg.norm(tangent))
-            if tnorm < _STATIONARY_NORM:
-                converged = True
-                break
-            new_u = _geodesic(u, tangent / -tnorm, alpha)
+            if X.d == 1:
+                # {-1, +1} has no tangent direction: try the other point once.
+                new_u = -u
+            else:
+                tangent = tangent_project(u, grad)
+                tnorm = float(np.linalg.norm(tangent))
+                if tnorm < _STATIONARY_NORM:
+                    converged = True
+                    break
+                new_u = _geodesic(u, tangent / -tnorm, alpha)
             # One pass over the data per trial direction; a move reuses its
             # sigmoids for the gradient at the new iterate.
             p = objective.sigmoids(new_u)
             new_loss = float(p.sum()) / p.size
             steps = it
 
-            if new_loss < best_loss:
-                best_loss, best_u = new_loss, new_u
-
-            stop = False
             if new_loss > cur_loss:
                 increases.append(it)
                 alpha *= 0.5
-                if cfg.revert_on_increase:
-                    reported = cur_loss  # move rejected, u and grad unchanged
-                else:
-                    # Literal policy: keep the worse iterate but leave the
-                    # reference loss at its previous value.
-                    u, grad = new_u, objective.gradient(p, new_u)
-                    reported = new_loss
             elif cur_loss - new_loss < cfg.tol:
-                u, cur_loss = new_u, new_loss
-                reported = cur_loss
+                if new_loss < cur_loss:  # an exact tie keeps the step's start
+                    u, cur_loss = new_u, new_loss
                 converged = True
-                stop = True
             else:
                 u, cur_loss = new_u, new_loss
                 grad = objective.gradient(p, u)
-                reported = cur_loss
 
             if trace:
-                loss_trace.append(reported)
+                loss_trace.append(cur_loss)
                 alpha_trace.append(alpha)
-            if stop:
+            if converged or X.d == 1:
+                converged = True
                 break
 
     return DepthResult(
-        value=best_loss,
-        direction=best_u,
+        value=cur_loss,
+        direction=u,
         iterations=steps,
         converged=converged,
         init=cfg.init,
