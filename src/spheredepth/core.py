@@ -35,12 +35,25 @@ public entry point (and the solver in :mod:`spheredepth.optim`) holds
 ``np.errstate(over="ignore")`` once around its work; every other
 floating-point error keeps the caller's setting.
 
+Samples whose term is exactly 0 in every direction are dropped once per
+query.  For a direction of norm ``rho``,
+``-t_i >= (||w_i|| - r*rho)**2 - r**2``, so past the radius
+``R = 1.01 * (r*rho + hypot(r, sqrt(s * log(DBL_MAX))))`` the argument
+``-t_i/s`` exceeds ``log(DBL_MAX)``, ``exp`` overflows and the term is
+exactly 0 (for ``s = 0``, ``R = 2.02 r`` and the indicator is 0: the ball
+of radius ``r`` through ``z`` cannot reach the sample).  The 1% margin
+covers rounding; ``hypot`` keeps ``R`` from underflowing to ``r`` for tiny
+``r``.  Every mean still divides by the full ``n``, so the loss, the
+gradient and the oracle are exact; at small ``s`` most of the sample can
+lie beyond ``R`` and the oracle's block shrinks with it.
+
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,6 +76,9 @@ __all__ = [
 # Target block size (entries) for chunked n-by-M distance matrices in the
 # grid oracles; keeps peak memory around 32 MB of float64.
 _ORACLE_BLOCK_ENTRIES = 4_000_000
+
+# Past this argument ``exp`` overflows to ``inf`` and ``1 / (1 + inf)`` is 0.
+_EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
 
 
 def _as_matrix(data, name: str = "data") -> np.ndarray:
@@ -264,20 +280,44 @@ def sigmoid_derivative(t, s: float):
     return out
 
 
+def _keep_radius(params: DepthParams, u_norm: float) -> float:
+    """Distance from the query beyond which a sample's term is exactly 0 for
+    every direction of norm at most ``max(u_norm, 1 + 1e-9)``."""
+    rho = max(u_norm, 1.0 + 1e-9)
+    r = params.r
+    return 1.01 * (r * rho + math.hypot(r, math.sqrt(params.s * _EXP_OVERFLOW)))
+
+
 class _Objective:
     """The objective of one query point.  With ``w_i = x_i - z`` the ball
     argument expands as
     ``t_i = r**2 - ||w_i - r*u||**2 = 2r <w_i, u> - ||w_i||**2 + r**2 (1 - ||u||**2)``.
 
+    Per query it computes ``w``, ``||w_i||**2`` and keeps only the rows with
+    ``||w_i|| <= _keep_radius(params, u_norm)``: every other row has
+    ``-t_i/s > log(DBL_MAX)`` for all directions of norm up to ``u_norm``
+    (at least ``1 + 1e-9``, so unit directions are covered), and its
+    sigmoid or indicator is exactly 0.  The kept rows are gathered once,
+    column-major, and only when some row lies beyond the radius.  Every mean
+    sums the kept rows and divides by the full sample size ``n``, so it is
+    exact.
+
     For ``s > 0`` the sigmoid needs only ``-t/s``, so the constants are
     folded into what is computed once per query (``||w_i||**2 / s``) or per
     direction (the d-vector ``u * (-2r/s)``); an evaluation is then one
-    product with the data, one add and the logistic.
+    product with the kept data, one add and the logistic.
     """
 
-    def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams):
-        self.w = X.data - z
-        self.w2 = np.einsum("ij,ij->i", self.w, self.w)
+    def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams, u_norm: float = 1.0):
+        w = X.data - z
+        w2 = np.einsum("ij,ij->i", w, w)
+        radius = _keep_radius(params, u_norm)
+        bound = radius * radius  # inf, not OverflowError as from radius**2
+        if w2.max() > bound:
+            keep = w2 <= bound
+            # compressing the rows of w.T keeps each kept column contiguous
+            w, w2 = w.T.compress(keep, axis=1).T, w2[keep]
+        self.w, self.w2, self.n = w, w2, X.n
         self.r, self.s = params.r, params.s
         if self.s > 0:
             self.w2_s = self.w2 / self.s
@@ -316,7 +356,7 @@ class _Objective:
         c *= p
         g = c @ self.w
         g -= (self.r * float(c.sum())) * u
-        g *= 2.0 * self.r / (self.s * p.size)
+        g *= 2.0 * self.r / (self.s * self.n)
         return g
 
 
@@ -332,7 +372,8 @@ def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
     u = _as_vector(u, X.d, name="direction")
     z = _as_vector(z, X.d, name="query point")
     with np.errstate(over="ignore"):
-        return float(np.mean(_Objective(z, X, params).sigmoids(u)))
+        objective = _Objective(z, X, params, math.sqrt(u @ u))
+        return float(objective.sigmoids(u).sum()) / objective.n
 
 
 def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
@@ -346,8 +387,8 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
         raise ValueError("sphere_loss_gradient requires s > 0")
     u = _as_vector(u, X.d, name="direction")
     z = _as_vector(z, X.d, name="query point")
-    objective = _Objective(z, X, params)
     with np.errstate(over="ignore"):
+        objective = _Objective(z, X, params, math.sqrt(u @ u))
         return objective.gradient(objective.sigmoids(u), u)
 
 
@@ -386,8 +427,10 @@ def grid_oracle_sphere_depth(
 
     def block_values(chunk: np.ndarray) -> np.ndarray:
         if params.s == 0:
-            return np.mean(objective.ball_args(chunk.T) >= 0.0, axis=0)
-        return np.mean(_logistic_of_negated(objective.folded_args(chunk.T)), axis=0)
+            terms = objective.ball_args(chunk.T) >= 0.0
+        else:
+            terms = _logistic_of_negated(objective.folded_args(chunk.T))
+        return terms.sum(axis=0) / objective.n
 
     with np.errstate(over="ignore"):
         return _grid_minimum(grid, X.n, block_values)

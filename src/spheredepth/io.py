@@ -1,10 +1,11 @@
 """Labeled-dataset ingestion and machine-readable experiment reports.
 
 CSV files are expected to hold numeric feature columns plus one 0/1 label
-column (1 = anomaly); a header row is auto-detected when its first row
-does not parse as numbers.  Reports are plain JSON with sorted keys so a
-rerun with the same seed produces byte-identical output; files are written
-atomically (temp file + rename).
+column (1 = anomaly); the first row is a header when none of its cells
+parses as a number, and data otherwise, so a typo in a first data row
+raises rather than dropping the row.  Reports are plain JSON with sorted
+keys so a rerun with the same seed produces byte-identical output; files
+are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -105,12 +106,14 @@ def _parse_cell(cell: str, path: Path, row: int, col: int) -> float:
     return value
 
 
-def _looks_numeric(row: list[str]) -> bool:
+def _is_header(row: list[str]) -> bool:
+    """True when no cell of ``row`` parses as a number."""
     for cell in row:
         try:
             float(cell)
         except ValueError:
-            return False
+            continue
+        return False
     return True
 
 
@@ -128,7 +131,7 @@ def _read_table(
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: file is empty")
-    header = None if _looks_numeric(rows[0][1]) else rows.pop(0)[1]
+    header = rows.pop(0)[1] if _is_header(rows[0][1]) else None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0][1])

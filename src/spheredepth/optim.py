@@ -152,7 +152,7 @@ def riemannian_descent(
     # is entered once per solve, as entering it costs about 1.4 us.
     with np.errstate(over="ignore"):
         p = objective.sigmoids(u)
-        cur_loss, grad = float(p.sum()) / p.size, objective.gradient(p, u)
+        cur_loss, grad = float(p.sum()) / objective.n, objective.gradient(p, u)
         alpha = cfg.alpha0
 
         trace = cfg.record_trace
@@ -176,7 +176,7 @@ def riemannian_descent(
             # One pass over the data per trial direction; a move reuses its
             # sigmoids for the gradient at the new iterate.
             p = objective.sigmoids(new_u)
-            new_loss = float(p.sum()) / p.size
+            new_loss = float(p.sum()) / objective.n
             steps = it
 
             if new_loss > cur_loss:

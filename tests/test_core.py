@@ -204,8 +204,8 @@ class TestSphereLoss:
     @pytest.mark.parametrize(
         "case",
         [
-            "unit", "norm-0.5", "norm-2", "d1", "n1", "duplicates", "far-query",
-            "scaled-1e8", "scaled-1e-8", "small-s", "large-s",
+            "unit", "norm-0.5", "norm-2", "norm-3", "d1", "n1", "duplicates",
+            "far-query", "scaled-1e8", "scaled-1e-8", "small-s", "large-s",
         ],
     )
     def test_matches_naive_summation(self, case):
@@ -218,15 +218,22 @@ class TestSphereLoss:
         if case == "far-query":
             z = np.full(d, 1e3)
         u = unit_direction(rng.standard_normal(d))
-        u = u * {"norm-0.5": 0.5, "norm-2": 2.0}.get(case, 1.0)
+        u = u * {"norm-0.5": 0.5, "norm-2": 2.0, "norm-3": 3.0}.get(case, 1.0)
         c = {"scaled-1e8": 1e8, "scaled-1e-8": 1e-8}.get(case, 1.0)
-        s = {"small-s": 1e-3, "large-s": 1e3}.get(case, 0.8) * c**2
+        s = {"small-s": 1e-3, "large-s": 1e3, "norm-3": 1e-2}.get(case, 0.8) * c**2
         if case == "small-s":
             # At s = 1e-3 every random sample saturates the sigmoid; put three
             # within a few s of the sphere, where the gradient lives.
             for i, gap in enumerate([-2.0 * s, 0.5 * s, 3.0 * s]):
                 e = unit_direction(rng.standard_normal(d))
                 data[i] = z + 1.3 * u + np.sqrt(1.3**2 - gap) * e
+        if case == "norm-3":
+            # Inside, on and just outside the ball around z + 3.9 e: beyond
+            # the keep radius of a unit direction, within that of norm 3.
+            for i, dist in enumerate([4.5, 5.0, 5.2]):
+                data[i] = z + dist * u / 3.0
+            unscaled = DepthParams(r=1.3, s=s)
+            assert core._keep_radius(unscaled, 1.0) < 4.5 < 5.2 < core._keep_radius(unscaled, 3.0)
         X, z = SampleSet(c * data), c * z
         params = DepthParams(r=1.3 * c, s=s)
 
@@ -352,6 +359,62 @@ class TestGridOracleSphereDepth:
             grid_oracle_sphere_depth([0.0, 0.0, 0.0], X, DepthParams(r=1.0), grid)
 
 
+def _all_rows_block(z, X, params, U):
+    """The oracle's per-direction values for the ``(m, d)`` grid ``U`` from
+    every sample, with the kernel's arithmetic and no rows dropped."""
+    w = X.data - z
+    w2 = np.einsum("ij,ij->i", w, w)
+    if params.s == 0:
+        t = w @ U.T
+        t *= 2.0 * params.r
+        t -= w2[:, None]
+        return (t >= 0.0).sum(axis=0) / X.n
+    m = w @ (U.T * (-2.0 * params.r / params.s))
+    m += (w2 / params.s)[:, None]
+    with np.errstate(over="ignore"):
+        return (1.0 / (1.0 + np.exp(m))).sum(axis=0) / X.n
+
+
+class TestDroppedRows:
+    """Samples beyond the keep radius leave the kernel; their terms were 0."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 1.0])
+    def test_oracle_equals_all_rows_block(self, s):
+        rng = np.random.default_rng(50)
+        X = SampleSet(np.vstack([rng.standard_normal((60, 2)), rng.uniform(-40, 40, (20, 2))]))
+        grid = DirectionGrid.generate(512, 2)
+        params = DepthParams(r=1.0, s=s)
+        dropped = 0
+        for z in list(X.data[:5]) + list(rng.uniform(-3.0, 3.0, (5, 2))):
+            dropped += X.n - core._Objective(z, X, params).w.shape[0]
+            values = _all_rows_block(z, X, params, grid.directions)
+            res = grid_oracle_sphere_depth(z, X, params, grid)
+            assert res.index == int(np.argmin(values))
+            assert res.value == values[res.index]
+        assert dropped > 0
+
+    def test_boundary_sample_counts_at_indicator_scale(self):
+        # A sample at z + 2r e_1 lies on the ball around z + r e_1.
+        z, r = np.array([0.5, -1.0]), 0.7
+        X = SampleSet([z + [2.0 * r, 0.0]])
+        res = grid_oracle_sphere_depth(z, X, DepthParams(r=r, s=0.0), DirectionGrid([[1.0, 0.0]]))
+        assert res.value == 1.0
+
+    @pytest.mark.parametrize("r", [1e-200, 1e-162])
+    def test_tiny_radius_keeps_inside_samples(self, r):
+        # r**2 underflows to 0 while the keep radius must stay near 2r; at
+        # 1e-162, 4r**2 rounds to the least subnormal, so a radius of r
+        # would drop samples the indicator counts.
+        mult = np.array([0.5, 1.5, 1.9, 2.0, 2.2, 3.0, 1e3])
+        angle = np.linspace(0.0, 2.0 * np.pi, mult.size, endpoint=False)
+        X = SampleSet(r * mult[:, None] * np.column_stack([np.cos(angle), np.sin(angle)]))
+        grid = DirectionGrid.generate(64, 2)
+        params = DepthParams(r=r, s=0.0)
+        values = _all_rows_block(np.zeros(2), X, params, grid.directions)
+        res = grid_oracle_sphere_depth(np.zeros(2), X, params, grid)
+        assert (res.index, res.value) == (int(np.argmin(values)), values.min())
+
+
 class TestGridOracleHalfspaceDepth:
     def test_four_point_cross(self):
         X = SampleSet([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -467,17 +530,18 @@ class TestObjectiveProperties:
             ).value
             assert abs(v1 - v2) <= 1e-12
 
-    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("lam", [1e-8, 0.5, 2.0, 10.0, 1e8])
     def test_scaling_law(self, lam):
         rng = np.random.default_rng(43)
         X = SampleSet(rng.standard_normal((60, 2)))
         grid = DirectionGrid.generate(256, 2)
         z = rng.uniform(-2, 2, 2)
-        v1 = grid_oracle_sphere_depth(z, X, DepthParams(r=1.2, s=0.9), grid).value
-        v2 = grid_oracle_sphere_depth(
-            lam * z, SampleSet(lam * X.data), DepthParams(r=lam * 1.2, s=lam**2 * 0.9), grid
-        ).value
-        assert abs(v1 - v2) <= 1e-10
+        for s in (0.9, 0.01):  # at s = 0.01 rows lie beyond the keep radius
+            v1 = grid_oracle_sphere_depth(z, X, DepthParams(r=1.2, s=s), grid).value
+            v2 = grid_oracle_sphere_depth(
+                lam * z, SampleSet(lam * X.data), DepthParams(r=lam * 1.2, s=lam**2 * s), grid
+            ).value
+            assert abs(v1 - v2) <= 1e-12
         i1 = grid_oracle_sphere_depth(z, X, DepthParams(r=1.2, s=0.0), grid).value
         i2 = grid_oracle_sphere_depth(
             lam * z, SampleSet(lam * X.data), DepthParams(r=lam * 1.2, s=0.0), grid

@@ -128,6 +128,23 @@ def test_csv_errors_name_file_row_after_blank_lines(tmp_path, text, load, messag
         load(path)
 
 
+@pytest.mark.parametrize(
+    "text, load, message",
+    [
+        ("1.5,2,O\n3,4,1\n5,6,0\n", lambda p: load_labeled_csv(p, 2),
+         "row 1, column 3: cannot parse 'O'"),
+        ("1,x\n3,4\n5,6\n", load_features_csv, "row 1, column 2: cannot parse 'x'"),
+    ],
+    ids=["labeled", "features"],
+)
+def test_typo_in_first_data_row_raises(tmp_path, text, load, message):
+    # A first row with any numeric cell is data, not a header to skip.
+    path = tmp_path / "typo.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load(path)
+
+
 class TestExperimentReport:
     def test_json_is_sorted_and_stable(self):
         report = ExperimentReport(

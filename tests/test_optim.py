@@ -160,18 +160,34 @@ class TestRiemannianDescent:
         # raise the loss, so the last loss is the least and is the value.
         params = DepthParams(r=1.0, s=s)
         cfg = OptimizerConfig(record_trace=True)
-        rejected = 0
+        rejected = dropped = 0
         for k in range(8):
             rng = np.random.default_rng((12, k))
             X = SampleSet(rng.standard_normal((200, 2)))
             z = rng.uniform(-2, 2, 2)
             res = riemannian_descent(z, X, params, cfg)
             rejected += bool(res.increase_iterations)
+            dropped += X.n - core._Objective(z, X, params).w.shape[0]
             assert res.value == res.loss_trace[-1] == min(res.loss_trace)
-            assert res.value == pytest.approx(
-                sphere_loss(res.direction, z, X, params), abs=1e-12
-            )
+            # Exact even where samples beyond the keep radius are dropped:
+            # the loss keeps the same rows at a returned (unit) direction.
+            assert res.value == sphere_loss(res.direction, z, X, params)
         assert rejected, "expected a case with at least one rejected step"
+        if s == 0.01:
+            assert dropped, "expected samples beyond the keep radius"
+
+    @pytest.mark.parametrize("s", [1.0, 0.01])
+    def test_far_query_is_stationary_at_zero(self, s):
+        # Every sample is beyond the keep radius: the kernel holds no rows,
+        # and the solve and the oracle stop as they did with all rows.
+        rng = np.random.default_rng(14)
+        X = SampleSet(rng.standard_normal((50, 2)))
+        z, params = [1e3, -1e3], DepthParams(r=1.0, s=s)
+        assert core._Objective(np.array(z), X, params).w.shape == (0, 2)
+        res = riemannian_descent(z, X, params)
+        assert (res.value, res.iterations, res.converged) == (0.0, 0, True)
+        oracle = grid_oracle_sphere_depth(z, X, params, DirectionGrid.generate(64, 2))
+        assert (oracle.value, oracle.index) == (0.0, 0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
