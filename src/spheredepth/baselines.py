@@ -148,6 +148,7 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
 
     best_val = np.inf
     best_u = starts[0]
+    best_converged = False
     total_evals = 0
     eye = np.eye(X.d)
     for x0 in starts:
@@ -168,11 +169,12 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
             best_val = float(res.fun)
             norm = np.linalg.norm(res.x)
             best_u = res.x / norm if norm >= 1e-12 else x0
+            best_converged = bool(res.success)
     return DepthResult(
         value=best_val,
         direction=best_u,
         iterations=total_evals,
-        converged=True,
+        converged=best_converged,
         init="nelder-mead",
     )
 

@@ -50,7 +50,7 @@ from .io import (
     load_labeled_csv,
     write_text_atomic,
 )
-from .optim import OptimizerConfig, batch_depth, default_params
+from .optim import OptimizerConfig, batch_depth, default_params, riemannian_descent
 from .stats import auroc, homogeneity_test, kendall_tau, quality_index, spearman
 
 DEPTH_METHODS = ("sphere", "halfspace", "mahalanobis", "kspatial", "oracle-grid")
@@ -446,7 +446,6 @@ def run_speedbench(args) -> ExperimentReport:
     if any(b < a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n list must be non-decreasing")
     d = args.d
-    z = np.full(d, 10.0)
     params = DepthParams(r=1.0, s=1.0)
     sphere_cfg = OptimizerConfig()
     hd_cfg = HalfspaceConfig(restarts=args.restarts, seed=args.seed)
@@ -455,57 +454,44 @@ def run_speedbench(args) -> ExperimentReport:
         n: SampleSet(np.random.default_rng((args.seed, n)).standard_normal((n, d)))
         for n in n_list
     }
-
-    from .optim import riemannian_descent
-
-    def call(method: str, X: SampleSet):
-        if method == "sphere":
-            return riemannian_descent(z, X, params, sphere_cfg)
-        return halfspace_depth(z, X, hd_cfg)
-
-    times: dict = {}
-    batches: dict = {}
-    # Solver iterations for sphere, Nelder-Mead evaluations for halfspace.
-    iterations: dict = {}
-    for method in args.methods:
-        call(method, datasets[n_list[0]])  # warm-up at the smallest n
-        times[method] = {}
-        batches[method] = {}
-        iterations[method] = {}
-        for n in n_list:
-            result, times[method][str(n)], batches[method][str(n)] = _time_call(
-                lambda: call(method, datasets[n])
-            )
-            iterations[method][str(n)] = result.iterations
-
-    metrics: dict = {
-        "seconds": times,
-        "calls_per_sample": batches,
-        "iterations": iterations,
-        "warmup_n": n_list[0],
+    solvers = {
+        "sphere": lambda z, X: riemannian_descent(z, X, params, sphere_cfg),
+        "halfspace": lambda z, X: halfspace_depth(z, X, hd_cfg),
     }
-    if "sphere" in args.methods:
-        # z above is far from the data, where the solver stops at iteration 0;
-        # the sample mean is an in-distribution query that makes it descend.
-        centred_times, centred_batches, centred_iterations = {}, {}, {}
-        for n in n_list:
-            X = datasets[n]
-            mean = X.data.mean(axis=0)
-            result, centred_times[str(n)], centred_batches[str(n)] = _time_call(
-                lambda: riemannian_descent(mean, X, params, sphere_cfg)
-            )
-            centred_iterations[str(n)] = result.iterations
-        metrics["centred_seconds"] = {"sphere": centred_times}
-        metrics["centred_calls_per_sample"] = {"sphere": centred_batches}
-        metrics["centred_iterations"] = {"sphere": centred_iterations}
-    if "sphere" in times and "halfspace" in times:
-        metrics["halfspace_over_sphere"] = {
-            str(n): times["halfspace"][str(n)] / times["sphere"][str(n)] for n in n_list
-        }
-    for method in times:
-        metrics.setdefault("scaling", {})[method] = {
-            f"{b}/{a}": times[method][str(b)] / times[method][str(a)]
-            for a, b in zip(n_list, n_list[1:])
+    # The far query z = (10, ..., 10) stops the sphere solver at iteration 0;
+    # the sample mean is an in-distribution query that makes it descend.
+    far = np.full(d, 10.0)
+    queries = {
+        "": {n: far for n in n_list},
+        "centred_": {n: X.data.mean(axis=0) for n, X in datasets.items()},
+    }
+
+    metrics: dict = {"warmup_n": n_list[0]}
+    for prefix, points in queries.items():
+        # Iterations are solver steps for sphere, Nelder-Mead evaluations for halfspace.
+        times, batches, iterations = {}, {}, {}
+        for method in args.methods:
+            solve = solvers[method]
+            solve(points[n_list[0]], datasets[n_list[0]])  # warm-up at the smallest n
+            times[method], batches[method], iterations[method] = {}, {}, {}
+            for n in n_list:
+                result, times[method][str(n)], batches[method][str(n)] = _time_call(
+                    lambda: solve(points[n], datasets[n])
+                )
+                iterations[method][str(n)] = result.iterations
+        metrics[prefix + "seconds"] = times
+        metrics[prefix + "calls_per_sample"] = batches
+        metrics[prefix + "iterations"] = iterations
+        if "sphere" in times and "halfspace" in times:
+            metrics[prefix + "halfspace_over_sphere"] = {
+                str(n): times["halfspace"][str(n)] / times["sphere"][str(n)] for n in n_list
+            }
+        metrics[prefix + "scaling"] = {
+            method: {
+                f"{b}/{a}": times[method][str(b)] / times[method][str(a)]
+                for a, b in zip(n_list, n_list[1:])
+            }
+            for method in times
         }
     return ExperimentReport(
         command="speedbench",

@@ -20,6 +20,7 @@ from spheredepth import (
     kernelized_spatial_depth,
     mahalanobis_depth,
 )
+from spheredepth import baselines
 
 CROSS = SampleSet([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -77,6 +78,19 @@ class TestHalfspaceDepth:
             sphere = grid_oracle_sphere_depth(z, X, DepthParams(r=0.8, s=0.0), grid).value
             hd = halfspace_depth(z, X).value
             assert sphere <= hd + 1.0 / X.n + 1e-12
+
+    def test_converged_on_small_case(self):
+        rng = np.random.default_rng(6)
+        X = SampleSet(rng.standard_normal((30, 2)))
+        assert halfspace_depth([0.2, -0.1], X).converged
+
+    def test_not_converged_at_evaluation_cap(self, monkeypatch):
+        # Three evaluations cannot even fill the initial simplex in d = 2,
+        # so every restart stops at the cap.
+        monkeypatch.setattr(baselines, "_MAX_EVALS", 3)
+        rng = np.random.default_rng(6)
+        X = SampleSet(rng.standard_normal((30, 2)))
+        assert not halfspace_depth([0.2, -0.1], X).converged
 
 
 class TestMahalanobis:

@@ -436,17 +436,49 @@ class TestSpeedbenchCommand:
         assert all(v > 0 for v in centred.values())
         assert set(payload["metrics"]["centred_seconds"]["sphere"]) == {"1000", "2000"}
 
+    def test_both_methods_at_both_queries(self, capsys):
+        code = main([
+            "speedbench", "--n-list", "1000", "2000", "--methods", "sphere", "halfspace",
+            "--restarts", "2", "--seed", "2",
+        ])
+        assert code == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        methods = {"sphere", "halfspace"}
+        ns = {"1000", "2000"}
+        for key in ("seconds", "calls_per_sample", "iterations"):
+            for prefix in ("", "centred_"):
+                assert set(metrics[prefix + key]) == methods
+                for method in methods:
+                    assert set(metrics[prefix + key][method]) == ns
+        for prefix in ("", "centred_"):
+            seconds = metrics[prefix + "seconds"]
+            assert metrics[prefix + "halfspace_over_sphere"] == {
+                n: seconds["halfspace"][n] / seconds["sphere"][n] for n in ns
+            }
+            assert set(metrics[prefix + "scaling"]) == methods
+            for method in methods:
+                assert set(metrics[prefix + "scaling"][method]) == {"2000/1000"}
+        assert set(metrics) == {
+            "warmup_n", "seconds", "calls_per_sample", "iterations",
+            "halfspace_over_sphere", "scaling",
+            "centred_seconds", "centred_calls_per_sample", "centred_iterations",
+            "centred_halfspace_over_sphere", "centred_scaling",
+        }
+        assert metrics["iterations"]["sphere"] == {"1000": 0, "2000": 0}
+        for method in methods:
+            assert all(v > 0 for v in metrics["centred_iterations"][method].values())
+
     def test_decreasing_n_rejected(self, capsys):
         code = main(["speedbench", "--n-list", "2000", "1000"])
         assert code == 2
         assert "non-decreasing" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.spatial"])
+@pytest.mark.parametrize("module", ["scipy", "scipy.optimize", "scipy.spatial"])
 def test_cli_import_defers_scipy(module):
     # scipy.optimize and scipy.spatial cost most of the CLI's start-up; only
     # the halfspace and kernel-spatial baselines need them, and they import
-    # them when called.
+    # them when called, so the import loads no part of scipy at all.
     src = str(Path(spheredepth.__file__).resolve().parents[1])
     code = f"import sys, spheredepth.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
