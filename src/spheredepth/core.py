@@ -47,12 +47,31 @@ covers rounding; ``hypot`` keeps ``R`` from underflowing to ``r`` for tiny
 gradient and the oracle are exact; at small ``s`` most of the sample can
 lie beyond ``R`` and the oracle's block shrinks with it.
 
+The sphere oracle is an exact grid minimum with cell bounds.  Each
+:class:`DirectionGrid` is split once, on first use, into cells of at most
+32 nearby directions, each a cap with a center and an angular radius.
+Over a cap, a lower bound on ``<w_i, u>`` for every kept sample gives a
+lower bound on every member's value, and all cells cost one product with
+the data.  The oracle evaluates one member per cell and then only the
+cells whose bound could still beat the best of those; its value and index
+are bit for bit those of evaluating every direction.  A scan of fewer than
+``2**16`` kept-row-by-direction entries evaluates every direction, as the
+bounds' fixed cost would exceed what they save.  On a bi-Gaussian sample
+(n = 200, 4096 directions, sample queries) the oracle evaluates 5-10% of
+the directions in d = 2, and a query costs 3-6x less than a full scan for
+``s`` in {0, 0.01, 0.1, 1}; in d = 3 it costs 2.5-4x less, and 1.1-1.6x
+less at n = 1e5 with 1024 directions.  In d = 5 the cells are wide: the
+gain is 1.3-1.5x at ``s`` of 0.1 and more, and at ``s = 0.01`` nearly
+every cell is evaluated and a query costs 1-13% more.
+
 All functions are pure and operate on immutable inputs; they are safe to
-call concurrently.
+call concurrently.  A grid's cells are a deterministic function of its
+directions, so a grid shared between threads may at worst build them twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,6 +98,22 @@ _ORACLE_BLOCK_ENTRIES = 4_000_000
 
 # Past this argument ``exp`` overflows to ``inf`` and ``1 / (1 + inf)`` is 0.
 _EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
+
+_EPS = float(np.finfo(np.float64).eps)
+
+# Most directions in one cell of a grid's partition (see ``DirectionGrid._cells``).
+_CELL_SIZE = 32
+
+# Below this many kept-row-by-direction entries the sphere oracle scans every
+# direction: such a scan costs less than the few dozen numpy calls of the
+# cell bounds.
+_MIN_BOUNDED_ENTRIES = 2**16
+
+
+def _rounding_tol(d: int) -> float:
+    """Relative rounding allowance of a few operations on d-vectors: a
+    generous multiple of the ``d * eps`` that a d-term dot product can lose."""
+    return 8.0 * (d + 8) * _EPS
 
 
 def _as_matrix(data, name: str = "data") -> np.ndarray:
@@ -159,6 +194,59 @@ class DepthParams:
             raise ValueError(f"smoothing scale s must be finite and >= 0, got {self.s}")
 
 
+class _Cells(NamedTuple):
+    """A direction grid split into cells of nearby directions."""
+
+    cell_of: np.ndarray  # the cell of each grid index
+    firsts: np.ndarray  # the lowest grid index of each cell, which ascend
+    centers: np.ndarray  # (k, d) unit center of each cell
+    cos: np.ndarray  # cosine and sine of each cell's angular radius, which is
+    sin: np.ndarray  # rounded outward so that it covers every member
+    norm_dev: float  # largest | ||u|| - 1 | over the grid's directions
+
+
+def _partition(directions: np.ndarray) -> _Cells:
+    """Split ``directions`` into cells of at most ``_CELL_SIZE`` by recursive
+    median splits on the coordinate with the widest range.  The splits sort
+    stably, so the partition is a function of the directions alone."""
+    norms = np.linalg.norm(directions, axis=1)
+    unit = directions / norms[:, None]
+    members, todo = [], [np.arange(len(unit))]
+    while todo:
+        idx = todo.pop()
+        if idx.size <= _CELL_SIZE:
+            members.append(np.sort(idx))
+            continue
+        pts = unit[idx]
+        widest = int(np.argmax(np.ptp(pts, axis=0)))
+        idx = idx[np.argsort(pts[:, widest], kind="stable")]
+        half = idx.size // 2
+        todo += [idx[half:], idx[:half]]
+    members.sort(key=lambda c: c[0])
+    sizes = np.array([c.size for c in members])
+    starts = np.cumsum(sizes) - sizes
+    order = np.concatenate(members)
+    sums = np.add.reduceat(unit[order], starts, axis=0)
+    lengths = np.linalg.norm(sums, axis=1)
+    # A cell whose members sum to 0 is centred on its first member.
+    flat = lengths == 0.0
+    sums[flat], lengths[flat] = unit[order[starts[flat]]], 1.0
+    centers = sums / lengths[:, None]
+    # Each member's angle from its center, from both the cosine and the
+    # sine, which keeps it accurate near 0 and near pi.
+    around = np.repeat(centers, sizes, axis=0)
+    cos = np.einsum("ij,ij->i", unit[order], around)
+    sin = np.linalg.norm(unit[order] - cos[:, None] * around, axis=1)
+    radius = np.maximum.reduceat(np.arctan2(sin, cos), starts)
+    radius = np.minimum(radius + _rounding_tol(unit.shape[1]), np.pi)
+    cell_of = np.empty(len(unit), dtype=np.intp)
+    cell_of[order] = np.repeat(np.arange(sizes.size), sizes)
+    return _Cells(
+        cell_of, order[starts], centers, np.cos(radius), np.sin(radius),
+        float(np.abs(norms - 1.0).max()),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionGrid:
     """Deterministic finite set of unit directions used by the grid oracles.
@@ -190,6 +278,12 @@ class DirectionGrid:
     @property
     def d(self) -> int:
         return self.directions.shape[1]
+
+    @functools.cached_property
+    def _cells(self) -> _Cells:
+        """The directions split into cells of nearby directions for the
+        sphere oracle's cell bounds; built on first use, kept with the grid."""
+        return _partition(self.directions)
 
     @classmethod
     def generate(cls, m: int, d: int, seed: int = 0) -> "DirectionGrid":
@@ -306,10 +400,20 @@ class _Objective:
     folded into what is computed once per query (``||w_i||**2 / s``) or per
     direction (the d-vector ``u * (-2r/s)``); an evaluation is then one
     product with the kept data, one add and the logistic.
+
+    The ``s = 0`` indicator needs only the sign of ``t``, so there ``w``,
+    ``r`` and the keep radius are taken in units of the power of two at or
+    below ``r``.  Scaling by a power of two is exact, so ``t`` is the one in
+    the data's units times a power of 4, with the same sign; but neither
+    ``||w_i||**2`` nor ``2r <w_i, u>`` underflows when ``r`` is tiny.
     """
 
     def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams, u_norm: float = 1.0):
         w = X.data - z
+        if params.s == 0:
+            unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
+            w /= unit
+            params = DepthParams(params.r / unit, 0.0)
         w2 = np.einsum("ij,ij->i", w, w)
         radius = _keep_radius(params, u_norm)
         bound = radius * radius  # inf, not OverflowError as from radius**2
@@ -325,7 +429,7 @@ class _Objective:
     def ball_args(self, U: np.ndarray) -> np.ndarray:
         """``2r <w_i, u> - ||w_i||**2`` for one direction ``(d,)`` or a
         block ``(d, m)``; this is the ball argument on the unit sphere, and
-        what the ``s = 0`` indicator compares with 0."""
+        what the ``s = 0`` indicator compares with 0 (in the units above)."""
         t = self.w @ U
         t *= 2.0 * self.r
         t -= self.w2 if t.ndim == 1 else self.w2[:, None]
@@ -347,6 +451,52 @@ class _Objective:
         if remainder != 0.0:
             m -= remainder / self.s
         return _logistic_of_negated(m)
+
+    def cell_bounds(self, cells: _Cells, chunk: slice) -> np.ndarray:
+        """Values that no member of each cell in ``chunk`` has below it:
+        the mean of the terms at a ball argument no larger than the one of
+        any member, less what rounding can add to that mean.  See
+        :func:`grid_oracle_sphere_depth` for the bound and its rounding."""
+        w, w2 = self.w, self.w2
+        if self.s > 0:
+            # A row farther than this has a term below eps/n in every
+            # direction; leaving it out can only lower the bound.
+            reach = self.r + math.sqrt(self.r * self.r + self.s * math.log(self.n / _EPS))
+            reachable = w2 <= reach * reach
+            if not reachable.all():
+                w, w2 = w[reachable], w2[reachable]
+        tol = _rounding_tol(w.shape[1])
+        w2 = w2[:, None]
+        nw = np.sqrt(w2)
+        wc = w @ cells.centers[chunk].T
+        near = wc > nw * (tol - cells.cos[chunk])  # the cap stops short of -w/||w||
+        # sqrt(||w||**2 - <w, c>**2), raised by what rounding can take from it
+        perp = np.multiply(wc, wc)
+        np.subtract(w2 * (1.0 + tol), perp, out=perp)
+        np.maximum(perp, 0.0, out=perp)
+        np.sqrt(perp, out=perp)
+        # t = 2r <w, u> - ||w||**2 at the least <w, u> over the cap, lowered
+        # by what rounding and the directions' norms can add to t; for s > 0
+        # it is folded into -t/s as in folded_args.
+        shift = w2 + (2.0 * self.r * nw + w2) * (tol + cells.norm_dev)
+        if self.s == 0:
+            scale, offset = 2.0 * self.r, -shift
+        else:
+            scale, offset = -2.0 * self.r / self.s, shift / self.s
+        perp *= scale * cells.sin[chunk]
+        arg = np.multiply(wc, scale * cells.cos[chunk], out=wc)
+        arg -= perp
+        np.copyto(arg, -scale * nw, where=~near)
+        arg += offset
+        if self.s == 0:
+            return (arg >= 0.0).sum(axis=0) / self.n
+        # Below 700 exp stays finite and off its slow overflow path; a term
+        # that would be 0 rises by less than 1e-304.
+        np.minimum(arg, 700.0, out=arg)
+        lower = _logistic_of_negated(arg).sum(axis=0) / self.n
+        lower -= 8.0 * (self.n + 8) * _EPS
+        # No value is below 0, which keeps a plateau of exact zeros skippable.
+        return np.maximum(lower, 0.0, out=lower)
 
     def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Ambient gradient ``(2r/(s n)) (c @ w - r (sum c) u)`` from the
@@ -392,30 +542,115 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
         return objective.gradient(objective.sigmoids(u), u)
 
 
-def _grid_minimum(grid: DirectionGrid, n: int, block_values) -> OracleResult:
+def _scan_values(grid: DirectionGrid, idx: np.ndarray, block: int, block_values) -> np.ndarray:
+    """Values at the ascending grid indices ``idx``, bit for bit as the full
+    scan of the grid in blocks of ``block`` directions computes them.
+
+    ``block_values`` gives a direction the same value in every block of two
+    or more, but a block of one takes other numpy and BLAS paths (a
+    matrix-vector product and a pairwise sum).  So each index is evaluated
+    with the others from its block of the full scan, and an index alone
+    among several is evaluated twice over."""
+    out = np.empty(idx.size)
+    cuts = np.searchsorted(idx, np.arange(block, grid.m, block)).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, idx.size]):
+        if lo == hi:
+            continue
+        cols = idx[lo:hi]
+        start = cols[0] - cols[0] % block
+        if cols.size == 1 and min(grid.m, start + block) - start > 1:
+            cols = cols.repeat(2)
+        out[lo:hi] = block_values(grid.directions.take(cols, axis=0))[: hi - lo]
+    return out
+
+
+def _grid_minimum(grid: DirectionGrid, n: int, block_values, cell_bounds=None) -> OracleResult:
     """Minimum over the grid of ``block_values``, which maps an ``(m, d)``
     block of directions to its ``m`` values; blocks hold about
-    ``_ORACLE_BLOCK_ENTRIES`` n-by-m entries.  Ties break to the lowest index."""
-    best_val = np.inf
-    best_idx = -1
+    ``_ORACLE_BLOCK_ENTRIES`` n-by-m entries.  Ties break to the lowest index.
+
+    ``cell_bounds(cells, chunk)``, when given, returns for the grid's cells
+    ``cells`` in the slice ``chunk`` values that no member's value is below.
+    Then the first member of each cell is evaluated, and the least of them,
+    at the lowest index, is the best so far.  A cell whose bound exceeds
+    that value, or equals it while its members all have higher indices,
+    cannot hold the answer; only the other cells are evaluated, with the
+    arithmetic of the full scan.  The value and the index are then those of
+    the full scan.
+    """
     block = max(1, _ORACLE_BLOCK_ENTRIES // n)
-    for start in range(0, grid.m, block):
-        vals = block_values(grid.directions[start : start + block])
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
-    return OracleResult(best_val, grid.directions[best_idx].copy(), best_idx)
+    if cell_bounds is None:  # the full scan
+        values = np.concatenate(
+            [block_values(grid.directions[k : k + block]) for k in range(0, grid.m, block)]
+        )
+    else:
+        cells = grid._cells
+        first = _scan_values(grid, cells.firsts, block, block_values)
+        # The bound holds two n-by-k arrays at once, so it takes half as many
+        # cells per chunk as the scan takes directions.
+        step = max(1, block // 2)
+        lower = np.concatenate(
+            [cell_bounds(cells, slice(k, k + step)) for k in range(0, first.size, step)]
+        )
+        j = int(np.argmin(first))
+        keep = (lower < first[j]) | ((lower == first[j]) & (cells.firsts <= cells.firsts[j]))
+        take = keep[cells.cell_of]
+        take[cells.firsts] = False  # already evaluated
+        rest = np.flatnonzero(take)
+        values = np.full(grid.m, np.inf)  # a skipped direction cannot be the minimum
+        values[cells.firsts] = first
+        values[rest] = _scan_values(grid, rest, block, block_values)
+    index = int(np.argmin(values))
+    return OracleResult(float(values[index]), grid.directions[index].copy(), index)
 
 
 def grid_oracle_sphere_depth(
     z, X: SampleSet, params: DepthParams, grid: DirectionGrid
 ) -> OracleResult:
-    """Brute-force sphere depth: minimum of the objective over a grid.
+    """Exact minimum of the objective over a grid, skipping the grid's cells
+    that provably cannot hold it.
 
     For ``s = 0`` each term is the indicator ``1{r**2 - ||x - c||**2 >= 0}``
     (boundary samples count as inside), so the value is a multiple of
-    ``1/n``.  Ties are broken by the lowest grid index.
+    ``1/n``.  Ties are broken by the lowest grid index.  The value and the
+    index are bit for bit those of evaluating every direction.
+
+    Every term increases with the ball argument ``t = 2r <w, u> - ||w||**2``
+    (``w = x - z``).  A cell of the grid is a cap of unit center ``c`` and
+    angular radius ``delta``; over it, with ``<w, c> = ||w|| cos(theta)``,
+
+        <w, u> >= ||w|| cos(theta + delta)
+               =  <w, c> cos(delta) - sqrt(||w||**2 - <w, c>**2) sin(delta)
+
+    while ``theta + delta <= pi``, that is ``<w, c> >= -||w|| cos(delta)``,
+    and ``<w, u> >= -||w||`` otherwise.  The mean of the terms at the
+    resulting ``t`` bounds every member's value from below
+    (``_Objective.cell_bounds``).  All cells cost one product ``w @ C``.
+    Rows whose term is below ``eps/n`` in every direction are left out of
+    it, which can only lower the bound.  Below ``_MIN_BOUNDED_ENTRIES``
+    kept-row-by-direction entries every direction is evaluated instead.
+
+    Rounding.  A member's computed ``t`` (or ``-t/s``) is off by less than
+    ``tol * (2r ||w|| + ||w||**2)`` (over ``s``), with
+    ``tol = 8 (d + 8) eps``: a d-term dot product loses at most ``d eps`` of
+    ``||w|| ||u||``, and each of the few operations after it one ``eps``.
+    The bound's ``t`` is lowered by that much again, plus
+    ``2r ||w|| max | ||u|| - 1 |`` for grid directions that are not exactly
+    unit; the antipodal test is moved by ``tol ||w||`` toward the second
+    case, ``||w||**2 - <w, c>**2`` is raised by ``tol ||w||**2`` before its
+    square root, and ``delta`` is rounded outward.  So each computed term
+    of the bound is at most the computed term of the member, up to the
+    relative error of the logistic, a few ``eps``; arguments of the bound
+    above 700 are capped, which raises a term of 0 by less than 1e-304.
+    The two sequential sums of at most ``n`` terms in ``[0, 1]`` add at
+    most ``n eps`` each to the means, so the bound exceeds a member's value
+    by less than ``8 (n + 8) eps``, which is subtracted from it; no value
+    is below 0, so neither is the bound after that.  At ``s = 0`` the terms
+    are 0 or 1 and the sums are exact counts, so the bound's count is at
+    most every member's and nothing is subtracted.  A cell whose bound
+    equals the best value found can then be skipped when its members'
+    indices are all higher, as on the plateau of equal counts, or of exact
+    zeros, that queries outside the data have.
     """
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:
@@ -432,8 +667,9 @@ def grid_oracle_sphere_depth(
             terms = _logistic_of_negated(objective.folded_args(chunk.T))
         return terms.sum(axis=0) / objective.n
 
+    small = objective.w.shape[0] * grid.m < _MIN_BOUNDED_ENTRIES
     with np.errstate(over="ignore"):
-        return _grid_minimum(grid, X.n, block_values)
+        return _grid_minimum(grid, X.n, block_values, None if small else objective.cell_bounds)
 
 
 def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleResult:

@@ -1,5 +1,8 @@
 """Unit and property tests for the depth objective and grid oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from spheredepth import (
     sphere_loss_gradient,
     unit_direction,
 )
-from spheredepth import core
+from spheredepth import core, datagen
 
 
 class TestSampleSet:
@@ -361,14 +364,18 @@ class TestGridOracleSphereDepth:
 
 def _all_rows_block(z, X, params, U):
     """The oracle's per-direction values for the ``(m, d)`` grid ``U`` from
-    every sample, with the kernel's arithmetic and no rows dropped."""
+    every sample, with the kernel's arithmetic and no rows dropped.  At
+    ``s = 0`` lengths are in units of the power of two at or below ``r``."""
     w = X.data - z
-    w2 = np.einsum("ij,ij->i", w, w)
     if params.s == 0:
+        unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
+        w /= unit
+        w2 = np.einsum("ij,ij->i", w, w)
         t = w @ U.T
-        t *= 2.0 * params.r
+        t *= 2.0 * (params.r / unit)
         t -= w2[:, None]
         return (t >= 0.0).sum(axis=0) / X.n
+    w2 = np.einsum("ij,ij->i", w, w)
     m = w @ (U.T * (-2.0 * params.r / params.s))
     m += (w2 / params.s)[:, None]
     with np.errstate(over="ignore"):
@@ -413,6 +420,22 @@ class TestDroppedRows:
         values = _all_rows_block(np.zeros(2), X, params, grid.directions)
         res = grid_oracle_sphere_depth(np.zeros(2), X, params, grid)
         assert (res.index, res.value) == (int(np.argmin(values)), values.min())
+
+    @pytest.mark.parametrize("r", [2.0**-660, 2.0**-540])
+    def test_tiny_radius_matches_unit_radius(self, r):
+        # Scaling the data and r by a power of two is exact, so the
+        # indicator oracle must not see the scale.  The last three samples
+        # lie beyond 2r and are in no ball.
+        mult = np.array([0.5, 1.5, 1.9, 2.0, 2.2, 3.0, 1e3])
+        angle = np.linspace(0.0, 2.0 * np.pi, mult.size, endpoint=False)
+        unit_data = mult[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        grid = DirectionGrid.generate(64, 2)
+        one = grid_oracle_sphere_depth(np.zeros(2), SampleSet(unit_data), DepthParams(1.0, 0.0), grid)
+        res = grid_oracle_sphere_depth(
+            np.zeros(2), SampleSet(r * unit_data), DepthParams(r=r, s=0.0), grid
+        )
+        assert (res.index, res.value) == (one.index, one.value)
+        assert one.value <= 4 / 7
 
 
 class TestGridOracleHalfspaceDepth:
@@ -478,6 +501,128 @@ class TestOracleBlocks:
         res = _oracle(kind, z, X, grid)
         assert res.value == (1.0 if kind == "halfspace" else 0.0)
         assert res.index == 0
+
+
+def _assert_full_scan(z, X, params, grid):
+    """The oracle's value and index are those of the all-rows block."""
+    values = _all_rows_block(z, X, params, grid.directions)
+    res = grid_oracle_sphere_depth(z, X, params, grid)
+    assert (res.index, res.value) == (int(np.argmin(values)), values[np.argmin(values)])
+
+
+class TestCellBounds:
+    """Skipping the cells whose lower bound exceeds the best value found
+    leaves the oracle's value and index bit for bit those of a full scan.
+    The bounds are applied however small the scan."""
+
+    @pytest.fixture(autouse=True)
+    def _bound_every_scan(self, monkeypatch):
+        monkeypatch.setattr(core, "_MIN_BOUNDED_ENTRIES", 0)
+
+    @pytest.mark.parametrize("d, m", [(2, 4096), (3, 4096), (5, 1024), (5, 64)])
+    def test_partition(self, d, m):
+        grid = DirectionGrid.generate(m, d)
+        cells = grid._cells
+        sizes = np.bincount(cells.cell_of)
+        assert sizes.min() >= 1 and sizes.max() <= core._CELL_SIZE
+        assert np.array_equal(cells.firsts, np.sort([np.flatnonzero(cells.cell_of == k)[0]
+                                                     for k in range(sizes.size)]))
+        np.testing.assert_allclose(np.linalg.norm(cells.centers, axis=1), 1.0, atol=1e-15)
+        cos = np.einsum("ij,ij->i", grid.directions, cells.centers[cells.cell_of])
+        assert np.all(cos >= cells.cos[cells.cell_of])
+        again = core._partition(grid.directions.copy())
+        assert all(np.array_equal(a, b) for a, b in zip(cells, again))
+        assert grid._cells is cells
+
+    @pytest.mark.parametrize("block", [1, 2, 8, 100])
+    def test_scan_values_match_full_scan(self, block):
+        # 65 directions in blocks of 8 leave the last one alone, where numpy
+        # and BLAS take other paths; every subset must see the full scan's
+        # values bit for bit.
+        rng = np.random.default_rng(64)
+        X = SampleSet(rng.standard_normal((500, 3)))
+        objective = core._Objective(np.zeros(3), X, DepthParams(r=1.0, s=0.1))
+        grid = DirectionGrid.generate(65, 3)
+
+        def block_values(chunk):
+            return core._logistic_of_negated(objective.folded_args(chunk.T)).sum(axis=0) / X.n
+
+        full = np.concatenate(
+            [block_values(grid.directions[k : k + block]) for k in range(0, grid.m, block)]
+        )
+        subsets = [[64], [3], [0, 64], [7, 8], [63, 64], list(range(0, 65, 3))]
+        subsets += [sorted(rng.choice(65, k, replace=False)) for k in (2, 5, 30)]
+        for idx in map(np.array, subsets):
+            assert np.array_equal(core._scan_values(grid, idx, block, block_values), full[idx])
+
+    @pytest.mark.parametrize("s", [0.0, 1e-3, 0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_equals_all_rows_block(self, d, s):
+        rng = np.random.default_rng((60, d))
+        base = np.vstack([rng.standard_normal((50, d)), rng.uniform(-8.0, 8.0, (10, d))])
+        if d == 1:  # the 0-sphere repeated, so that there are several cells
+            grid = DirectionGrid(np.tile([[1.0], [-1.0]], (40, 1)))
+        else:
+            grid = DirectionGrid.generate(1024, d, seed=2)
+        queries = list(base[:2]) + list(rng.uniform(-3.0, 3.0, (3, d))) + [np.full(d, 10.0)]
+        for r, lam in itertools.product((0.3, 1.0), (1e-4, 1.0, 1e4)):
+            X = SampleSet(lam * base)
+            params = DepthParams(r=lam * r, s=lam**2 * s)
+            for z in queries:
+                _assert_full_scan(lam * z, X, params, grid)
+
+    @pytest.mark.parametrize("s", [0.0, 0.01, 1.0])
+    def test_custom_grids(self, s):
+        # Compact data, so that no row is dropped: a one-direction block sums
+        # pairwise, and a pairwise sum over fewer rows rounds differently.
+        rng = np.random.default_rng(61)
+        X = SampleSet(0.3 * rng.standard_normal((40, 3)))
+        base = DirectionGrid.generate(500, 3).directions
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        grids = [
+            DirectionGrid(base @ rotation.T),
+            DirectionGrid(base[:1]),
+            DirectionGrid(base[:20]),
+            DirectionGrid(np.repeat(base[:40], 3, axis=0)),
+            DirectionGrid(np.tile(base[:10], (12, 1))),
+            DirectionGrid(base * (1.0 + 8e-13)),  # within 1e-12 of unit: kept as given
+        ]
+        assert grids[-1]._cells.norm_dev > 5e-13
+        params = DepthParams(r=0.8, s=s)
+        for grid in grids:
+            for z in list(X.data[:3]) + list(rng.uniform(-0.8, 0.8, (3, 3))) + [[9.0, 0.0, 0.0]]:
+                _assert_full_scan(np.asarray(z), X, params, grid)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_wide_cells(self, d):
+        # A few cells of up to 32 directions reach past a right angle, where
+        # samples opposite the center need the bound's second case.
+        rng = np.random.default_rng((63, d))
+        X = SampleSet(rng.standard_normal((30, d)))
+        for m, s in itertools.product((33, 48, 64, 100), (0.0, 0.1, 1.0)):
+            grid = DirectionGrid.generate(m, d, seed=m)
+            for z in list(X.data[:4]) + list(rng.uniform(-1.5, 1.5, (4, d))):
+                _assert_full_scan(z, X, DepthParams(r=1.0, s=s), grid)
+
+    @pytest.mark.parametrize("s", [0.0, 0.01, 1.0])
+    def test_most_directions_are_skipped(self, s, monkeypatch):
+        spec = datagen.bi_gaussian_spec(2)
+        X = datagen.gen_mixture(spec, 200, (62, 1))
+        queries = X.data[np.random.default_rng(62).choice(200, 20, replace=False)]
+        grid = DirectionGrid.generate(4096, 2)
+        evaluated = [0]
+
+        def counting(kernel):
+            def wrapped(self, U):
+                evaluated[0] += U.shape[1]
+                return kernel(self, U)
+            return wrapped
+
+        for name in ("folded_args", "ball_args"):
+            monkeypatch.setattr(core._Objective, name, counting(getattr(core._Objective, name)))
+        for z in queries:
+            grid_oracle_sphere_depth(z, X, DepthParams(r=1.0, s=s), grid)
+        assert 0 < evaluated[0] <= 0.35 * len(queries) * grid.m
 
 
 class TestObjectiveProperties:
