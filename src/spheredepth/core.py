@@ -54,15 +54,16 @@ Over a cap, a lower bound on ``<w_i, u>`` for every kept sample gives a
 lower bound on every member's value, and all cells cost one product with
 the data.  The oracle evaluates one member per cell and then only the
 cells whose bound could still beat the best of those; its value and index
-are bit for bit those of evaluating every direction.  A scan of fewer than
-``2**16`` kept-row-by-direction entries evaluates every direction, as the
-bounds' fixed cost would exceed what they save.  On a bi-Gaussian sample
-(n = 200, 4096 directions, sample queries) the oracle evaluates 5-10% of
-the directions in d = 2, and a query costs 3-6x less than a full scan for
-``s`` in {0, 0.01, 0.1, 1}; in d = 3 it costs 2.5-4x less, and 1.1-1.6x
-less at n = 1e5 with 1024 directions.  In d = 5 the cells are wide: the
-gain is 1.3-1.5x at ``s`` of 0.1 and more, and at ``s = 0.01`` nearly
-every cell is evaluated and a query costs 1-13% more.
+are bit for bit those of evaluating every direction.  On a bi-Gaussian
+sample (n = 200, 4096 directions, sample queries) the oracle evaluates
+5-10% of the directions in d = 2, and a query costs 3-6x less than a full
+scan for ``s`` in {0, 0.01, 0.1, 1}; in d = 3 it costs 2.5-4x less, and
+1.1-1.6x less at n = 1e5 with 1024 directions.  Two costs remain.  In
+d = 5 the cells are wide: a query costs 1.4-1.9x less at ``s = 0`` and
+``s >= 0.1``, but at ``s = 0.01`` nearly every cell is evaluated and the
+bounds cost about 1% more at n >= 200 and 20% at n = 60.  And the split
+costs 3-4.5 ms for 4096 directions, paid on a grid's first oracle call, so
+a caller that builds a grid per query can pay more than a full scan.
 
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.  A grid's cells are a deterministic function of its
@@ -103,11 +104,6 @@ _EPS = float(np.finfo(np.float64).eps)
 
 # Most directions in one cell of a grid's partition (see ``DirectionGrid._cells``).
 _CELL_SIZE = 32
-
-# Below this many kept-row-by-direction entries the sphere oracle scans every
-# direction: such a scan costs less than the few dozen numpy calls of the
-# cell bounds.
-_MIN_BOUNDED_ENTRIES = 2**16
 
 
 def _rounding_tol(d: int) -> float:
@@ -207,36 +203,52 @@ class _Cells(NamedTuple):
 
 def _partition(directions: np.ndarray) -> _Cells:
     """Split ``directions`` into cells of at most ``_CELL_SIZE`` by recursive
-    median splits on the coordinate with the widest range.  The splits sort
-    stably, so the partition is a function of the directions alone."""
+    median splits on the coordinate with the widest range, equal coordinates
+    ordered by grid index, so that the partition is a function of the
+    directions alone.  The splits are made a level at a time over all cells,
+    each level one sort of keys that are all distinct."""
     norms = np.linalg.norm(directions, axis=1)
     unit = directions / norms[:, None]
-    members, todo = [], [np.arange(len(unit))]
-    while todo:
-        idx = todo.pop()
-        if idx.size <= _CELL_SIZE:
-            members.append(np.sort(idx))
-            continue
-        pts = unit[idx]
-        widest = int(np.argmax(np.ptp(pts, axis=0)))
-        idx = idx[np.argsort(pts[:, widest], kind="stable")]
-        half = idx.size // 2
-        todo += [idx[half:], idx[:half]]
-    members.sort(key=lambda c: c[0])
-    sizes = np.array([c.size for c in members])
+    m = len(unit)
+    # Each direction's rank along each coordinate.
+    rank = np.empty(unit.shape, dtype=np.intp)
+    for j, col in enumerate(unit.T):
+        by = np.argsort(col)
+        ties = col[by]
+        ties = ties[1:] == ties[:-1]
+        if ties.any():  # equal values in order of grid index
+            by = by[np.argsort(np.cumsum(np.r_[False, ~ties]) * m + by)]
+        rank[by, j] = np.arange(m)
+    # The cells are the runs of ``order`` between consecutive ``edges``.
+    order, edges = np.arange(m), np.array([0, m])
+    while True:
+        starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+        cell = np.repeat(np.arange(starts.size), sizes)
+        split = sizes > _CELL_SIZE
+        if not split.any():
+            break
+        pts = unit[order]
+        spread = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        along = rank[order, np.argmax(spread, axis=1)[cell]]
+        order = order[np.argsort(cell * m + along)]
+        edges = np.sort(np.concatenate([edges, starts[split] + sizes[split] // 2]))
+    # Members ascend within each cell, and the cells by their first member.
+    by_first = np.argsort(np.minimum.reduceat(order, starts))
+    order = order[np.argsort(np.argsort(by_first)[cell] * m + order)]
+    sizes = sizes[by_first]
     starts = np.cumsum(sizes) - sizes
-    order = np.concatenate(members)
-    sums = np.add.reduceat(unit[order], starts, axis=0)
+    members = unit[order]
+    sums = np.add.reduceat(members, starts, axis=0)
     lengths = np.linalg.norm(sums, axis=1)
     # A cell whose members sum to 0 is centred on its first member.
     flat = lengths == 0.0
-    sums[flat], lengths[flat] = unit[order[starts[flat]]], 1.0
+    sums[flat], lengths[flat] = members[starts[flat]], 1.0
     centers = sums / lengths[:, None]
     # Each member's angle from its center, from both the cosine and the
     # sine, which keeps it accurate near 0 and near pi.
     around = np.repeat(centers, sizes, axis=0)
-    cos = np.einsum("ij,ij->i", unit[order], around)
-    sin = np.linalg.norm(unit[order] - cos[:, None] * around, axis=1)
+    cos = np.einsum("ij,ij->i", members, around)
+    sin = np.linalg.norm(members - cos[:, None] * around, axis=1)
     radius = np.maximum.reduceat(np.arctan2(sin, cos), starts)
     radius = np.minimum(radius + _rounding_tol(unit.shape[1]), np.pi)
     cell_of = np.empty(len(unit), dtype=np.intp)
@@ -412,6 +424,9 @@ class _Objective:
         w = X.data - z
         if params.s == 0:
             unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
+            # For a subnormal r a row can overflow to inf; it lies beyond
+            # the keep radius and is dropped below.  Callers hold
+            # np.errstate(over="ignore").
             w /= unit
             params = DepthParams(params.r / unit, 0.0)
         w2 = np.einsum("ij,ij->i", w, w)
@@ -627,8 +642,7 @@ def grid_oracle_sphere_depth(
     resulting ``t`` bounds every member's value from below
     (``_Objective.cell_bounds``).  All cells cost one product ``w @ C``.
     Rows whose term is below ``eps/n`` in every direction are left out of
-    it, which can only lower the bound.  Below ``_MIN_BOUNDED_ENTRIES``
-    kept-row-by-direction entries every direction is evaluated instead.
+    it, which can only lower the bound.
 
     Rounding.  A member's computed ``t`` (or ``-t/s``) is off by less than
     ``tol * (2r ||w|| + ||w||**2)`` (over ``s``), with
@@ -655,21 +669,21 @@ def grid_oracle_sphere_depth(
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
-    # Grid directions are unit vectors, so the ball argument needs no
-    # remainder term: a sample at the query sits at exactly t = 0, which
-    # the s = 0 indicator counts as inside.
-    objective = _Objective(z, X, params)
 
-    def block_values(chunk: np.ndarray) -> np.ndarray:
-        if params.s == 0:
-            terms = objective.ball_args(chunk.T) >= 0.0
-        else:
-            terms = _logistic_of_negated(objective.folded_args(chunk.T))
-        return terms.sum(axis=0) / objective.n
-
-    small = objective.w.shape[0] * grid.m < _MIN_BOUNDED_ENTRIES
     with np.errstate(over="ignore"):
-        return _grid_minimum(grid, X.n, block_values, None if small else objective.cell_bounds)
+        # Grid directions are unit vectors, so the ball argument needs no
+        # remainder term: a sample at the query sits at exactly t = 0, which
+        # the s = 0 indicator counts as inside.
+        objective = _Objective(z, X, params)
+
+        def block_values(chunk: np.ndarray) -> np.ndarray:
+            if params.s == 0:
+                terms = objective.ball_args(chunk.T) >= 0.0
+            else:
+                terms = _logistic_of_negated(objective.folded_args(chunk.T))
+            return terms.sum(axis=0) / objective.n
+
+        return _grid_minimum(grid, X.n, block_values, objective.cell_bounds)
 
 
 def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleResult:

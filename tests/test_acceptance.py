@@ -4,8 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Every test here carries the ``acceptance`` marker,
 so ``pytest -m "not acceptance"`` runs the rest of the suite alone.  The
 homogeneity-test criteria (8 and 9) are Monte-Carlo studies over hundreds
-of replications and dominate the runtime (about two minutes in total on an
-idle 2-core machine).
+of replications and dominate the runtime (two to six minutes in total on
+a 2-core machine).
 
 Real-dataset AUROC checks (criterion 11) activate when ODDS CSV exports
 named ``wine.csv`` / ``breastw.csv`` (numeric features with the 0/1 label

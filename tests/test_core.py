@@ -437,6 +437,15 @@ class TestDroppedRows:
         assert (res.index, res.value) == (one.index, one.value)
         assert one.value <= 4 / 7
 
+    def test_subnormal_radius_with_unit_scale_data(self):
+        # In units of a subnormal r the far samples overflow to inf, which
+        # must neither warn nor count: they lie in no ball.
+        rng = np.random.default_rng(51)
+        X = SampleSet(np.vstack([[[0.0, 0.0]], rng.standard_normal((20, 2))]))
+        grid = DirectionGrid.generate(64, 2)
+        res = grid_oracle_sphere_depth(np.zeros(2), X, DepthParams(r=1e-310, s=0.0), grid)
+        assert (res.index, res.value) == (0, 1 / X.n)
+
 
 class TestGridOracleHalfspaceDepth:
     def test_four_point_cross(self):
@@ -510,14 +519,25 @@ def _assert_full_scan(z, X, params, grid):
     assert (res.index, res.value) == (int(np.argmin(values)), values[np.argmin(values)])
 
 
+def _recursive_cells(directions):
+    """The cells of ``core._partition`` split one cell at a time: a median
+    split on the widest coordinate, equal coordinates by grid index."""
+    unit = directions / np.linalg.norm(directions, axis=1)[:, None]
+    cells, todo = [], [np.arange(len(unit))]
+    while todo:
+        idx = todo.pop()
+        if idx.size <= core._CELL_SIZE:
+            cells.append(np.sort(idx))
+            continue
+        pts = unit[idx]
+        idx = idx[np.lexsort((idx, pts[:, np.argmax(np.ptp(pts, axis=0))]))]
+        todo += [idx[: idx.size // 2], idx[idx.size // 2 :]]
+    return sorted(cells, key=lambda c: c[0])
+
+
 class TestCellBounds:
     """Skipping the cells whose lower bound exceeds the best value found
-    leaves the oracle's value and index bit for bit those of a full scan.
-    The bounds are applied however small the scan."""
-
-    @pytest.fixture(autouse=True)
-    def _bound_every_scan(self, monkeypatch):
-        monkeypatch.setattr(core, "_MIN_BOUNDED_ENTRIES", 0)
+    leaves the oracle's value and index bit for bit those of a full scan."""
 
     @pytest.mark.parametrize("d, m", [(2, 4096), (3, 4096), (5, 1024), (5, 64)])
     def test_partition(self, d, m):
@@ -533,6 +553,25 @@ class TestCellBounds:
         again = core._partition(grid.directions.copy())
         assert all(np.array_equal(a, b) for a, b in zip(cells, again))
         assert grid._cells is cells
+
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            DirectionGrid.generate(4096, 2).directions,
+            DirectionGrid.generate(1025, 3).directions,
+            DirectionGrid.generate(1024, 5).directions,
+            DirectionGrid.generate(100, 2).directions,
+            np.tile([[1.0], [-1.0]], (40, 1)),
+            np.repeat(DirectionGrid.generate(40, 3).directions, 3, axis=0),
+        ],
+        ids=["d2", "d3", "d5", "d2-small", "d1-tiled", "d3-repeated"],
+    )
+    def test_partition_matches_recursive_splits(self, directions):
+        cells = core._partition(directions)
+        members = [np.flatnonzero(cells.cell_of == k) for k in range(cells.firsts.size)]
+        expected = _recursive_cells(directions)
+        assert len(members) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(members, expected))
 
     @pytest.mark.parametrize("block", [1, 2, 8, 100])
     def test_scan_values_match_full_scan(self, block):
