@@ -123,22 +123,23 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
     Minimizes ``u -> (1/n) #{<u, x_i - z> >= 0}`` with in-objective
     normalization of ``u``, taking the best of ``cfg.restarts`` starts:
     the normalized sample mean first, then seeded random unit vectors.
-    The result is an upper approximation of the true infimum.
+    The differences ``x_i - z`` are formed once, so a sample at ``z`` has
+    an exact 0 and counts on every side.  The result is an upper
+    approximation of the true infimum.
     """
     from scipy.optimize import minimize  # deferred: it adds about 0.15 s to `import spheredepth`
 
     if cfg is None:
         cfg = HalfspaceConfig()
     z = _as_vector(z, X.d, name="query point")
-    data = X.data
+    w = X.data - z
     n = X.n
 
     def objective(u: np.ndarray) -> float:
         norm = np.linalg.norm(u)
         if norm < 1e-12:
             return 1.0
-        uu = u / norm
-        return float(np.count_nonzero(data @ uu >= z @ uu)) / n
+        return float(np.count_nonzero(w @ (u / norm) >= 0.0)) / n
 
     rng = np.random.default_rng(cfg.seed)
     starts = [_initial_direction(z, X, "paper-mean")]

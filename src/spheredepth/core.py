@@ -213,12 +213,8 @@ def _partition(directions: np.ndarray) -> _Cells:
     # Each direction's rank along each coordinate.
     rank = np.empty(unit.shape, dtype=np.intp)
     for j, col in enumerate(unit.T):
-        by = np.argsort(col)
-        ties = col[by]
-        ties = ties[1:] == ties[:-1]
-        if ties.any():  # equal values in order of grid index
-            by = by[np.argsort(np.cumsum(np.r_[False, ~ties]) * m + by)]
-        rank[by, j] = np.arange(m)
+        # a stable sort keeps equal values in order of grid index
+        rank[np.argsort(col, kind="stable"), j] = np.arange(m)
     # The cells are the runs of ``order`` between consecutive ``edges``.
     order, edges = np.arange(m), np.array([0, m])
     while True:
@@ -689,15 +685,18 @@ def grid_oracle_sphere_depth(
 def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleResult:
     """Brute-force halfspace (Tukey) depth over a direction grid.
 
-    ``min_u (1/n) * #{i : <u, x_i> >= <u, z>}`` with the non-strict
-    inequality, so a query equal to a sample counts itself on every side.
+    ``min_u (1/n) * #{i : <u, x_i - z> >= 0}`` with the non-strict
+    inequality, so a query equal to a sample counts itself on every side:
+    its row of ``X - z`` is exactly 0.  Comparing ``<u, x_i>`` with
+    ``<u, z>`` instead would not, as the two products round differently.
     Value is a multiple of ``1/n``; ties break to the lowest grid index.
     """
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
+    w = X.data - z
 
     def block_values(chunk: np.ndarray) -> np.ndarray:
-        return np.mean(X.data @ chunk.T >= (chunk @ z)[None, :], axis=0)
+        return np.mean(w @ chunk.T >= 0.0, axis=0)
 
     return _grid_minimum(grid, X.n, block_values)

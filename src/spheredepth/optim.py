@@ -4,11 +4,12 @@ The solver minimizes the smoothed ball-mass objective of
 :func:`spheredepth.core.sphere_loss` over unit directions.  Each step
 projects the ambient gradient onto the tangent space at the current
 iterate, normalizes the descent direction, and moves along the geodesic
-``cos(alpha) * u + sin(alpha) * v``.  The step angle starts at ``alpha0``
-(``pi`` by default).  A step that raises the loss is rejected: the iterate
-stays where it is and the angle halves, and it is never re-increased
-within a call.  Accepted steps therefore never raise the loss, and the
-current iterate is always the best one visited.
+``cos(alpha) * u + sin(alpha) * v``.  The step angle starts at ``pi``.
+A step that raises the loss is rejected: the iterate stays where it is
+and the angle halves, and it is never re-increased within a call.
+Accepted steps therefore never raise the loss, and the current iterate is
+always the best one visited.  The only setting is the start direction
+(:class:`OptimizerConfig`).
 
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
@@ -39,30 +40,25 @@ INIT_MODES = ("paper-mean", "mean-minus-z")
 
 # Tangent gradients below this norm are treated as stationary points.
 _STATIONARY_NORM = 1e-14
+# An accepted step that improves the loss by less than this ends the solve.
+_TOL = 1e-6
+# The first trial step angle; each rejected step halves it.
+_ALPHA0 = math.pi
+_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Controls for :func:`riemannian_descent`.
+    """The one setting of :func:`riemannian_descent`, its start.
 
     ``init`` selects the starting direction: the normalized sample mean
     (``paper-mean``) or the normalized ``mean - z`` (``mean-minus-z``,
     translation-equivariant).
     """
 
-    tol: float = 1e-6
-    alpha0: float = math.pi
-    max_iter: int = 1000
     init: str = "paper-mean"
-    record_trace: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if not 0 < self.alpha0 <= math.pi:
-            raise ValueError(f"alpha0 must be in (0, pi], got {self.alpha0}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
@@ -71,8 +67,7 @@ class OptimizerConfig:
 class DepthResult:
     """Depth value with the optimizing direction and solver diagnostics.
 
-    ``value`` equals the loss at ``direction`` exactly; traces are filled
-    only when the optimizer ran with ``record_trace=True``.
+    ``value`` equals the loss at ``direction`` exactly.
     """
 
     value: float
@@ -80,9 +75,6 @@ class DepthResult:
     iterations: int
     converged: bool
     init: str | None = None
-    loss_trace: tuple[float, ...] | None = None
-    alpha_trace: tuple[float, ...] | None = None
-    increase_iterations: tuple[int, ...] | None = None
 
 
 def tangent_project(u, g) -> np.ndarray:
@@ -136,9 +128,9 @@ def riemannian_descent(
     Returns the final iterate and its loss.  A tangent gradient with norm
     below 1e-14 terminates immediately as a stationary point (converged,
     not an error).  Otherwise the loop stops when an accepted step improves
-    by less than ``tol`` or ``max_iter`` is hit; on an exact tie the step's
-    start is kept.  In d = 1 the one trial is the other point of the
-    sphere, and the solve ends after it.
+    by less than 1e-6, or after 1000 iterations; on an exact tie the
+    step's start is kept.  In d = 1 the one trial is the other point of
+    the sphere, and the solve ends after it.
     """
     if cfg is None:
         cfg = OptimizerConfig()
@@ -152,27 +144,25 @@ def riemannian_descent(
     # is entered once per solve, as entering it costs about 1.4 us.
     with np.errstate(over="ignore"):
         p = objective.sigmoids(u)
-        cur_loss, grad = float(p.sum()) / objective.n, objective.gradient(p, u)
-        alpha = cfg.alpha0
+        cur_loss = float(p.sum()) / objective.n
+        if X.d == 1:
+            # {-1, +1} has no tangent direction: try the other point once.
+            other = float(objective.sigmoids(-u).sum()) / objective.n
+            if other < cur_loss:  # a tie keeps the start
+                u, cur_loss = -u, other
+            return DepthResult(cur_loss, u, iterations=1, converged=True, init=cfg.init)
 
-        trace = cfg.record_trace
-        loss_trace = [cur_loss] if trace else None
-        alpha_trace = [alpha] if trace else None
-        increases: list[int] = []
-
+        grad = objective.gradient(p, u)
+        alpha = _ALPHA0
         converged = False
         steps = 0
-        for it in range(1, cfg.max_iter + 1):
-            if X.d == 1:
-                # {-1, +1} has no tangent direction: try the other point once.
-                new_u = -u
-            else:
-                tangent = tangent_project(u, grad)
-                tnorm = float(np.linalg.norm(tangent))
-                if tnorm < _STATIONARY_NORM:
-                    converged = True
-                    break
-                new_u = _geodesic(u, tangent / -tnorm, alpha)
+        for it in range(1, _MAX_ITER + 1):
+            tangent = tangent_project(u, grad)
+            tnorm = float(np.linalg.norm(tangent))
+            if tnorm < _STATIONARY_NORM:
+                converged = True
+                break
+            new_u = _geodesic(u, tangent / -tnorm, alpha)
             # One pass over the data per trial direction; a move reuses its
             # sigmoids for the gradient at the new iterate.
             p = objective.sigmoids(new_u)
@@ -180,32 +170,18 @@ def riemannian_descent(
             steps = it
 
             if new_loss > cur_loss:
-                increases.append(it)
                 alpha *= 0.5
-            elif cur_loss - new_loss < cfg.tol:
+            elif cur_loss - new_loss < _TOL:
                 if new_loss < cur_loss:  # an exact tie keeps the step's start
                     u, cur_loss = new_u, new_loss
                 converged = True
+                break
             else:
                 u, cur_loss = new_u, new_loss
                 grad = objective.gradient(p, u)
 
-            if trace:
-                loss_trace.append(cur_loss)
-                alpha_trace.append(alpha)
-            if converged or X.d == 1:
-                converged = True
-                break
-
     return DepthResult(
-        value=cur_loss,
-        direction=u,
-        iterations=steps,
-        converged=converged,
-        init=cfg.init,
-        loss_trace=tuple(loss_trace) if trace else None,
-        alpha_trace=tuple(alpha_trace) if trace else None,
-        increase_iterations=tuple(increases) if trace else None,
+        value=cur_loss, direction=u, iterations=steps, converged=converged, init=cfg.init
     )
 
 
@@ -255,7 +231,7 @@ def batch_depth(
     """
     if params is None:
         params = default_params(X)
-    pts = [_as_vector(p, X.d, name=f"query point {i}") for i, p in enumerate(points)]
+    pts = list(points)
 
     def solve(i: int) -> DepthResult:
         try:

@@ -25,6 +25,18 @@ from spheredepth import baselines
 CROSS = SampleSet([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
+def _exact_halfspace_depth_2d(z, X):
+    """Exact Tukey depth in d = 2: the rows at ``z`` count on every side, and
+    of the rest a closed half-plane misses at most the most points found in
+    a half-open half-circle of angles ``[theta_i, theta_i + pi)``."""
+    w = X.data - np.asarray(z)
+    at_z = np.all(w == 0.0, axis=1)
+    theta = np.sort(np.arctan2(w[~at_z, 1], w[~at_z, 0]))
+    around = np.concatenate([theta, theta + 2.0 * np.pi])
+    inside = np.searchsorted(around, theta + np.pi) - np.arange(theta.size)
+    return (X.n - inside.max(initial=0)) / X.n
+
+
 class TestHalfspaceDepth:
     def test_far_query_zero(self):
         rng = np.random.default_rng(1)
@@ -68,6 +80,22 @@ class TestHalfspaceDepth:
             nm = halfspace_depth(z, X, cfg).value
             oracle = grid_oracle_halfspace_depth(z, X, grid).value
             assert abs(nm - oracle) <= 1.0 / X.n + 1e-12
+
+    def test_sample_queries_count_themselves(self):
+        # A query equal to a sample keeps its own row in every direction,
+        # so neither the grid nor Nelder-Mead reads below the exact depth.
+        rng = np.random.default_rng(24)
+        X = SampleSet(np.vstack([
+            rng.normal([-1.5, 0.0], 1.0, (150, 2)), rng.normal([1.5, 0.5], 0.7, (150, 2))
+        ]))
+        grid = DirectionGrid.generate(4096, 2)
+        for i in range(0, X.n, 10):
+            z = X.data[i]
+            exact = _exact_halfspace_depth_2d(z, X)
+            counts = np.mean((X.data - z) @ grid.directions.T >= 0.0, axis=0)
+            oracle = grid_oracle_halfspace_depth(z, X, grid).value
+            assert oracle == counts.min() and oracle >= max(exact, 1.0 / X.n)
+            assert halfspace_depth(z, X).value >= exact
 
     def test_sphere_depth_below_halfspace_plus_slack(self):
         grid = DirectionGrid.generate(1024, 2)

@@ -1,15 +1,17 @@
 """Tests for the manifold descent solver and its geometric primitives."""
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheredepth import core
+from spheredepth import core, optim
 from spheredepth import (
     DepthParams,
+    DepthResult,
     DirectionGrid,
     OptimizerConfig,
     SampleSet,
@@ -25,6 +27,69 @@ from spheredepth import (
     tangent_project,
     unit_direction,
 )
+
+
+class Step(NamedTuple):
+    """One trial step of a solve, as seen from outside the solver."""
+
+    start_loss: float  # the loss at the step's start, the current iterate
+    alpha: float
+    loss: float  # the loss at the trial direction
+    accepted: bool  # the solver moved to the trial direction
+
+
+class Watched(NamedTuple):
+    result: DepthResult
+    steps: list[Step]
+    losses: list[float]  # the loss of every direction evaluated, start first
+    kernel_calls: int
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """``solve(z, X, params) -> Watched``.
+
+    Records the angle and the end of each geodesic trial step, the loss of
+    every direction the solver evaluates, and its kernel calls.  A step was
+    accepted when the next step, or the result, starts from its end."""
+    trials, losses, calls = [], [], []
+    geodesic = optim._geodesic
+    sigmoids, kernel = core._Objective.sigmoids, core._Objective.folded_args
+
+    def recording_geodesic(u, v, alpha):
+        out = geodesic(u, v, alpha)
+        trials.append((u, alpha, out))
+        return out
+
+    def recording_sigmoids(objective, u):
+        p = sigmoids(objective, u)
+        losses.append(float(p.sum()) / objective.n)
+        return p
+
+    def counting(objective, U):
+        calls.append(U)
+        return kernel(objective, U)
+
+    monkeypatch.setattr(optim, "_geodesic", recording_geodesic)
+    monkeypatch.setattr(core._Objective, "sigmoids", recording_sigmoids)
+    monkeypatch.setattr(core._Objective, "folded_args", counting)
+
+    def solve(z, X, params):
+        for record in (trials, losses, calls):
+            record.clear()
+        res = riemannian_descent(z, X, params)
+        assert len(losses) == 1 + len(trials)
+        nexts = [u for u, _, _ in trials[1:]] + [res.direction]
+        steps, current = [], losses[0]
+        for (start, alpha, end), nxt, loss in zip(trials, nexts, losses[1:]):
+            accepted = np.array_equal(nxt, end)
+            assert accepted or np.array_equal(nxt, start)
+            steps.append(Step(current, alpha, loss, accepted))
+            current = loss if accepted else current
+        assert res.value == current
+        return Watched(res, steps, list(losses), len(calls))
+
+    return solve
 
 
 class TestTangentProject:
@@ -79,17 +144,9 @@ class TestExpMap:
 
 class TestOptimizerConfig:
     def test_defaults(self):
-        cfg = OptimizerConfig()
-        assert cfg.tol == 1e-6 and cfg.alpha0 == np.pi and cfg.max_iter == 1000
-        assert cfg.init == "paper-mean" and not cfg.record_trace
+        assert OptimizerConfig().init == "paper-mean"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(alpha0=4.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iter=0)
         for init in ("whatever", "fixed-direction", "seeded-random"):
             with pytest.raises(ValueError, match="init must be one of"):
                 OptimizerConfig(init=init)
@@ -132,43 +189,37 @@ class TestRiemannianDescent:
         )
         assert abs(np.linalg.norm(res.direction) - 1.0) <= 1e-10
 
-    def test_monotone_trace_with_backtracking(self):
-        rng = np.random.default_rng(10)
-        X = SampleSet(rng.standard_normal((200, 2)))
-        cfg = OptimizerConfig(record_trace=True)
-        res = riemannian_descent([0.5, 0.5], X, DepthParams(r=1.0, s=0.3), cfg)
-        trace = np.array(res.loss_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-
-    def test_alpha_halves_exactly_on_increase(self):
-        rng = np.random.default_rng(11)
-        X = SampleSet(rng.standard_normal((200, 2)))
-        cfg = OptimizerConfig(record_trace=True)
-        res = riemannian_descent([1.0, -0.5], X, DepthParams(r=1.0, s=0.3), cfg)
-        alphas = res.alpha_trace
-        assert res.increase_iterations, "expected at least one rejected step"
-        for it in range(1, len(alphas)):
-            if it in res.increase_iterations:
-                assert alphas[it] == alphas[it - 1] / 2
-            else:
-                assert alphas[it] == alphas[it - 1]
-        assert all(a <= b for a, b in zip(alphas[1:], alphas))
+    @pytest.mark.parametrize(
+        "seed, z", [(10, [0.5, 0.5]), (11, [1.0, -0.5]), (0, [0.5, -0.2])],
+        ids=["seed10", "seed11", "seed0"],
+    )
+    def test_step_rule(self, watched, seed, z):
+        # Accepted steps never raise the loss; the angle halves exactly after
+        # a rejected step and only then; every trial costs one kernel call.
+        X = SampleSet(np.random.default_rng(seed).standard_normal((200, 2)))
+        res, steps, _, calls = watched(z, X, DepthParams(r=1.0, s=0.3))
+        assert res.iterations == len(steps) >= 5
+        for step in steps:
+            assert not step.accepted or step.loss <= step.start_loss
+        assert not all(step.accepted for step in steps), "expected a rejected step"
+        for step, nxt in zip(steps, steps[1:]):
+            assert nxt.alpha == (step.alpha if step.accepted else step.alpha / 2)
+        assert calls == 1 + res.iterations
 
     @pytest.mark.parametrize("s", [1.0, 0.1, 0.01])
-    def test_current_iterate_is_best_visited(self, s):
+    def test_current_iterate_is_best_visited(self, watched, s):
         # Rejected steps leave the iterate in place and accepted ones never
-        # raise the loss, so the last loss is the least and is the value.
+        # raise the loss, so the value is the least loss visited.
         params = DepthParams(r=1.0, s=s)
-        cfg = OptimizerConfig(record_trace=True)
         rejected = dropped = 0
         for k in range(8):
             rng = np.random.default_rng((12, k))
             X = SampleSet(rng.standard_normal((200, 2)))
             z = rng.uniform(-2, 2, 2)
-            res = riemannian_descent(z, X, params, cfg)
-            rejected += bool(res.increase_iterations)
+            res, steps, losses, _ = watched(z, X, params)
+            rejected += not all(step.accepted for step in steps)
             dropped += X.n - core._Objective(z, X, params).w.shape[0]
-            assert res.value == res.loss_trace[-1] == min(res.loss_trace)
+            assert res.value == min(losses)
             # Exact even where samples beyond the keep radius are dropped:
             # the loss keeps the same rows at a returned (unit) direction.
             assert res.value == sphere_loss(res.direction, z, X, params)
@@ -201,25 +252,6 @@ class TestRiemannianDescent:
         X = SampleSet([[0.0, 0.0]])
         with pytest.raises(ValueError, match="s > 0"):
             riemannian_descent([1.0, 1.0], X, DepthParams(r=1.0, s=0.0))
-
-    def test_one_objective_pass_per_trial_direction(self, monkeypatch):
-        # The start and every trial direction cost one kernel call; a move
-        # reuses that call's sigmoids for its gradient.
-        calls = []
-        kernel = core._Objective.folded_args
-
-        def counting(objective, U):
-            calls.append(U)
-            return kernel(objective, U)
-
-        monkeypatch.setattr(core._Objective, "folded_args", counting)
-        rng = np.random.default_rng(0)
-        X = SampleSet(rng.standard_normal((200, 2)))
-        cfg = OptimizerConfig(record_trace=True)
-        res = riemannian_descent([0.5, -0.2], X, DepthParams(r=1.0, s=0.3), cfg)
-        assert res.iterations >= 5
-        assert res.increase_iterations
-        assert len(calls) == 1 + res.iterations
 
 
 class TestInitialization:
