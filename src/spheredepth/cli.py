@@ -62,7 +62,7 @@ def _provenance(seed: int) -> dict:
 
 
 def _resolve_params(X: SampleSet, r: float | None, s: float | None) -> tuple[float, float]:
-    """Fill missing r/s from the pooled-std defaults (r = std, s = std * d)."""
+    """Fill missing r/s from the pooled-std defaults (r = std, s = std**2 * d)."""
     if r is None or s is None:
         defaults = default_params(X)
         r = defaults.r if r is None else r
@@ -529,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     depth_opts.add_argument("--method", choices=DEPTH_METHODS, default="sphere")
     depth_opts.add_argument("--r", type=float, default=None, help="ball radius (default: pooled std)")
     depth_opts.add_argument("--s", type=float, default=None,
-                            help="smoothing scale (default: pooled std * d)")
+                            help="smoothing scale (default: pooled std squared * d)")
     depth_opts.add_argument("--grid-size", type=int, default=4096)
     depth_opts.add_argument("--bandwidth", type=float, default=1.0, help="kspatial kernel bandwidth")
     depth_opts.add_argument("--regularization", type=float, default=0.0,

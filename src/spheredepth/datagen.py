@@ -208,7 +208,8 @@ def standardize(X: SampleSet) -> tuple[SampleSet, StandardizationStats]:
 
     ``pooled_std`` is the square root of the mean per-dimension unbiased
     variance, the scalar behind the default depth hyperparameters
-    ``r = pooled_std`` and ``s = pooled_std * d``.
+    ``r = pooled_std`` and ``s = pooled_std**2 * d``; after standardizing
+    they are ``r = 1`` and ``s = d`` up to rounding.
     """
     if X.n < 2:
         raise ValueError(f"standardization requires n >= 2, got n={X.n}")

@@ -5,11 +5,14 @@ The solver minimizes the smoothed ball-mass objective of
 projects the ambient gradient onto the tangent space at the current
 iterate, normalizes the descent direction, and moves along the geodesic
 ``cos(alpha) * u + sin(alpha) * v``.  The step angle starts at ``pi``.
-A step that raises the loss is rejected: the iterate stays where it is
-and the angle halves, and it is never re-increased within a call.
-Accepted steps therefore never raise the loss, and the current iterate is
-always the best one visited.  The only setting is the start direction
-(:class:`OptimizerConfig`).
+A step that raises the loss is rejected: the iterate stays where it is,
+and the next angle is the minimiser of the quadratic through the loss
+``phi(0)``, its slope ``phi'(0) = -||tangent gradient||`` and the
+rejected ``phi(alpha)``, clamped to ``[alpha/4, alpha/2]`` (safeguarded
+interpolating backtracking).  An accepted step keeps the angle, so it is
+never re-increased within a call.  Accepted steps therefore never raise
+the loss, and the current iterate is always the best one visited.  The
+only setting is the start direction (:class:`OptimizerConfig`).
 
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
@@ -42,8 +45,12 @@ INIT_MODES = ("paper-mean", "mean-minus-z")
 _STATIONARY_NORM = 1e-14
 # An accepted step that improves the loss by less than this ends the solve.
 _TOL = 1e-6
-# The first trial step angle; each rejected step halves it.
+# The first trial step angle.
 _ALPHA0 = math.pi
+# After a rejected step the next angle is the minimiser of a quadratic model
+# of the loss along the geodesic, clamped to this share of the rejected one.
+_SHRINK_MIN = 0.25
+_SHRINK_MAX = 0.5
 _MAX_ITER = 1000
 
 
@@ -170,7 +177,11 @@ def riemannian_descent(
             steps = it
 
             if new_loss > cur_loss:
-                alpha *= 0.5
+                # The minimiser of the quadratic through phi(0) = cur_loss,
+                # phi'(0) = -tnorm and phi(alpha) = new_loss.  The rise is
+                # positive, so it lies below alpha/2 but for rounding.
+                minimiser = tnorm * alpha * alpha / (2.0 * (new_loss - cur_loss + tnorm * alpha))
+                alpha = min(max(minimiser, _SHRINK_MIN * alpha), _SHRINK_MAX * alpha)
             elif cur_loss - new_loss < _TOL:
                 if new_loss < cur_loss:  # an exact tie keeps the step's start
                     u, cur_loss = new_u, new_loss
@@ -186,17 +197,19 @@ def riemannian_descent(
 
 
 def default_params(X: SampleSet) -> DepthParams:
-    """Hyperparameters from data scale: ``r = pooled std, s = pooled std * d``.
+    """Hyperparameters from data scale: ``r = pooled std, s = pooled std**2 * d``.
 
     The pooled standard deviation is the square root of the mean
-    per-dimension (unbiased) variance.
+    per-dimension (unbiased) variance.  The sigmoid's argument
+    ``r**2 - ||x - c||**2`` is a squared length, so ``s`` scales as ``r**2``
+    and the default depth does not depend on the data's units.
     """
     if X.n < 2:
         raise ValueError("default parameters require at least 2 samples")
     pooled = float(np.sqrt(np.mean(np.var(X.data, axis=0, ddof=1))))
     if pooled <= 0:
         raise ValueError("data is constant; pass explicit DepthParams")
-    return DepthParams(r=pooled, s=pooled * X.d)
+    return DepthParams(r=pooled, s=pooled * pooled * X.d)
 
 
 def sphere_depth(

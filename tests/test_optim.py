@@ -16,8 +16,10 @@ from spheredepth import (
     OptimizerConfig,
     SampleSet,
     batch_depth,
+    bi_gaussian_spec,
     default_params,
     exp_map,
+    gen_mixture,
     grid_oracle_sphere_depth,
     riemannian_descent,
     sigmoid,
@@ -32,7 +34,8 @@ from spheredepth import (
 class Step(NamedTuple):
     """One trial step of a solve, as seen from outside the solver."""
 
-    start_loss: float  # the loss at the step's start, the current iterate
+    start: np.ndarray  # the step's start, the current iterate
+    start_loss: float  # the loss at the step's start
     alpha: float
     loss: float  # the loss at the trial direction
     accepted: bool  # the solver moved to the trial direction
@@ -84,7 +87,7 @@ def watched(monkeypatch):
         for (start, alpha, end), nxt, loss in zip(trials, nexts, losses[1:]):
             accepted = np.array_equal(nxt, end)
             assert accepted or np.array_equal(nxt, start)
-            steps.append(Step(current, alpha, loss, accepted))
+            steps.append(Step(start, current, alpha, loss, accepted))
             current = loss if accepted else current
         assert res.value == current
         return Watched(res, steps, list(losses), len(calls))
@@ -194,17 +197,36 @@ class TestRiemannianDescent:
         ids=["seed10", "seed11", "seed0"],
     )
     def test_step_rule(self, watched, seed, z):
-        # Accepted steps never raise the loss; the angle halves exactly after
-        # a rejected step and only then; every trial costs one kernel call.
+        # Accepted steps never raise the loss and keep the angle.  After a
+        # rejected step the next angle is the minimiser of the quadratic
+        # through phi(0), phi'(0) = -||tangent gradient|| and phi(alpha),
+        # clamped to [alpha/4, alpha/2].  Every trial costs one kernel call.
         X = SampleSet(np.random.default_rng(seed).standard_normal((200, 2)))
-        res, steps, _, calls = watched(z, X, DepthParams(r=1.0, s=0.3))
-        assert res.iterations == len(steps) >= 5
-        for step in steps:
-            assert not step.accepted or step.loss <= step.start_loss
-        assert not all(step.accepted for step in steps), "expected a rejected step"
-        for step, nxt in zip(steps, steps[1:]):
-            assert nxt.alpha == (step.alpha if step.accepted else step.alpha / 2)
-        assert calls == 1 + res.iterations
+        lower = inside = 0
+        for s in (0.3, 1.0, 0.1, 0.01):
+            params = DepthParams(r=1.0, s=s)
+            res, steps, _, calls = watched(z, X, params)
+            assert res.iterations == len(steps) >= 5
+            assert calls == 1 + res.iterations
+            for step in steps:
+                assert not step.accepted or step.loss <= step.start_loss
+            assert not all(step.accepted for step in steps), "expected a rejected step"
+            for step, nxt in zip(steps, steps[1:]):
+                if step.accepted:
+                    assert nxt.alpha == step.alpha
+                    continue
+                grad = sphere_loss_gradient(step.start, z, X, params)
+                tnorm = np.linalg.norm(tangent_project(step.start, grad))
+                rise = step.loss - step.start_loss
+                quadratic = tnorm * step.alpha**2 / (2 * (rise + tnorm * step.alpha))
+                expected = min(max(quadratic, step.alpha / 4), step.alpha / 2)
+                assert nxt.alpha == pytest.approx(expected, rel=1e-12, abs=0)
+                # rise > 0 puts the minimiser below alpha/2; the upper clamp
+                # binds only where rounding lifts it to alpha/2.
+                assert quadratic <= step.alpha / 2 * (1 + 1e-15)
+                lower += quadratic < step.alpha / 4
+                inside += step.alpha / 4 < quadratic < step.alpha / 2
+        assert lower and inside, "expected the lower clamp to bind and the minimiser inside"
 
     @pytest.mark.parametrize("s", [1.0, 0.1, 0.01])
     def test_current_iterate_is_best_visited(self, watched, s):
@@ -308,9 +330,20 @@ class TestSphereDepthWrapper:
         params = default_params(X)
         pooled = np.sqrt(np.mean(np.var(X.data, axis=0, ddof=1)))
         assert params.r == pytest.approx(pooled)
-        assert params.s == pytest.approx(pooled * 3)
+        assert params.s == pytest.approx(pooled**2 * 3)
         res = sphere_depth([0.0, 0.0, 0.0], X)
         assert 0.0 < res.value < 1.0
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_default_depth_is_scale_invariant(self, scale):
+        # s scales as r**2, so scaling the data and the query together
+        # leaves the default-parameter depth as it is.
+        X = gen_mixture(bi_gaussian_spec(2), 200, seed=21)
+        z = X.data[0]
+        base = sphere_depth(z, X).value
+        assert 0.0 < base < 1.0
+        scaled = sphere_depth(scale * z, SampleSet(scale * X.data)).value
+        assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_records_init(self):
         X = SampleSet(np.random.default_rng(19).standard_normal((30, 2)))
