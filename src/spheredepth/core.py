@@ -171,6 +171,26 @@ class SampleSet:
     def d(self) -> int:
         return self.data.shape[1]
 
+    @functools.cached_property
+    def _mean(self) -> np.ndarray:
+        """The per-feature mean, read-only; computed on first use and kept
+        with the sample, as every solve's start direction reads it."""
+        mean = self.data.mean(axis=0)
+        mean.flags.writeable = False
+        return mean
+
+
+def _pooled_std(X: SampleSet) -> float:
+    """Square root of the mean per-feature (unbiased) variance.
+
+    The data are divided by their largest absolute entry first and the
+    result scaled back, so the variance neither underflows to 0 nor
+    overflows for data in extreme units (say 1e-170 or 1e170)."""
+    scale = float(np.abs(X.data).max())
+    if scale == 0.0:
+        return 0.0
+    return scale * float(np.sqrt(np.mean(np.var(X.data / scale, axis=0, ddof=1))))
+
 
 @dataclass(frozen=True)
 class DepthParams:
@@ -407,7 +427,12 @@ class _Objective:
     For ``s > 0`` the sigmoid needs only ``-t/s``, so the constants are
     folded into what is computed once per query (``||w_i||**2 / s``) or per
     direction (the d-vector ``u * (-2r/s)``); an evaluation is then one
-    product with the kept data, one add and the logistic.
+    product with the kept data, one add and the logistic.  The objective
+    owns two n-vectors, allocated once: the sigmoid pass of one direction
+    writes into the first, and the gradient's weights into the second.  So
+    the result of :meth:`sigmoids` (or of :meth:`folded_args` at one
+    direction) holds until the next such call on the same objective; an
+    objective belongs to one solve, which keeps concurrent solves apart.
 
     The ``s = 0`` indicator needs only the sign of ``t``, so there ``w``,
     ``r`` and the keep radius are taken in units of the power of two at or
@@ -436,6 +461,9 @@ class _Objective:
         self.r, self.s = params.r, params.s
         if self.s > 0:
             self.w2_s = self.w2 / self.s
+            self._fold = -2.0 * self.r / self.s
+            self._args = np.empty_like(w2)
+            self._weights = np.empty_like(w2)
 
     def ball_args(self, U: np.ndarray) -> np.ndarray:
         """``2r <w_i, u> - ||w_i||**2`` for one direction ``(d,)`` or a
@@ -449,14 +477,21 @@ class _Objective:
     def folded_args(self, U: np.ndarray) -> np.ndarray:
         """``-t/s = (||w_i||**2 - 2r <w_i, u>) / s`` on the unit sphere for
         one direction ``(d,)`` or a block ``(d, m)`` (``s > 0``): one product
-        with the data, the scale applied to ``U`` rather than to the result."""
-        m = self.w @ (U * (-2.0 * self.r / self.s))
-        m += self.w2_s if m.ndim == 1 else self.w2_s[:, None]
+        with the data, the scale applied to ``U`` rather than to the result.
+        One direction's result is the objective's buffer (see the class)."""
+        scaled = U * self._fold
+        if scaled.ndim == 1:
+            m = np.matmul(self.w, scaled, out=self._args)
+            m += self.w2_s
+        else:
+            m = self.w @ scaled
+            m += self.w2_s[:, None]
         return m
 
     def sigmoids(self, u: np.ndarray) -> np.ndarray:
-        """Per-sample smoothed ball membership at any ambient ``u``.  Far
-        samples overflow ``exp``; callers hold ``np.errstate(over="ignore")``."""
+        """Per-sample smoothed ball membership at any ambient ``u``, in the
+        objective's buffer (see the class).  Far samples overflow ``exp``;
+        callers hold ``np.errstate(over="ignore")``."""
         m = self.folded_args(u)
         remainder = self.r * self.r * (1.0 - float(u @ u))
         if remainder != 0.0:
@@ -509,16 +544,17 @@ class _Objective:
         # No value is below 0, which keeps a plateau of exact zeros skippable.
         return np.maximum(lower, 0.0, out=lower)
 
-    def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def gradient(self, p: np.ndarray, u: list[float]) -> list[float]:
         """Ambient gradient ``(2r/(s n)) (c @ w - r (sum c) u)`` from the
-        sigmoids ``p`` at ``u``, with ``c_i = p_i (1 - p_i)``; the scale
-        multiplies the d-vector, not the n-vector ``c``."""
-        c = 1.0 - p
+        sigmoids ``p`` at ``u``, with ``c_i = p_i (1 - p_i)`` in the
+        objective's weight buffer.  ``u`` is a sequence of ``d`` floats; the
+        tail after ``c @ w`` runs on floats, and the scale multiplies the
+        d-vector, not the n-vector ``c``."""
+        c = np.subtract(1.0, p, out=self._weights)
         c *= p
-        g = c @ self.w
-        g -= (self.r * float(c.sum())) * u
-        g *= 2.0 * self.r / (self.s * self.n)
-        return g
+        rc = self.r * float(c.sum())
+        scale = 2.0 * self.r / (self.s * self.n)
+        return [(g - rc * x) * scale for g, x in zip((c @ self.w).tolist(), u)]
 
 
 def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
@@ -550,7 +586,7 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
     z = _as_vector(z, X.d, name="query point")
     with np.errstate(over="ignore"):
         objective = _Objective(z, X, params, math.sqrt(u @ u))
-        return objective.gradient(objective.sigmoids(u), u)
+        return np.array(objective.gradient(objective.sigmoids(u), u.tolist()))
 
 
 def _scan_values(grid: DirectionGrid, idx: np.ndarray, block: int, block_values) -> np.ndarray:

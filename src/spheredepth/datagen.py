@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SampleSet, _as_vector
+from .core import SampleSet, _as_vector, _pooled_std
 
 __all__ = [
     "MixtureSpec",
@@ -209,13 +209,14 @@ def standardize(X: SampleSet) -> tuple[SampleSet, StandardizationStats]:
     ``pooled_std`` is the square root of the mean per-dimension unbiased
     variance, the scalar behind the default depth hyperparameters
     ``r = pooled_std`` and ``s = pooled_std**2 * d``; after standardizing
-    they are ``r = 1`` and ``s = d`` up to rounding.
+    they are ``r = 1`` and ``s = d`` up to rounding.  The variance is
+    taken of the data divided by their largest absolute entry, so data in
+    extreme units (say 1e-170 or 1e170) standardize like any other.
     """
     if X.n < 2:
         raise ValueError(f"standardization requires n >= 2, got n={X.n}")
     mean = X.data.mean(axis=0)
-    variances = np.var(X.data, axis=0, ddof=1)
-    pooled = float(np.sqrt(np.mean(variances)))
+    pooled = _pooled_std(X)
     if pooled <= 0:
         raise ValueError("data is constant; standardization is undefined")
     stats = StandardizationStats(per_dimension_mean=mean, pooled_std=pooled)

@@ -14,6 +14,20 @@ never re-increased within a call.  Accepted steps therefore never raise
 the loss, and the current iterate is always the best one visited.  The
 only setting is the start direction (:class:`OptimizerConfig`).
 
+The steps on d-vectors run on Python floats: the tangent projection and
+its norm, the descent direction, the geodesic and its normalisation, and
+the gradient's ``-r (sum c) u`` tail and scale.  At the small d of the
+sphere depth these cost less as floats than as numpy calls, and
+:func:`tangent_project` and :func:`exp_map` call the same helpers.  The
+dot products add left to right, so they can differ from BLAS's in the
+last bit.  Only the passes over the kept rows of the data stay in numpy,
+writing into two n-vectors that the query's ``core._Objective`` owns.
+Each trial direction costs one product with the data, the logistic in
+place and the loss sum; an accepted step adds the weights
+``c = p (1 - p)``, the product ``c @ w`` and the sum of ``c``.  The loss
+is computed at the array the solver returns, so ``value`` equals
+``sphere_loss(direction)`` exactly.
+
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
 """
@@ -21,12 +35,13 @@ direction, so the solver compares the start with the other point.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DepthParams, SampleSet, _as_vector, _Objective, unit_direction
+from .core import DepthParams, SampleSet, _as_vector, _Objective, _pooled_std, unit_direction
 
 __all__ = [
     "OptimizerConfig",
@@ -89,9 +104,9 @@ def tangent_project(u, g) -> np.ndarray:
     ``g - <g, u> u``."""
     u = np.asarray(u, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if u.shape != g.shape:
-        raise ValueError(f"shape mismatch: u {u.shape} vs g {g.shape}")
-    return g - np.dot(g, u) * u
+    if u.ndim != 1 or u.shape != g.shape:
+        raise ValueError(f"u and g must be vectors of one shape, got {u.shape} and {g.shape}")
+    return np.array(_tangent(u.tolist(), g.tolist()))
 
 
 def exp_map(u, v, alpha: float) -> np.ndarray:
@@ -106,16 +121,27 @@ def exp_map(u, v, alpha: float) -> np.ndarray:
         raise ValueError("exp_map requires v orthogonal to u")
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must be in [0, pi], got {alpha}")
-    return _geodesic(u, v, alpha)
+    return np.array(_geodesic(u.tolist(), v.tolist(), alpha))
 
 
-def _geodesic(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
-    out = math.cos(alpha) * u + math.sin(alpha) * v
-    return out / np.linalg.norm(out)
+def _dot(a: list[float], b: list[float]) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def _tangent(u: list[float], g: list[float]) -> list[float]:
+    dot = _dot(g, u)
+    return [a - dot * b for a, b in zip(g, u)]
+
+
+def _geodesic(u: list[float], v: list[float], alpha: float) -> list[float]:
+    cos, sin = math.cos(alpha), math.sin(alpha)
+    out = [cos * a + sin * b for a, b in zip(u, v)]
+    norm = math.sqrt(_dot(out, out))
+    return [a / norm for a in out]
 
 
 def _initial_direction(z: np.ndarray, X: SampleSet, init: str) -> np.ndarray:
-    anchor = X.data.mean(axis=0)
+    anchor = X._mean
     if init == "mean-minus-z":
         anchor = anchor - z
     norm = float(np.linalg.norm(anchor))
@@ -159,17 +185,21 @@ def riemannian_descent(
                 u, cur_loss = -u, other
             return DepthResult(cur_loss, u, iterations=1, converged=True, init=cfg.init)
 
-        grad = objective.gradient(p, u)
+        # The iterate as floats beside its array: the d-vector steps run on
+        # the floats, and the passes over the data take the array.
+        point = u.tolist()
+        grad = objective.gradient(p, point)
         alpha = _ALPHA0
         converged = False
         steps = 0
         for it in range(1, _MAX_ITER + 1):
-            tangent = tangent_project(u, grad)
-            tnorm = float(np.linalg.norm(tangent))
+            tangent = _tangent(point, grad)
+            tnorm = math.sqrt(_dot(tangent, tangent))
             if tnorm < _STATIONARY_NORM:
                 converged = True
                 break
-            new_u = _geodesic(u, tangent / -tnorm, alpha)
+            trial = _geodesic(point, [a / -tnorm for a in tangent], alpha)
+            new_u = np.array(trial)
             # One pass over the data per trial direction; a move reuses its
             # sigmoids for the gradient at the new iterate.
             p = objective.sigmoids(new_u)
@@ -188,8 +218,8 @@ def riemannian_descent(
                 converged = True
                 break
             else:
-                u, cur_loss = new_u, new_loss
-                grad = objective.gradient(p, u)
+                u, point, cur_loss = new_u, trial, new_loss
+                grad = objective.gradient(p, point)
 
     return DepthResult(
         value=cur_loss, direction=u, iterations=steps, converged=converged, init=cfg.init
@@ -206,10 +236,16 @@ def default_params(X: SampleSet) -> DepthParams:
     """
     if X.n < 2:
         raise ValueError("default parameters require at least 2 samples")
-    pooled = float(np.sqrt(np.mean(np.var(X.data, axis=0, ddof=1))))
+    pooled = _pooled_std(X)
     if pooled <= 0:
         raise ValueError("data is constant; pass explicit DepthParams")
-    return DepthParams(r=pooled, s=pooled * pooled * X.d)
+    s = pooled * pooled * X.d
+    if not np.finfo(np.float64).tiny <= s < math.inf:
+        raise ValueError(
+            f"the default s = r**2 * d for r = {pooled:.3g} is outside the float range; "
+            "standardize the data or pass explicit DepthParams"
+        )
+    return DepthParams(r=pooled, s=s)
 
 
 def sphere_depth(

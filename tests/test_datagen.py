@@ -1,5 +1,7 @@
 """Tests for the seeded generators, exact densities, and standardization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,18 @@ class TestStandardize:
         _, base = standardize(SampleSet(data))
         _, scaled = standardize(SampleSet(7.5 * data))
         assert scaled.pooled_std == pytest.approx(7.5 * base.pooled_std, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_units(self, scale):
+        # Taken directly, the variance underflows to 0 at 1e-170 and
+        # overflows at 1e170.
+        data = np.random.default_rng(14).standard_normal((200, 2))
+        base_out, base = standardize(SampleSet(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, scaled = standardize(SampleSet(scale * data))
+        assert scaled.pooled_std == pytest.approx(scale * base.pooled_std, rel=1e-12)
+        np.testing.assert_allclose(out.data, base_out.data, rtol=0, atol=1e-12)
 
     def test_constant_data_rejected(self):
         X = SampleSet([[1.0, 1.0], [1.0, 1.0]])

@@ -1,5 +1,7 @@
 """Tests for the manifold descent solver and its geometric primitives."""
 
+import itertools
+import math
 import warnings
 from typing import NamedTuple
 
@@ -93,6 +95,104 @@ def watched(monkeypatch):
         return Watched(res, steps, list(losses), len(calls))
 
     return solve
+
+
+# The solver loop as it was before its d-vector steps moved to floats, kept
+# verbatim with the helpers it called (numpy on d-vectors, BLAS dot
+# products) as the reference for TestParityWithArrayLoop.
+
+
+def _array_tangent_project(u, g) -> np.ndarray:
+    u = np.asarray(u, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if u.shape != g.shape:
+        raise ValueError(f"shape mismatch: u {u.shape} vs g {g.shape}")
+    return g - np.dot(g, u) * u
+
+
+def _array_geodesic(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    out = math.cos(alpha) * u + math.sin(alpha) * v
+    return out / np.linalg.norm(out)
+
+
+def _array_gradient(objective, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    c = 1.0 - p
+    c *= p
+    g = c @ objective.w
+    g -= (objective.r * float(c.sum())) * u
+    g *= 2.0 * objective.r / (objective.s * objective.n)
+    return g
+
+
+def _array_initial_direction(z: np.ndarray, X: SampleSet, init: str) -> np.ndarray:
+    anchor = X.data.mean(axis=0)
+    if init == "mean-minus-z":
+        anchor = anchor - z
+    norm = float(np.linalg.norm(anchor))
+    if norm < 1e-12:
+        # Degenerate anchor (e.g. centered data): fall back to e_1.
+        anchor = np.zeros(X.d)
+        anchor[0] = 1.0
+        return anchor
+    return anchor / norm
+
+
+def _array_riemannian_descent(z, X, params, cfg=None) -> DepthResult:
+    if cfg is None:
+        cfg = OptimizerConfig()
+    if params.s <= 0:
+        raise ValueError("riemannian_descent requires s > 0")
+    z = core._as_vector(z, X.d, name="query point")
+    objective = core._Objective(z, X, params)
+
+    u = _array_initial_direction(z, X, cfg.init)
+    # Far samples overflow exp in the sigmoid to an exact 0; the error state
+    # is entered once per solve, as entering it costs about 1.4 us.
+    with np.errstate(over="ignore"):
+        p = objective.sigmoids(u)
+        cur_loss = float(p.sum()) / objective.n
+        if X.d == 1:
+            # {-1, +1} has no tangent direction: try the other point once.
+            other = float(objective.sigmoids(-u).sum()) / objective.n
+            if other < cur_loss:  # a tie keeps the start
+                u, cur_loss = -u, other
+            return DepthResult(cur_loss, u, iterations=1, converged=True, init=cfg.init)
+
+        grad = _array_gradient(objective, p, u)
+        alpha = optim._ALPHA0
+        converged = False
+        steps = 0
+        for it in range(1, optim._MAX_ITER + 1):
+            tangent = _array_tangent_project(u, grad)
+            tnorm = float(np.linalg.norm(tangent))
+            if tnorm < optim._STATIONARY_NORM:
+                converged = True
+                break
+            new_u = _array_geodesic(u, tangent / -tnorm, alpha)
+            # One pass over the data per trial direction; a move reuses its
+            # sigmoids for the gradient at the new iterate.
+            p = objective.sigmoids(new_u)
+            new_loss = float(p.sum()) / objective.n
+            steps = it
+
+            if new_loss > cur_loss:
+                # The minimiser of the quadratic through phi(0) = cur_loss,
+                # phi'(0) = -tnorm and phi(alpha) = new_loss.  The rise is
+                # positive, so it lies below alpha/2 but for rounding.
+                minimiser = tnorm * alpha * alpha / (2.0 * (new_loss - cur_loss + tnorm * alpha))
+                alpha = min(max(minimiser, optim._SHRINK_MIN * alpha), optim._SHRINK_MAX * alpha)
+            elif cur_loss - new_loss < optim._TOL:
+                if new_loss < cur_loss:  # an exact tie keeps the step's start
+                    u, cur_loss = new_u, new_loss
+                converged = True
+                break
+            else:
+                u, cur_loss = new_u, new_loss
+                grad = _array_gradient(objective, p, u)
+
+    return DepthResult(
+        value=cur_loss, direction=u, iterations=steps, converged=converged, init=cfg.init
+    )
 
 
 class TestTangentProject:
@@ -334,7 +434,7 @@ class TestSphereDepthWrapper:
         res = sphere_depth([0.0, 0.0, 0.0], X)
         assert 0.0 < res.value < 1.0
 
-    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e150])
     def test_default_depth_is_scale_invariant(self, scale):
         # s scales as r**2, so scaling the data and the query together
         # leaves the default-parameter depth as it is.
@@ -344,6 +444,16 @@ class TestSphereDepthWrapper:
         assert 0.0 < base < 1.0
         scaled = sphere_depth(scale * z, SampleSet(scale * X.data)).value
         assert scaled == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_default_s_outside_float_range(self, scale):
+        # The pooled variance no longer underflows (read as constant data)
+        # or overflows, but s = r**2 * d lies outside the float range here.
+        Y = SampleSet(scale * gen_mixture(bi_gaussian_spec(2), 200, seed=21).data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the float range; standardize"):
+                default_params(Y)
 
     def test_records_init(self):
         X = SampleSet(np.random.default_rng(19).standard_normal((30, 2)))
@@ -382,6 +492,29 @@ class TestBatchDepth:
         X = SampleSet([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="point 1"):
             batch_depth([[0.0, 0.0], [np.nan, 0.0]], X, DepthParams(r=1.0, s=1.0))
+
+
+class TestParityWithArrayLoop:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_array_loop(self, d):
+        # The d-vector steps run on floats, whose dot products round
+        # differently from BLAS's, so values may move in the last bits but
+        # the path (iterations, stop) may not.  Directions are not compared:
+        # on small-s plateaus last-bit changes move them by up to ~1e-3.
+        X = gen_mixture(bi_gaussian_spec(d), 200, seed=(31, d))
+        rng = np.random.default_rng((32, d))
+        queries = [
+            *X.data[rng.choice(X.n, 4, replace=False)],  # sample rows
+            *rng.uniform(-4.0, 4.0, (4, d)),  # uniform over the data's box
+            np.full(d, 30.0),  # far from the data
+        ]
+        for s, init, z in itertools.product((1.0, 0.1, 0.01), optim.INIT_MODES, queries):
+            params, cfg = DepthParams(r=1.0, s=s), OptimizerConfig(init=init)
+            new = riemannian_descent(z, X, params, cfg)
+            ref = _array_riemannian_descent(z, X, params, cfg)
+            assert (new.iterations, new.converged) == (ref.iterations, ref.converged)
+            assert abs(new.value - ref.value) <= 1e-10
+            assert new.value == sphere_loss(new.direction, z, X, params)
 
 
 class TestFloatingPointErrors:
