@@ -20,6 +20,7 @@ import argparse
 import io as _stdio
 import sys
 import time
+from collections import Counter
 from statistics import median
 
 import numpy as np
@@ -293,19 +294,23 @@ def _htest_sample(source: str, n: int, seed) -> SampleSet:
     raise ValueError(f"unknown source {source!r}; choose from {HTEST_SOURCES}")
 
 
-def _exclude_self_terms(value: float, z: np.ndarray, reference: SampleSet) -> float:
-    """Remove coincident-sample terms from an in-sample sphere depth.
+def _exclude_self_terms(values, points, reference: SampleSet) -> list[float]:
+    """Remove coincident-sample terms from in-sample sphere depths.
 
     A sample equal to the query contributes exactly sigmoid(0) = 1/2 to the
     loss for every direction, so the minimizer is unchanged and the
     self-free depth is the exact affine transform
-    ``(value - 0.5 k / n) * n / (n - k)`` with ``k`` coincident rows.
+    ``(value - 0.5 k / n) * n / (n - k)`` with ``k`` coincident rows.  The
+    rows are counted for the whole batch at once, through a table of the
+    reference rows; its keys compare as the floats do, so -0.0 matches 0.0.
     """
-    k = int(np.count_nonzero(np.all(reference.data == z, axis=1)))
+    rows = Counter(map(tuple, reference.data.tolist()))
     n = reference.n
-    if 0 < k < n:
-        return (value - 0.5 * k / n) * n / (n - k)
-    return value
+    out = []
+    for value, z in zip(values, np.asarray(points).tolist()):
+        k = rows[tuple(z)]
+        out.append((value - 0.5 * k / n) * n / (n - k) if 0 < k < n else value)
+    return out
 
 
 def _htest_depth_fn(
@@ -320,10 +325,7 @@ def _htest_depth_fn(
             grid_size=None, bandwidth=None, regularization=0.0,
         )["depths"]
         if method == "sphere" and exclude_self:
-            values = [
-                _exclude_self_terms(v, z, reference)
-                for v, z in zip(values, np.asarray(points))
-            ]
+            values = _exclude_self_terms(values, points, reference)
         return np.array(values)
 
     return fn

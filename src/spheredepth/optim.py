@@ -30,6 +30,21 @@ is computed at the array the solver returns, so ``value`` equals
 
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
+
+:func:`batch_depth` runs the same loop for many queries at once.  It takes
+the queries in blocks of consecutive points whose rows ``X - z`` fit
+2**16 float64 entries (512 KiB), and stacks them as ``(q, d, n)``.  Queries
+of a block that keep the same number of rows advance in lockstep: each
+iteration makes one stacked product for all the trial directions, one
+logistic in place, one row sum, and one stacked ``c @ w`` for the
+gradients.  Every query keeps its own iterate, angle, loss and stop, and
+leaves the block when it stops.  The lockstep steps are chosen to round
+as the per-point loop does: a stacked ``np.matmul`` makes, item by item,
+the BLAS call of one query's product, and the d-vector steps run column
+by column in the float loop's order.  So a batch equals a loop of
+:func:`riemannian_descent` bit for bit, and the per-point loop stays for
+single queries, where one block of one query costs about four times as
+much.
 """
 
 from __future__ import annotations
@@ -41,7 +56,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DepthParams, SampleSet, _as_vector, _Objective, _pooled_std, unit_direction
+from .core import (
+    DepthParams,
+    SampleSet,
+    _as_vector,
+    _keep_radius,
+    _logistic_of_negated,
+    _Objective,
+    _pooled_std,
+    unit_direction,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -67,6 +91,12 @@ _ALPHA0 = math.pi
 _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.5
 _MAX_ITER = 1000
+# The rows that one lockstep block of ``batch_depth`` stacks hold at most
+# this many entries (512 KiB of float64).  Freeing a larger block raises
+# glibc's dynamic mmap threshold, which changes how the caller's later large
+# arrays are allocated: after an anomaly scoring with 2**18-entry blocks, a
+# 400 x 400 numpy kernel faulted 0 pages per call instead of 3,558.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -271,24 +301,222 @@ def batch_depth(
     cfg: OptimizerConfig | None = None,
     threads: int = 1,
 ) -> list[DepthResult]:
-    """Depth of each query point, in order; equals a sequential loop exactly.
+    """Depth of each query point, in order; equals a loop of
+    :func:`riemannian_descent` bit for bit (value, direction, iterations
+    and ``converged``).
 
-    ``threads > 1`` fans the independent per-point solves out to a thread
-    pool; results are keyed by index so the output is identical to the
-    sequential run.  Per-point errors are re-raised with the point index
-    attached.
+    The queries go in blocks of consecutive points whose stacked rows
+    ``X - z`` hold at most 2**16 entries.  Within a block, the queries that
+    keep the same number of rows (all of them, unless ``s`` is small; see
+    ``core._Objective``) are solved in lockstep, as the module docstring
+    describes.  A query alone in its row count or in its block runs
+    :func:`riemannian_descent`, and so does every query in d = 1 or when
+    two queries' rows exceed a block.  ``threads > 1`` solves the blocks on
+    a thread pool; the output is the same.  Per-point errors are re-raised
+    with the point index attached.
     """
     if params is None:
         params = default_params(X)
-    pts = list(points)
+    if cfg is None:
+        cfg = OptimizerConfig()
+    queries = _query_rows(points, X.d)
+    size = 1 if X.d == 1 or params.s <= 0 else max(1, _BLOCK_ENTRIES // (X.n * X.d))
+    radius = _keep_radius(params, 1.0)
+    bound = radius * radius  # inf, not OverflowError as from radius**2
 
-    def solve(i: int) -> DepthResult:
+    def solve_point(i: int) -> DepthResult:
         try:
-            return riemannian_descent(pts[i], X, params, cfg)
+            return riemannian_descent(queries[i], X, params, cfg)
         except ValueError as exc:
             raise ValueError(f"point {i}: {exc}") from exc
 
-    if threads <= 1 or len(pts) <= 1:
-        return [solve(i) for i in range(len(pts))]
+    def solve_block(lo: int) -> list[DepthResult]:
+        z = queries[lo : lo + size]
+        if len(z) == 1:
+            return [solve_point(lo)]
+        # Each item is (X - z).T and each row of w2 its squared norms, bit for
+        # bit as core._Objective computes them, which keeps the same rows.
+        w = X.data.T - z[:, :, None]
+        w2 = np.einsum("qji,qji->qi", w, w)
+        kept = w2 <= bound
+        counts = kept.sum(axis=1)
+        results: list = [None] * len(z)
+        for k in np.unique(counts).tolist():
+            group = np.flatnonzero(counts == k)
+            if len(group) == 1:
+                results[group[0]] = solve_point(lo + group[0])
+                continue
+            if k < X.n:  # each query's kept rows, gathered as core._Objective does
+                rows = np.array([w[q].compress(kept[q], axis=1) for q in group])
+                rows2 = w2[group][kept[group]].reshape(len(group), k)
+            elif len(group) < len(z):
+                rows, rows2 = w[group], w2[group]
+            else:  # the whole block keeps every row: no copy
+                rows, rows2 = w, w2
+            if cfg.init == "paper-mean":  # one start for every query
+                starts = [_initial_direction(z[group[0]], X, cfg.init)] * len(group)
+            else:
+                starts = [_initial_direction(z[q], X, cfg.init) for q in group]
+            solved = _lockstep(_Stack(rows, rows2, params, X.n), starts)
+            for q, (value, u, steps, converged) in zip(group, solved):
+                results[q] = DepthResult(value, u, steps, converged, init=cfg.init)
+        return results
+
+    blocks = range(0, len(queries), size)
+    if threads <= 1 or len(blocks) <= 1:
+        return [res for lo in blocks for res in solve_block(lo)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(solve, range(len(pts))))
+        return [res for solved in pool.map(solve_block, blocks) for res in solved]
+
+
+def _query_rows(points, d: int) -> np.ndarray:
+    """The query points as the rows of a float array, each checked as
+    :func:`riemannian_descent` checks it; an error names the point's index."""
+    pts = list(points)
+    try:
+        queries = np.array(pts, dtype=np.float64)
+    except (TypeError, ValueError):
+        queries = None  # ragged or not numeric: the loop below says which point
+    if queries is not None and queries.shape == (len(pts), d) and np.isfinite(queries).all():
+        return queries
+    rows = []
+    for i, point in enumerate(pts):
+        try:
+            rows.append(_as_vector(point, d, name="query point"))
+        except ValueError as exc:
+            raise ValueError(f"point {i}: {exc}") from exc
+    return np.array(rows).reshape(len(rows), d)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two ``(q, d)`` arrays, each added left to
+    right from 0 as :func:`_dot` adds it."""
+    out = np.zeros(len(a))
+    for j in range(a.shape[1]):
+        out += a[:, j] * b[:, j]
+    return out
+
+
+class _Stack:
+    """The objectives of queries that keep the same number ``k`` of rows,
+    stacked: the kept rows ``w`` as ``(q, d, k)``, so each item's transpose
+    is column-major like ``core._Objective.w``, and their squared norms
+    ``w2`` as ``(q, k)``; ``n`` is the sample size.  A stacked ``np.matmul``
+    makes, item by item, the BLAS call of the one query's product, and each
+    row sum of a contiguous ``(q, k)`` block is the query's ``p.sum()``.
+
+    The stack takes over ``w`` and ``w2`` and works in them in place.  The
+    methods take the active queries' iterates as a ``(q, d)`` array, and
+    :meth:`keep` drops the queries that stopped."""
+
+    def __init__(self, w: np.ndarray, w2: np.ndarray, params: DepthParams, n: int):
+        self.w, self.w2_s, self.n = w, np.divide(w2, params.s, out=w2), n
+        self.r, self.s = params.r, params.s
+        self._fold = -2.0 * self.r / self.s
+        self._args = np.empty_like(self.w2_s)
+        self._weights = np.empty_like(self.w2_s)
+
+    def keep(self, order: np.ndarray) -> None:
+        """Keep the queries at positions ``order``, in that order, which
+        :func:`_survivors` makes: only the queries that fill a gap move."""
+        moved = np.flatnonzero(order != np.arange(len(order)))
+        self.w[moved] = self.w[order[moved]]
+        self.w2_s[moved] = self.w2_s[order[moved]]
+        self.w, self.w2_s = self.w[: len(order)], self.w2_s[: len(order)]
+
+    def sigmoids(self, u: np.ndarray) -> np.ndarray:
+        """``core._Objective.sigmoids`` at each row of ``u``, in a buffer
+        that holds until the next call."""
+        m = self._args[: len(u)]
+        np.matmul(self.w.transpose(0, 2, 1), (u * self._fold)[:, :, None], out=m[:, :, None])
+        m += self.w2_s
+        # The remainder is subtracted even where it is 0, which is exact.
+        remainder = self.r * self.r * (1.0 - np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
+        m -= (remainder / self.s)[:, None]
+        return _logistic_of_negated(m)
+
+    def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``core._Objective.gradient`` at each row of ``u``."""
+        c = np.subtract(1.0, p, out=self._weights[: len(u)])
+        c *= p
+        rc = self.r * c.sum(axis=1)
+        g = np.matmul(c[:, None, :], self.w.transpose(0, 2, 1))[:, 0, :]
+        return (g - rc[:, None] * u) * (2.0 * self.r / (self.s * self.n))
+
+
+def _survivors(done: np.ndarray) -> np.ndarray:
+    """Positions of the queries not ``done``, as the new order of the
+    active ones: each done query below the new count is replaced by a live
+    one from above it, so the stack moves as few queries as it can."""
+    live = np.flatnonzero(~done)
+    order = np.arange(len(live))
+    order[done[: len(live)]] = live[live >= len(live)]
+    return order
+
+
+def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
+    """:func:`riemannian_descent`'s loop (d >= 2) for queries whose
+    objectives keep the same number of rows, all advanced together.
+
+    Each query keeps its own iterate, angle and loss, and leaves the block
+    when it stops.  The d-vector steps run column by column in the float
+    loop's order, the angles' ``cos`` and ``sin`` come from ``math``, and
+    the passes over the data are those of :class:`_Stack`, so every query
+    takes the path and the values of its own solve.  Returns ``(value,
+    direction, iterations, converged)`` per query."""
+    n = stack.n
+    out: list = [None] * len(starts)
+    u = np.array(starts)
+    rows = np.arange(len(u))  # each active query's place in ``starts``
+
+    def finish(done: np.ndarray, steps: int, converged: bool) -> np.ndarray:
+        """Record the queries in ``done`` and drop them from the block;
+        return the new order of the rest."""
+        nonlocal u, rows, loss, alpha, grad
+        for i, value, direction in zip(rows[done].tolist(), loss[done].tolist(), u[done]):
+            out[i] = (value, direction.copy(), steps, converged)
+        order = _survivors(done)
+        stack.keep(order)
+        u, rows, loss, alpha, grad = u[order], rows[order], loss[order], alpha[order], grad[order]
+        return order
+
+    with np.errstate(over="ignore"):
+        p = stack.sigmoids(u)
+        loss = p.sum(axis=1) / n
+        grad = stack.gradient(p, u)
+        alpha = np.full(len(u), _ALPHA0)
+        for it in range(1, _MAX_ITER + 1):
+            tangent = grad - _rowdot(grad, u)[:, None] * u
+            tnorm = np.sqrt(_rowdot(tangent, tangent))
+            flat = tnorm < _STATIONARY_NORM
+            if flat.any():
+                order = finish(flat, it - 1, True)
+                tangent, tnorm = tangent[order], tnorm[order]
+                if not len(u):
+                    break
+            cos = np.array([math.cos(a) for a in alpha.tolist()])[:, None]
+            sin = np.array([math.sin(a) for a in alpha.tolist()])[:, None]
+            trial = cos * u + sin * (tangent / -tnorm[:, None])
+            trial /= np.sqrt(_rowdot(trial, trial))[:, None]
+            p = stack.sigmoids(trial)
+            new_loss = p.sum(axis=1) / n
+
+            rise = new_loss > loss
+            if rise.any():
+                a, t = alpha[rise], tnorm[rise]
+                minimiser = t * a * a / (2.0 * (new_loss[rise] - loss[rise] + t * a))
+                alpha[rise] = np.minimum(np.maximum(minimiser, _SHRINK_MIN * a), _SHRINK_MAX * a)
+            done = ~rise & (loss - new_loss < _TOL)
+            move = ~rise & ~done
+            if move.any():
+                grad[move] = stack.gradient(p, trial)[move]
+            # A stop takes the trial only when it is lower; a tie keeps the start.
+            take = move | (done & (new_loss < loss))
+            u[take], loss[take] = trial[take], new_loss[take]
+            if done.any():
+                finish(done, it, True)
+                if not len(u):
+                    break
+        else:
+            finish(np.ones(len(u), dtype=bool), _MAX_ITER, False)
+    return out

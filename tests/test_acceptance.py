@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Every test here carries the ``acceptance`` marker,
 so ``pytest -m "not acceptance"`` runs the rest of the suite alone.  The
 homogeneity-test criteria (8 and 9) are Monte-Carlo studies over hundreds
-of replications and dominate the runtime (two to six minutes in total on
+of replications and dominate the runtime (about one minute in total on
 a 2-core machine).
 
 Real-dataset AUROC checks (criterion 11) activate when ODDS CSV exports

@@ -493,6 +493,72 @@ class TestBatchDepth:
         with pytest.raises(ValueError, match="point 1"):
             batch_depth([[0.0, 0.0], [np.nan, 0.0]], X, DepthParams(r=1.0, s=1.0))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_in_a_later_block_carries_point_index(self, monkeypatch, threads):
+        X = SampleSet(np.random.default_rng(24).standard_normal((40, 2)))
+        monkeypatch.setattr(optim, "_BLOCK_ENTRIES", 3 * X.n * X.d)  # blocks of 3 points
+        points = [[0.1 * i, 0.0] for i in range(9)]
+        points[7] = [0.0, np.inf]
+        with pytest.raises(ValueError, match="^point 7: query point contains non-finite"):
+            batch_depth(points, X, DepthParams(r=1.0, s=1.0), threads=threads)
+
+
+class TestLockstepParity:
+    """``batch_depth`` solves blocks of queries in lockstep; every result
+    must equal the per-point solver's bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_per_point_solver(self, monkeypatch, d):
+        X = gen_mixture(bi_gaussian_spec(d), 120, seed=(33, d))
+        rng = np.random.default_rng((34, d))
+        sample = X.data[rng.choice(X.n, 5, replace=False)]
+        queries = np.array([
+            *sample,
+            *rng.uniform(-4.0, 4.0, (5, d)),  # uniform over the data's box
+            np.full(d, 30.0), np.full(d, -30.0),  # far from the data
+            sample[0], sample[0], X.data[1],  # duplicates of a query and of a sample
+        ])
+        lockstep = optim._lockstep
+        blocks = []
+
+        def counting(stack, starts):
+            blocks.append(stack.w2_s.shape)
+            return lockstep(stack, starts)
+
+        monkeypatch.setattr(optim, "_lockstep", counting)
+        kept_counts, lockstep_blocks = set(), 0
+        for s, init in itertools.product((1.0, 0.1, 0.01), optim.INIT_MODES):
+            blocks.clear()
+            params, cfg = DepthParams(r=1.0, s=s), OptimizerConfig(init=init)
+            expected = [riemannian_descent(z, X, params, cfg) for z in queries]
+            for queries_per_block, threads in itertools.product((1, 3, len(queries)), (1, 2)):
+                monkeypatch.setattr(optim, "_BLOCK_ENTRIES", queries_per_block * X.n * d)
+                got = batch_depth(queries, X, params, cfg, threads=threads)
+                for res, ref in zip(got, expected, strict=True):
+                    assert res.value == ref.value
+                    assert res.iterations == ref.iterations
+                    assert res.converged == ref.converged
+                    np.testing.assert_array_equal(res.direction, ref.direction)
+                    assert res.init == ref.init
+            lockstep_blocks += len(blocks)
+            if s == 0.01:
+                kept_counts |= {kept for _, kept in blocks}
+        if d > 1:
+            assert lockstep_blocks > 0
+            assert len(kept_counts) > 1  # s = 0.01 groups queries by kept rows
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(optim, "_MAX_ITER", 3)
+        X = gen_mixture(bi_gaussian_spec(2), 120, seed=35)
+        params = DepthParams(r=1.0, s=0.1)
+        got = batch_depth(X.data[:20], X, params)
+        expected = [riemannian_descent(z, X, params) for z in X.data[:20]]
+        assert any(not res.converged for res in expected)
+        for res, ref in zip(got, expected, strict=True):
+            assert (res.value, res.iterations, res.converged) == (
+                ref.value, ref.iterations, ref.converged)
+            np.testing.assert_array_equal(res.direction, ref.direction)
+
 
 class TestParityWithArrayLoop:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
