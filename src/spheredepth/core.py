@@ -17,6 +17,10 @@ fast solver lives in :mod:`spheredepth.optim`.
 
 The objective has one implementation, the private ``_Objective`` kernel:
 the loss, the gradient, the grid oracle and the solver all evaluate it.
+Its stacked form ``_Stack``, for the lockstep solver of many queries
+(``optim.batch_depth``), sits beside it, and the two share the code that
+computes the rows, keeps them and folds the constants, so each stacked
+evaluation has, query by query, the bits of ``_Objective``'s.
 Per query it computes ``w = X - z``, ``||w||**2`` and, for ``s > 0``,
 ``||w||**2 / s`` once.  For ``s > 0`` each direction, or block of
 directions, then costs one product ``w @ (U * (-2r/s))`` that already
@@ -75,7 +79,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -410,7 +414,48 @@ def _keep_radius(params: DepthParams, u_norm: float) -> float:
     return 1.01 * (r * rho + math.hypot(r, math.sqrt(params.s * _EXP_OVERFLOW)))
 
 
-class _Objective:
+def _differences(
+    X: SampleSet, z: np.ndarray, params: DepthParams, u_norm: float = 1.0, unit: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w = (X - z).T / unit`` with the squared norms ``w2`` of its columns,
+    and which columns lie within ``_keep_radius(params, u_norm)``.
+
+    One query ``z`` of shape ``(d,)`` gives ``w`` as ``(d, n)`` and ``w2``
+    and the mask as ``(n,)``; a stack of queries ``(q, d)`` gives ``(q, d,
+    n)`` and ``(q, n)``, item by item the same bits.  Each ``(d, n)`` is
+    C-ordered, so its transpose is column-major like :class:`SampleSet`'s
+    data, and compressing its columns keeps each kept column contiguous.
+    """
+    w = X.data.T - z[..., None]
+    if unit != 1.0:
+        w /= unit
+    w2 = np.einsum("...ji,...ji->...i", w, w)
+    radius = _keep_radius(params, u_norm)
+    return w, w2, w2 <= radius * radius  # inf, not OverflowError as from radius**2
+
+
+class _Folded:
+    """What an ``s > 0`` objective folds into the sigmoid's argument
+    ``-t/s`` once, for :class:`_Objective` and :class:`_Stack` alike:
+    ``||w_i||**2 / s``, the factor ``-2r/s`` that scales a direction, the
+    gradient's scale ``2r/(s n)``, and two buffers shaped like ``w2``, for
+    the sigmoid pass and for the gradient's weights."""
+
+    def _set_folding(self, w2: np.ndarray, params: DepthParams, n: int, out=None) -> None:
+        self.n, self.r, self.s = n, params.r, params.s
+        self.w2_s = np.divide(w2, self.s, out=out)
+        self._fold = -2.0 * self.r / self.s
+        self._scale = 2.0 * self.r / (self.s * n)
+        self._args = np.empty_like(w2)
+        self._weights = np.empty_like(w2)
+
+    def _remainder(self, uu):
+        """``r**2 (1 - ||u||**2) / s`` from ``uu = ||u||**2``: what a
+        direction off the unit sphere subtracts from ``-t/s``."""
+        return self.r * self.r * (1.0 - uu) / self.s
+
+
+class _Objective(_Folded):
     """The objective of one query point.  With ``w_i = x_i - z`` the ball
     argument expands as
     ``t_i = r**2 - ||w_i - r*u||**2 = 2r <w_i, u> - ||w_i||**2 + r**2 (1 - ||u||**2)``.
@@ -442,28 +487,21 @@ class _Objective:
     """
 
     def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams, u_norm: float = 1.0):
-        w = X.data - z
+        unit = 1.0
         if params.s == 0:
             unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
             # For a subnormal r a row can overflow to inf; it lies beyond
             # the keep radius and is dropped below.  Callers hold
             # np.errstate(over="ignore").
-            w /= unit
             params = DepthParams(params.r / unit, 0.0)
-        w2 = np.einsum("ij,ij->i", w, w)
-        radius = _keep_radius(params, u_norm)
-        bound = radius * radius  # inf, not OverflowError as from radius**2
-        if w2.max() > bound:
-            keep = w2 <= bound
-            # compressing the rows of w.T keeps each kept column contiguous
-            w, w2 = w.T.compress(keep, axis=1).T, w2[keep]
-        self.w, self.w2, self.n = w, w2, X.n
-        self.r, self.s = params.r, params.s
-        if self.s > 0:
-            self.w2_s = self.w2 / self.s
-            self._fold = -2.0 * self.r / self.s
-            self._args = np.empty_like(w2)
-            self._weights = np.empty_like(w2)
+        w, w2, keep = _differences(X, z, params, u_norm, unit)
+        if not keep.all():
+            w, w2 = w.compress(keep, axis=1), w2[keep]
+        self.w, self.w2 = w.T, w2
+        if params.s > 0:
+            self._set_folding(w2, params, X.n)
+        else:
+            self.n, self.r, self.s = X.n, params.r, params.s
 
     def ball_args(self, U: np.ndarray) -> np.ndarray:
         """``2r <w_i, u> - ||w_i||**2`` for one direction ``(d,)`` or a
@@ -493,9 +531,9 @@ class _Objective:
         objective's buffer (see the class).  Far samples overflow ``exp``;
         callers hold ``np.errstate(over="ignore")``."""
         m = self.folded_args(u)
-        remainder = self.r * self.r * (1.0 - float(u @ u))
+        remainder = self._remainder(float(u @ u))
         if remainder != 0.0:
-            m -= remainder / self.s
+            m -= remainder
         return _logistic_of_negated(m)
 
     def cell_bounds(self, cells: _Cells, chunk: slice) -> np.ndarray:
@@ -553,8 +591,78 @@ class _Objective:
         c = np.subtract(1.0, p, out=self._weights)
         c *= p
         rc = self.r * float(c.sum())
-        scale = 2.0 * self.r / (self.s * self.n)
+        scale = self._scale
         return [(g - rc * x) * scale for g, x in zip((c @ self.w).tolist(), u)]
+
+
+class _Stack(_Folded):
+    """The objectives of queries that keep the same number ``k`` of rows,
+    stacked for ``optim``'s lockstep solver (``s > 0``): the kept rows
+    ``w`` as ``(q, d, k)``, so each item's transpose is column-major like
+    :attr:`_Objective.w`, and the constants of :class:`_Folded`, with
+    ``w2_s`` as ``(q, k)``.  A stacked ``np.matmul`` makes, item by item, the BLAS
+    call of the one query's product, and each row sum of a contiguous
+    ``(q, k)`` block is the query's ``p.sum()``; so each method returns,
+    row by row, the bits of the :class:`_Objective` method of its name.
+
+    The stack takes over ``w`` and ``w2`` and works in them in place.  The
+    methods take the active queries' iterates as a ``(q, d)`` array, and
+    :meth:`keep` drops the queries that stopped."""
+
+    def __init__(self, w: np.ndarray, w2: np.ndarray, params: DepthParams, n: int):
+        self.w = w
+        self._set_folding(w2, params, n, out=w2)
+
+    def keep(self, order: np.ndarray) -> None:
+        """Keep the queries at positions ``order``, in that order; when
+        each position is its own or above the new count, only the queries
+        that fill a gap move."""
+        moved = np.flatnonzero(order != np.arange(len(order)))
+        self.w[moved] = self.w[order[moved]]
+        self.w2_s[moved] = self.w2_s[order[moved]]
+        self.w, self.w2_s = self.w[: len(order)], self.w2_s[: len(order)]
+
+    def sigmoids(self, u: np.ndarray) -> np.ndarray:
+        """Each row is :meth:`_Objective.sigmoids` at that row of ``u``, in
+        a buffer that holds until the next call."""
+        m = self._args[: len(u)]
+        np.matmul(self.w.transpose(0, 2, 1), (u * self._fold)[:, :, None], out=m[:, :, None])
+        m += self.w2_s
+        # The remainder is subtracted even where it is 0, which is exact.
+        m -= self._remainder(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])[:, None]
+        return _logistic_of_negated(m)
+
+    def gradient(self, p: np.ndarray, u: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """:meth:`_Objective.gradient` for the queries ``rows`` of the
+        stack, from their sigmoids ``p`` at their iterates ``u``."""
+        c = np.subtract(1.0, p, out=self._weights[: len(p)])
+        c *= p
+        rc = self.r * c.sum(axis=1)
+        g = np.matmul(c[:, None, :], self.w[rows].transpose(0, 2, 1))[:, 0, :]
+        return (g - rc[:, None] * u) * self._scale
+
+
+def _stacks(X: SampleSet, z: np.ndarray, params: DepthParams) -> Iterator[tuple]:
+    """The objectives of the queries ``z`` (rows of a ``(q, d)`` array,
+    ``s > 0``), grouped by how many rows each keeps: all of them, unless
+    ``s`` is small.  Yields each group's positions in ``z`` with its
+    :class:`_Stack`, or with ``None`` for a query alone in its count, for
+    which a stack costs more than its :class:`_Objective`."""
+    w, w2, kept = _differences(X, z, params)
+    counts = kept.sum(axis=1)
+    for k in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == k)
+        if len(group) == 1:
+            yield group, None
+            continue
+        if k < X.n:  # each query's kept rows, compressed as _Objective does
+            rows = np.array([w[q].compress(kept[q], axis=1) for q in group])
+            rows2 = w2[group][kept[group]].reshape(len(group), k)
+        elif len(group) < len(z):
+            rows, rows2 = w[group], w2[group]
+        else:  # every query keeps every row: no copy
+            rows, rows2 = w, w2
+        yield group, _Stack(rows, rows2, params, X.n)
 
 
 def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:

@@ -19,7 +19,8 @@ its norm, the descent direction, the geodesic and its normalisation, and
 the gradient's ``-r (sum c) u`` tail and scale.  At the small d of the
 sphere depth these cost less as floats than as numpy calls, and
 :func:`tangent_project` and :func:`exp_map` call the same helpers.  The
-dot products add left to right, so they can differ from BLAS's in the
+dot products add left to right on every Python version (the builtin
+``sum`` compensates from 3.12), so they can differ from BLAS's in the
 last bit.  Only the passes over the kept rows of the data stay in numpy,
 writing into two n-vectors that the query's ``core._Objective`` owns.
 Each trial direction costs one product with the data, the logistic in
@@ -33,12 +34,14 @@ direction, so the solver compares the start with the other point.
 
 :func:`batch_depth` runs the same loop for many queries at once.  It takes
 the queries in blocks of consecutive points whose rows ``X - z`` fit
-2**16 float64 entries (512 KiB), and stacks them as ``(q, d, n)``.  Queries
-of a block that keep the same number of rows advance in lockstep: each
+2**16 float64 entries (512 KiB), and stacks them as ``(q, d, n)`` in
+``core._Stack``, the stacked ``core._Objective``.  Queries of a block
+that keep the same number of rows advance in lockstep: each
 iteration makes one stacked product for all the trial directions, one
 logistic in place, one row sum, and one stacked ``c @ w`` for the
-gradients.  Every query keeps its own iterate, angle, loss and stop, and
-leaves the block when it stops.  The lockstep steps are chosen to round
+gradients of the queries that move.  Every query keeps its own iterate,
+angle, loss and stop, and leaves the block when it stops.  The lockstep
+steps are chosen to round
 as the per-point loop does: a stacked ``np.matmul`` makes, item by item,
 the BLAS call of one query's product, and the d-vector steps run column
 by column in the float loop's order.  So a batch equals a loop of
@@ -50,7 +53,6 @@ much.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,10 +62,10 @@ from .core import (
     DepthParams,
     SampleSet,
     _as_vector,
-    _keep_radius,
-    _logistic_of_negated,
     _Objective,
     _pooled_std,
+    _Stack,
+    _stacks,
     unit_direction,
 )
 
@@ -155,7 +157,12 @@ def exp_map(u, v, alpha: float) -> np.ndarray:
 
 
 def _dot(a: list[float], b: list[float]) -> float:
-    return sum(map(operator.mul, a, b))
+    # Added left to right from 0, as _rowdot adds it: from Python 3.12 the
+    # builtin sum() compensates float sums, which can change the last bit.
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def _tangent(u: list[float], g: list[float]) -> list[float]:
@@ -321,8 +328,6 @@ def batch_depth(
         cfg = OptimizerConfig()
     queries = _query_rows(points, X.d)
     size = 1 if X.d == 1 or params.s <= 0 else max(1, _BLOCK_ENTRIES // (X.n * X.d))
-    radius = _keep_radius(params, 1.0)
-    bound = radius * radius  # inf, not OverflowError as from radius**2
 
     def solve_point(i: int) -> DepthResult:
         try:
@@ -334,31 +339,16 @@ def batch_depth(
         z = queries[lo : lo + size]
         if len(z) == 1:
             return [solve_point(lo)]
-        # Each item is (X - z).T and each row of w2 its squared norms, bit for
-        # bit as core._Objective computes them, which keeps the same rows.
-        w = X.data.T - z[:, :, None]
-        w2 = np.einsum("qji,qji->qi", w, w)
-        kept = w2 <= bound
-        counts = kept.sum(axis=1)
         results: list = [None] * len(z)
-        for k in np.unique(counts).tolist():
-            group = np.flatnonzero(counts == k)
-            if len(group) == 1:
+        for group, stack in _stacks(X, z, params):
+            if stack is None:
                 results[group[0]] = solve_point(lo + group[0])
                 continue
-            if k < X.n:  # each query's kept rows, gathered as core._Objective does
-                rows = np.array([w[q].compress(kept[q], axis=1) for q in group])
-                rows2 = w2[group][kept[group]].reshape(len(group), k)
-            elif len(group) < len(z):
-                rows, rows2 = w[group], w2[group]
-            else:  # the whole block keeps every row: no copy
-                rows, rows2 = w, w2
             if cfg.init == "paper-mean":  # one start for every query
                 starts = [_initial_direction(z[group[0]], X, cfg.init)] * len(group)
             else:
                 starts = [_initial_direction(z[q], X, cfg.init) for q in group]
-            solved = _lockstep(_Stack(rows, rows2, params, X.n), starts)
-            for q, (value, u, steps, converged) in zip(group, solved):
+            for q, (value, u, steps, converged) in zip(group, _lockstep(stack, starts)):
                 results[q] = DepthResult(value, u, steps, converged, init=cfg.init)
         return results
 
@@ -395,53 +385,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(a.shape[1]):
         out += a[:, j] * b[:, j]
     return out
-
-
-class _Stack:
-    """The objectives of queries that keep the same number ``k`` of rows,
-    stacked: the kept rows ``w`` as ``(q, d, k)``, so each item's transpose
-    is column-major like ``core._Objective.w``, and their squared norms
-    ``w2`` as ``(q, k)``; ``n`` is the sample size.  A stacked ``np.matmul``
-    makes, item by item, the BLAS call of the one query's product, and each
-    row sum of a contiguous ``(q, k)`` block is the query's ``p.sum()``.
-
-    The stack takes over ``w`` and ``w2`` and works in them in place.  The
-    methods take the active queries' iterates as a ``(q, d)`` array, and
-    :meth:`keep` drops the queries that stopped."""
-
-    def __init__(self, w: np.ndarray, w2: np.ndarray, params: DepthParams, n: int):
-        self.w, self.w2_s, self.n = w, np.divide(w2, params.s, out=w2), n
-        self.r, self.s = params.r, params.s
-        self._fold = -2.0 * self.r / self.s
-        self._args = np.empty_like(self.w2_s)
-        self._weights = np.empty_like(self.w2_s)
-
-    def keep(self, order: np.ndarray) -> None:
-        """Keep the queries at positions ``order``, in that order, which
-        :func:`_survivors` makes: only the queries that fill a gap move."""
-        moved = np.flatnonzero(order != np.arange(len(order)))
-        self.w[moved] = self.w[order[moved]]
-        self.w2_s[moved] = self.w2_s[order[moved]]
-        self.w, self.w2_s = self.w[: len(order)], self.w2_s[: len(order)]
-
-    def sigmoids(self, u: np.ndarray) -> np.ndarray:
-        """``core._Objective.sigmoids`` at each row of ``u``, in a buffer
-        that holds until the next call."""
-        m = self._args[: len(u)]
-        np.matmul(self.w.transpose(0, 2, 1), (u * self._fold)[:, :, None], out=m[:, :, None])
-        m += self.w2_s
-        # The remainder is subtracted even where it is 0, which is exact.
-        remainder = self.r * self.r * (1.0 - np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
-        m -= (remainder / self.s)[:, None]
-        return _logistic_of_negated(m)
-
-    def gradient(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``core._Objective.gradient`` at each row of ``u``."""
-        c = np.subtract(1.0, p, out=self._weights[: len(u)])
-        c *= p
-        rc = self.r * c.sum(axis=1)
-        g = np.matmul(c[:, None, :], self.w.transpose(0, 2, 1))[:, 0, :]
-        return (g - rc[:, None] * u) * (2.0 * self.r / (self.s * self.n))
 
 
 def _survivors(done: np.ndarray) -> np.ndarray:
@@ -509,7 +452,7 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
             done = ~rise & (loss - new_loss < _TOL)
             move = ~rise & ~done
             if move.any():
-                grad[move] = stack.gradient(p, trial)[move]
+                grad[move] = stack.gradient(p[move], trial[move], move)
             # A stop takes the trial only when it is lower; a tie keeps the start.
             take = move | (done & (new_loss < loss))
             u[take], loss[take] = trial[take], new_loss[take]

@@ -547,6 +547,14 @@ class TestLockstepParity:
             assert lockstep_blocks > 0
             assert len(kept_counts) > 1  # s = 0.01 groups queries by kept rows
 
+    def test_dot_products_add_left_to_right(self):
+        # The per-point loop's _dot and the lockstep loop's _rowdot must round
+        # alike on every Python version; a compensated sum (as the builtin
+        # sum() is from Python 3.12) would give 2.0 here.
+        a, b = [1.0, 1e100, 1.0, -1e100], [1.0, 1.0, 1.0, 1.0]
+        assert optim._dot(a, b) == 0.0
+        assert optim._rowdot(np.array([a]), np.array([b])).tolist() == [0.0]
+
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(optim, "_MAX_ITER", 3)
         X = gen_mixture(bi_gaussian_spec(2), 120, seed=35)
