@@ -613,14 +613,13 @@ class _Stack(_Folded):
         self.w = w
         self._set_folding(w2, params, n, out=w2)
 
-    def keep(self, order: np.ndarray) -> None:
-        """Keep the queries at positions ``order``, in that order; when
-        each position is its own or above the new count, only the queries
-        that fill a gap move."""
-        moved = np.flatnonzero(order != np.arange(len(order)))
-        self.w[moved] = self.w[order[moved]]
-        self.w2_s[moved] = self.w2_s[order[moved]]
-        self.w, self.w2_s = self.w[: len(order)], self.w2_s[: len(order)]
+    def keep(self, count: int, holes: np.ndarray, fill: np.ndarray) -> None:
+        """Keep the first ``count`` queries, with the queries at ``fill``
+        (each at or above ``count``) moved into the places ``holes`` of
+        queries that stopped; only those queries' rows move."""
+        self.w[holes] = self.w[fill]
+        self.w2_s[holes] = self.w2_s[fill]
+        self.w, self.w2_s = self.w[:count], self.w2_s[:count]
 
     def sigmoids(self, u: np.ndarray) -> np.ndarray:
         """Each row is :meth:`_Objective.sigmoids` at that row of ``u``, in
@@ -632,13 +631,18 @@ class _Stack(_Folded):
         m -= self._remainder(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])[:, None]
         return _logistic_of_negated(m)
 
-    def gradient(self, p: np.ndarray, u: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """:meth:`_Objective.gradient` for the queries ``rows`` of the
-        stack, from their sigmoids ``p`` at their iterates ``u``."""
+    def gradient(self, p: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`_Objective.gradient` for the queries at the positions
+        ``rows`` of the stack (all of them by default), from the sigmoids
+        ``p`` of all its queries and the iterates ``u`` of those in
+        ``rows``."""
+        w = self.w
+        if rows is not None:
+            p, w = p.take(rows, axis=0), w.take(rows, axis=0)
         c = np.subtract(1.0, p, out=self._weights[: len(p)])
         c *= p
         rc = self.r * c.sum(axis=1)
-        g = np.matmul(c[:, None, :], self.w[rows].transpose(0, 2, 1))[:, 0, :]
+        g = np.matmul(c[:, None, :], w.transpose(0, 2, 1))[:, 0, :]
         return (g - rc[:, None] * u) * self._scale
 
 

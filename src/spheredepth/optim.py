@@ -32,26 +32,51 @@ is computed at the array the solver returns, so ``value`` equals
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
 
-:func:`batch_depth` runs the same loop for many queries at once.  It takes
-the queries in blocks of consecutive points whose rows ``X - z`` fit
-2**16 float64 entries (512 KiB), and stacks them as ``(q, d, n)`` in
-``core._Stack``, the stacked ``core._Objective``.  Queries of a block
-that keep the same number of rows advance in lockstep: each
-iteration makes one stacked product for all the trial directions, one
-logistic in place, one row sum, and one stacked ``c @ w`` for the
+:func:`batch_depth` runs the same loop for many queries at once when
+each query's rows ``X - z`` hold at most 2**12 entries (``n d <= 4096``).
+It takes the queries in blocks of consecutive points whose rows fit
+2**17 float64 entries (1 MiB), so one block holds 327 queries at
+``n = 200, d = 2`` and 65 at ``n = 400, d = 5``, and stacks them as
+``(q, d, n)`` in ``core._Stack``, the stacked ``core._Objective``.
+Queries of a block that keep the same number of rows advance in lockstep:
+each iteration makes one stacked product for all the trial directions,
+one logistic in place, one row sum, and one stacked ``c @ w`` for the
 gradients of the queries that move.  Every query keeps its own iterate,
-angle, loss and stop, and leaves the block when it stops.  The lockstep
-steps are chosen to round
-as the per-point loop does: a stacked ``np.matmul`` makes, item by item,
-the BLAS call of one query's product, and the d-vector steps run column
-by column in the float loop's order.  So a batch equals a loop of
-:func:`riemannian_descent` bit for bit, and the per-point loop stays for
-single queries, where one block of one query costs about four times as
-much.
+angle, loss and stop, and leaves the block when it stops; its descent
+direction, and the ``cos`` and ``sin`` of its angle, are recomputed only
+when they change.  The lockstep steps are chosen to round as the
+per-point loop does: a stacked ``np.matmul`` makes, item by item, the
+BLAS call of one query's product, and the d-vector steps run column by
+column in the float loop's order.  So a batch equals a loop of
+:func:`riemannian_descent` bit for bit.
+
+The per-point loop stays for single queries, where one block of one query
+costs about four times as much, and for larger samples, where a block no
+longer fits the caches.  Per query, in ms, with lockstep blocks of
+``2**17 // (n d)`` queries (r = s = 1; 48 sample rows and 48
+standard-normal points of a bi-Gaussian sample; both run interleaved in
+one process on a 2-core x86-64 host)::
+
+    d x n       n d      lockstep   per-point loop
+    2 x 1000    2,000    0.19       0.37
+    2 x 2048    4,096    0.37       0.44
+    2 x 3000    6,000    0.53       0.54
+    2 x 4000    8,000    0.60       0.44
+    2 x 8000    16,000   1.18       0.72
+    5 x 800     4,000    0.11       0.17
+    5 x 1200    6,000    0.20       0.24
+    5 x 6000    30,000   0.87       0.41
+
+A lockstep iteration at ``n = 200, d = 2`` costs about 110 us plus 2.1 us
+per active query: a line fitted to the iterations of 40 ``htest``-shaped
+calls, in 2**16-entry blocks.  Before the angles' ``cos`` and ``sin``, the
+descent directions and the bookkeeping were cut to what changes, the same
+fit, interleaved, gave about 170 us plus 2.1 us.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,11 +119,16 @@ _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.5
 _MAX_ITER = 1000
 # The rows that one lockstep block of ``batch_depth`` stacks hold at most
-# this many entries (512 KiB of float64).  Freeing a larger block raises
+# this many entries (1 MiB of float64).  Freeing a larger block raises
 # glibc's dynamic mmap threshold, which changes how the caller's later large
-# arrays are allocated: after an anomaly scoring with 2**18-entry blocks, a
-# 400 x 400 numpy kernel faulted 0 pages per call instead of 3,558.
-_BLOCK_ENTRIES = 2**16
+# arrays are allocated: right after anomaly scorings of n = 400, d = 5, a
+# 400 x 400 numpy kernel faulted 3,558 pages per call with 2**16-entry
+# blocks, 3,360-3,391 with these, and 0 with 2**18-entry blocks.
+_BLOCK_ENTRIES = 2**17
+# A query whose rows ``X - z`` hold more entries than this is solved by
+# ``riemannian_descent``: above about 6,000 a lockstep block no longer fits
+# the caches and runs slower than the per-point loop (module docstring).
+_LOCKSTEP_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -312,22 +342,26 @@ def batch_depth(
     :func:`riemannian_descent` bit for bit (value, direction, iterations
     and ``converged``).
 
-    The queries go in blocks of consecutive points whose stacked rows
-    ``X - z`` hold at most 2**16 entries.  Within a block, the queries that
-    keep the same number of rows (all of them, unless ``s`` is small; see
+    When each query's rows ``X - z`` hold at most 2**12 entries, the
+    queries go in blocks of consecutive points whose stacked rows hold at
+    most 2**17 entries.  Within a block, the queries that keep the same
+    number of rows (all of them, unless ``s`` is small; see
     ``core._Objective``) are solved in lockstep, as the module docstring
     describes.  A query alone in its row count or in its block runs
     :func:`riemannian_descent`, and so does every query in d = 1 or when
-    two queries' rows exceed a block.  ``threads > 1`` solves the blocks on
-    a thread pool; the output is the same.  Per-point errors are re-raised
-    with the point index attached.
+    its rows hold more than 2**12 entries.  ``threads > 1`` solves the
+    blocks (or, outside lockstep, the points) on a thread pool; the output
+    is the same.  Per-point errors are re-raised with the point index
+    attached.
     """
     if params is None:
         params = default_params(X)
     if cfg is None:
         cfg = OptimizerConfig()
     queries = _query_rows(points, X.d)
-    size = 1 if X.d == 1 or params.s <= 0 else max(1, _BLOCK_ENTRIES // (X.n * X.d))
+    entries = X.n * X.d
+    lockstep = X.d > 1 and params.s > 0 and entries <= _LOCKSTEP_ENTRIES
+    size = _BLOCK_ENTRIES // entries if lockstep else 1
 
     def solve_point(i: int) -> DepthResult:
         try:
@@ -387,14 +421,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _survivors(done: np.ndarray) -> np.ndarray:
-    """Positions of the queries not ``done``, as the new order of the
-    active ones: each done query below the new count is replaced by a live
-    one from above it, so the stack moves as few queries as it can."""
-    live = np.flatnonzero(~done)
-    order = np.arange(len(live))
-    order[done[: len(live)]] = live[live >= len(live)]
-    return order
+def _refill(stop: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """For the positions ``stop`` (ascending) of the queries that stop
+    among ``size`` active ones: the new count, the stopped places below it,
+    and the live positions at or above it that fill them, in order.  So
+    only the queries that fill a gap move."""
+    count = size - len(stop)
+    gone = stop.tolist()
+    holes = bisect.bisect_left(gone, count)
+    tail = set(gone[holes:])
+    fill = [i for i in range(count, size) if i not in tail]
+    return count, stop[:holes], np.array(fill, dtype=np.intp)
 
 
 def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
@@ -405,61 +442,96 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
     when it stops.  The d-vector steps run column by column in the float
     loop's order, the angles' ``cos`` and ``sin`` come from ``math``, and
     the passes over the data are those of :class:`_Stack`, so every query
-    takes the path and the values of its own solve.  Returns ``(value,
-    direction, iterations, converged)`` per query."""
-    n = stack.n
+    takes the path and the values of its own solve.  A query's descent
+    direction, and the ``cos`` and ``sin`` of its angle, are computed when
+    they change: after a move, and after a rejected step.  Returns
+    ``(value, direction, iterations, converged)`` per query."""
+    n, d = stack.n, len(starts[0])
     out: list = [None] * len(starts)
-    u = np.array(starts)
-    rows = np.arange(len(u))  # each active query's place in ``starts``
+    # One row per active query: its iterate, its descent direction (the
+    # tangent over minus its norm), the tangent's norm, its loss, its angle
+    # and the angle's cos and sin.  When queries stop, rows move, not arrays.
+    state = np.empty((len(starts), 2 * d + 5))
+    rows = np.arange(len(starts))  # each active query's place in ``starts``
 
-    def finish(done: np.ndarray, steps: int, converged: bool) -> np.ndarray:
-        """Record the queries in ``done`` and drop them from the block;
-        return the new order of the rest."""
-        nonlocal u, rows, loss, alpha, grad
-        for i, value, direction in zip(rows[done].tolist(), loss[done].tolist(), u[done]):
-            out[i] = (value, direction.copy(), steps, converged)
-        order = _survivors(done)
-        stack.keep(order)
-        u, rows, loss, alpha, grad = u[order], rows[order], loss[order], alpha[order], grad[order]
-        return order
+    def columns():
+        return state[:, :d], state[:, d : 2 * d], *state[:, 2 * d :].T
+
+    u, v, tnorm, loss, alpha, cos, sin = columns()
+
+    def aim(where, at: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Set the descent direction and tangent norm of the queries at
+        ``where`` from their gradients at their iterates ``at``; return the
+        positions, among them, of those that are stationary."""
+        tangent = grad - _rowdot(grad, at)[:, None] * at
+        norm = np.sqrt(_rowdot(tangent, tangent))
+        tnorm[where] = norm
+        flat = (norm < _STATIONARY_NORM).nonzero()[0]
+        if len(flat):  # a stationary query stops before its direction is used
+            norm[flat] = 1.0
+        v[where] = tangent / -norm[:, None]
+        return flat
+
+    def finish(stop: np.ndarray, steps: int, converged: bool) -> None:
+        """Record the queries at the positions ``stop`` and drop them."""
+        nonlocal state, rows, u, v, tnorm, loss, alpha, cos, sin
+        for i, value, direction in zip(rows[stop].tolist(), loss[stop].tolist(), u[stop]):
+            out[i] = (value, direction, steps, converged)
+        count, holes, fill = _refill(stop, len(rows))
+        stack.keep(count, holes, fill)
+        state[holes], rows[holes] = state[fill], rows[fill]
+        state, rows = state[:count], rows[:count]
+        u, v, tnorm, loss, alpha, cos, sin = columns()
 
     with np.errstate(over="ignore"):
-        p = stack.sigmoids(u)
-        loss = p.sum(axis=1) / n
-        grad = stack.gradient(p, u)
-        alpha = np.full(len(u), _ALPHA0)
+        first = np.array(starts)
+        p = stack.sigmoids(first)
+        u[:], loss[:], alpha[:] = first, p.sum(axis=1) / n, _ALPHA0
+        cos[:], sin[:] = math.cos(_ALPHA0), math.sin(_ALPHA0)
+        flat = aim(slice(None), first, stack.gradient(p, first))
+        if len(flat):
+            finish(flat, 0, True)
         for it in range(1, _MAX_ITER + 1):
-            tangent = grad - _rowdot(grad, u)[:, None] * u
-            tnorm = np.sqrt(_rowdot(tangent, tangent))
-            flat = tnorm < _STATIONARY_NORM
-            if flat.any():
-                order = finish(flat, it - 1, True)
-                tangent, tnorm = tangent[order], tnorm[order]
-                if not len(u):
-                    break
-            cos = np.array([math.cos(a) for a in alpha.tolist()])[:, None]
-            sin = np.array([math.sin(a) for a in alpha.tolist()])[:, None]
-            trial = cos * u + sin * (tangent / -tnorm[:, None])
+            if not len(rows):
+                break
+            trial = cos[:, None] * u + sin[:, None] * v
             trial /= np.sqrt(_rowdot(trial, trial))[:, None]
             p = stack.sigmoids(trial)
             new_loss = p.sum(axis=1) / n
+            gain = loss - new_loss
 
             rise = new_loss > loss
-            if rise.any():
-                a, t = alpha[rise], tnorm[rise]
-                minimiser = t * a * a / (2.0 * (new_loss[rise] - loss[rise] + t * a))
-                alpha[rise] = np.minimum(np.maximum(minimiser, _SHRINK_MIN * a), _SHRINK_MAX * a)
-            done = ~rise & (loss - new_loss < _TOL)
-            move = ~rise & ~done
-            if move.any():
-                grad[move] = stack.gradient(p[move], trial[move], move)
-            # A stop takes the trial only when it is lower; a tie keeps the start.
-            take = move | (done & (new_loss < loss))
-            u[take], loss[take] = trial[take], new_loss[take]
-            if done.any():
-                finish(done, it, True)
-                if not len(u):
-                    break
+            back = rise.nonzero()[0]
+            if len(back):
+                # The clamped quadratic step of riemannian_descent, with
+                # new_loss - loss written as -gain (the same bits).
+                a = alpha[back]
+                ta = tnorm[back] * a
+                minimiser = ta * a / (2.0 * (ta - gain[back]))
+                a = np.minimum(np.maximum(minimiser, _SHRINK_MIN * a), _SHRINK_MAX * a)
+                alpha[back] = a
+                a = a.tolist()
+                cos[back] = list(map(math.cos, a))
+                sin[back] = list(map(math.sin, a))
+            stay = gain < _TOL  # a rise or a stop
+            # A move, or a stop at a lower loss, takes the trial; a tie keeps
+            # the step's start.
+            take = ~(gain <= 0.0)
+            np.copyto(u, trial, where=take[:, None])
+            np.copyto(loss, new_loss, where=take)
+            done = stay ^ rise  # no rise, and a gain below the tolerance
+            move = (~stay).nonzero()[0]
+            # At the iteration cap a mover's gradient is never used: the
+            # loop ends there unconverged, stationary or not.
+            if len(move) and it < _MAX_ITER:
+                at = trial.take(move, axis=0)
+                flat = aim(move, at, stack.gradient(p, at, move))
+                if len(flat):  # riemannian_descent stops at its next iteration
+                    done[move[flat]] = True
+            stop = done.nonzero()[0]
+            if len(stop):
+                finish(stop, it, True)
         else:
-            finish(np.ones(len(u), dtype=bool), _MAX_ITER, False)
+            if len(rows):
+                finish(np.arange(len(rows)), _MAX_ITER, False)
     return out

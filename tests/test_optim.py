@@ -22,12 +22,14 @@ from spheredepth import (
     default_params,
     exp_map,
     gen_mixture,
+    gen_truncated_gaussian,
     grid_oracle_sphere_depth,
     riemannian_descent,
     sigmoid,
     sphere_depth,
     sphere_loss,
     sphere_loss_gradient,
+    standardize,
     tangent_project,
     unit_direction,
 )
@@ -566,6 +568,90 @@ class TestLockstepParity:
             assert (res.value, res.iterations, res.converged) == (
                 ref.value, ref.iterations, ref.converged)
             np.testing.assert_array_equal(res.direction, ref.direction)
+
+
+def _counting_lockstep(monkeypatch) -> list[int]:
+    """Patch ``optim._lockstep`` to record the number of queries of each
+    stack it solves."""
+    lockstep, sizes = optim._lockstep, []
+
+    def counting(stack, starts):
+        sizes.append(len(starts))
+        return lockstep(stack, starts)
+
+    monkeypatch.setattr(optim, "_lockstep", counting)
+    return sizes
+
+
+def _assert_same_results(got, expected):
+    for res, ref in zip(got, expected, strict=True):
+        assert (res.value, res.iterations, res.converged) == (
+            ref.value, ref.iterations, ref.converged)
+        np.testing.assert_array_equal(res.direction, ref.direction)
+
+
+class TestShippedBlockRule:
+    """``batch_depth`` at the shipped ``_BLOCK_ENTRIES`` and
+    ``_LOCKSTEP_ENTRIES``, unpatched: which queries run in lockstep, in
+    which blocks, and that they still equal the per-point solver."""
+
+    @pytest.fixture
+    def no_point_solves(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch_depth ran the per-point solver")
+
+        monkeypatch.setattr(optim, "riemannian_descent", refuse)
+
+    def test_htest_shape_is_one_block_per_call(self, monkeypatch, no_point_solves):
+        # htest scores X, then Y, against X: n = m = 200, d = 2, r = s = 1.
+        blocks = _counting_lockstep(monkeypatch)
+        X = gen_truncated_gaussian(2, 200, 41, truncation_norm=10.0)
+        Y = gen_truncated_gaussian(2, 200, 42, truncation_norm=10.0)
+        for points in (X.data, Y.data):
+            blocks.clear()
+            batch_depth(points, X, DepthParams(r=1.0, s=1.0))
+            assert blocks == [200]
+
+    def test_anomaly_shape_stays_in_lockstep(self, monkeypatch, no_point_solves):
+        # A standardized sample of n = 400 in d = 5 scored against itself
+        # with default parameters, as ``anomaly --standardize`` does.
+        blocks = _counting_lockstep(monkeypatch)
+        rng = np.random.default_rng(43)
+        shell = rng.standard_normal((20, 5))
+        shell *= rng.uniform(2.5, 4.0, (20, 1)) / np.linalg.norm(shell, axis=1, keepdims=True)
+        X, _ = standardize(SampleSet(np.vstack([rng.standard_normal((380, 5)), shell]) * 2.5 + 10.0))
+        batch_depth(X.data, X, default_params(X))
+        assert sum(blocks) == 400
+        assert len(blocks) == math.ceil(400 / (optim._BLOCK_ENTRIES // (400 * 5)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_htest_shape_matches_per_point_solver(self, monkeypatch, threads):
+        blocks = _counting_lockstep(monkeypatch)
+        X = gen_truncated_gaussian(2, 200, 44, truncation_norm=10.0)
+        params = DepthParams(r=1.0, s=1.0)
+        got = batch_depth(X.data, X, params, threads=threads)
+        assert blocks == [200]
+        _assert_same_results(got, [riemannian_descent(z, X, params) for z in X.data])
+
+    @pytest.mark.parametrize("above", [0, 1], ids=["at-limit", "above-limit"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_per_query_limit(self, monkeypatch, above, threads):
+        d = 2
+        n = optim._LOCKSTEP_ENTRIES // d + above  # n * d at the limit, or just above it
+        X = gen_mixture(bi_gaussian_spec(d), n, seed=45)
+        rng = np.random.default_rng(46)
+        queries = np.vstack([X.data[rng.choice(n, 30, replace=False)], rng.uniform(-4.0, 4.0, (10, d))])
+        params = DepthParams(r=1.0, s=1.0)
+        expected = [riemannian_descent(z, X, params) for z in queries]
+        blocks = _counting_lockstep(monkeypatch)
+        got = batch_depth(queries, X, params, threads=threads)
+        if above:
+            assert blocks == []  # every query ran riemannian_descent
+        else:
+            size = optim._BLOCK_ENTRIES // optim._LOCKSTEP_ENTRIES
+            # two threads may finish the blocks in either order
+            assert sorted(blocks) == sorted([size, len(queries) - size])
+        _assert_same_results(got, expected)
 
 
 class TestParityWithArrayLoop:
