@@ -171,13 +171,7 @@ def halfspace_depth(z, X: SampleSet, cfg: HalfspaceConfig | None = None) -> Dept
             norm = np.linalg.norm(res.x)
             best_u = res.x / norm if norm >= 1e-12 else x0
             best_converged = bool(res.success)
-    return DepthResult(
-        value=best_val,
-        direction=best_u,
-        iterations=total_evals,
-        converged=best_converged,
-        init="nelder-mead",
-    )
+    return DepthResult(best_val, best_u, total_evals, best_converged)
 
 
 def fit_mahalanobis(X: SampleSet, regularization: float = 0.0) -> MahalanobisModel:

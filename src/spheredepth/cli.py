@@ -297,12 +297,15 @@ def _htest_sample(source: str, n: int, seed) -> SampleSet:
 def _exclude_self_terms(values, points, reference: SampleSet) -> list[float]:
     """Remove coincident-sample terms from in-sample sphere depths.
 
-    A sample equal to the query contributes exactly sigmoid(0) = 1/2 to the
-    loss for every direction, so the minimizer is unchanged and the
-    self-free depth is the exact affine transform
-    ``(value - 0.5 k / n) * n / (n - k)`` with ``k`` coincident rows.  The
-    rows are counted for the whole batch at once, through a table of the
-    reference rows; its keys compare as the floats do, so -0.0 matches 0.0.
+    A sample equal to the query has the ball argument
+    ``t = r**2 (1 - ||u||**2)``, so its term is sigmoid(0) = 1/2 exactly at
+    unit directions and 1/2 up to ``r**2 |1 - ||u||**2| / (4 s)`` at the
+    directions the solver returns, whose squared norm can miss 1 in the
+    last bit.  Up to that, the minimizer is unchanged and the self-free
+    depth is the affine transform ``(value - 0.5 k / n) * n / (n - k)``
+    with ``k`` coincident rows.  The rows are counted for the whole batch
+    at once, through a table of the reference rows; its keys compare as the
+    floats do, so -0.0 matches 0.0.
     """
     rows = Counter(map(tuple, reference.data.tolist()))
     n = reference.n

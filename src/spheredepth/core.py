@@ -504,12 +504,12 @@ class _Objective(_Folded):
             self.n, self.r, self.s = X.n, params.r, params.s
 
     def ball_args(self, U: np.ndarray) -> np.ndarray:
-        """``2r <w_i, u> - ||w_i||**2`` for one direction ``(d,)`` or a
-        block ``(d, m)``; this is the ball argument on the unit sphere, and
-        what the ``s = 0`` indicator compares with 0 (in the units above)."""
+        """``2r <w_i, u> - ||w_i||**2`` for a block of directions ``(d, m)``;
+        this is the ball argument on the unit sphere, and what the ``s = 0``
+        indicator compares with 0 (in the units above)."""
         t = self.w @ U
         t *= 2.0 * self.r
-        t -= self.w2 if t.ndim == 1 else self.w2[:, None]
+        t -= self.w2[:, None]
         return t
 
     def folded_args(self, U: np.ndarray) -> np.ndarray:

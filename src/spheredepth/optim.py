@@ -32,6 +32,11 @@ is computed at the array the solver returns, so ``value`` equals
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
 
+Every solve ends in a :class:`DepthResult`, the named tuple ``(value,
+direction, iterations, converged)``, built where the loop stops: in
+:func:`riemannian_descent`, and in the lockstep loop of
+:func:`batch_depth` as each query leaves its block.
+
 :func:`batch_depth` runs the same loop for many queries at once when
 each query's rows ``X - z`` hold at most 2**12 entries (``n d <= 4096``).
 It takes the queries in blocks of consecutive points whose rows fit
@@ -80,6 +85,7 @@ import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +153,7 @@ class OptimizerConfig:
             raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class DepthResult:
+class DepthResult(NamedTuple):
     """Depth value with the optimizing direction and solver diagnostics.
 
     ``value`` equals the loss at ``direction`` exactly.
@@ -158,7 +163,6 @@ class DepthResult:
     direction: np.ndarray
     iterations: int
     converged: bool
-    init: str | None = None
 
 
 def tangent_project(u, g) -> np.ndarray:
@@ -250,7 +254,7 @@ def riemannian_descent(
             other = float(objective.sigmoids(-u).sum()) / objective.n
             if other < cur_loss:  # a tie keeps the start
                 u, cur_loss = -u, other
-            return DepthResult(cur_loss, u, iterations=1, converged=True, init=cfg.init)
+            return DepthResult(cur_loss, u, 1, True)
 
         # The iterate as floats beside its array: the d-vector steps run on
         # the floats, and the passes over the data take the array.
@@ -288,9 +292,7 @@ def riemannian_descent(
                 u, point, cur_loss = new_u, trial, new_loss
                 grad = objective.gradient(p, point)
 
-    return DepthResult(
-        value=cur_loss, direction=u, iterations=steps, converged=converged, init=cfg.init
-    )
+    return DepthResult(cur_loss, u, steps, converged)
 
 
 def default_params(X: SampleSet) -> DepthParams:
@@ -342,48 +344,47 @@ def batch_depth(
     :func:`riemannian_descent` bit for bit (value, direction, iterations
     and ``converged``).
 
-    When each query's rows ``X - z`` hold at most 2**12 entries, the
-    queries go in blocks of consecutive points whose stacked rows hold at
-    most 2**17 entries.  Within a block, the queries that keep the same
-    number of rows (all of them, unless ``s`` is small; see
+    ``s <= 0`` is rejected once, with :func:`riemannian_descent`'s
+    message, before any block is formed, and every point is checked as
+    that function checks it, the error naming the point's index; so no
+    solve raises.  When each query's rows ``X - z`` hold at most 2**12
+    entries, the queries go in blocks of consecutive points whose stacked
+    rows hold at most 2**17 entries.  Within a block, the queries that
+    keep the same number of rows (all of them, unless ``s`` is small; see
     ``core._Objective``) are solved in lockstep, as the module docstring
     describes.  A query alone in its row count or in its block runs
     :func:`riemannian_descent`, and so does every query in d = 1 or when
     its rows hold more than 2**12 entries.  ``threads > 1`` solves the
     blocks (or, outside lockstep, the points) on a thread pool; the output
-    is the same.  Per-point errors are re-raised with the point index
-    attached.
+    is the same.  Each :class:`DepthResult` is built where its solve ends,
+    by :func:`riemannian_descent` or by the lockstep loop.
     """
     if params is None:
         params = default_params(X)
+    if params.s <= 0:
+        raise ValueError("riemannian_descent requires s > 0")
     if cfg is None:
         cfg = OptimizerConfig()
     queries = _query_rows(points, X.d)
     entries = X.n * X.d
-    lockstep = X.d > 1 and params.s > 0 and entries <= _LOCKSTEP_ENTRIES
+    lockstep = X.d > 1 and entries <= _LOCKSTEP_ENTRIES
     size = _BLOCK_ENTRIES // entries if lockstep else 1
-
-    def solve_point(i: int) -> DepthResult:
-        try:
-            return riemannian_descent(queries[i], X, params, cfg)
-        except ValueError as exc:
-            raise ValueError(f"point {i}: {exc}") from exc
 
     def solve_block(lo: int) -> list[DepthResult]:
         z = queries[lo : lo + size]
         if len(z) == 1:
-            return [solve_point(lo)]
+            return [riemannian_descent(z[0], X, params, cfg)]
         results: list = [None] * len(z)
         for group, stack in _stacks(X, z, params):
             if stack is None:
-                results[group[0]] = solve_point(lo + group[0])
+                results[group[0]] = riemannian_descent(z[group[0]], X, params, cfg)
                 continue
             if cfg.init == "paper-mean":  # one start for every query
                 starts = [_initial_direction(z[group[0]], X, cfg.init)] * len(group)
             else:
                 starts = [_initial_direction(z[q], X, cfg.init) for q in group]
-            for q, (value, u, steps, converged) in zip(group, _lockstep(stack, starts)):
-                results[q] = DepthResult(value, u, steps, converged, init=cfg.init)
+            for q, res in zip(group, _lockstep(stack, starts)):
+                results[q] = res
         return results
 
     blocks = range(0, len(queries), size)
@@ -434,7 +435,7 @@ def _refill(stop: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray]:
     return count, stop[:holes], np.array(fill, dtype=np.intp)
 
 
-def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
+def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
     """:func:`riemannian_descent`'s loop (d >= 2) for queries whose
     objectives keep the same number of rows, all advanced together.
 
@@ -444,8 +445,8 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
     the passes over the data are those of :class:`_Stack`, so every query
     takes the path and the values of its own solve.  A query's descent
     direction, and the ``cos`` and ``sin`` of its angle, are computed when
-    they change: after a move, and after a rejected step.  Returns
-    ``(value, direction, iterations, converged)`` per query."""
+    they change: after a move, and after a rejected step.  Returns one
+    :class:`DepthResult` per query, built when the query stops."""
     n, d = stack.n, len(starts[0])
     out: list = [None] * len(starts)
     # One row per active query: its iterate, its descent direction (the
@@ -476,7 +477,7 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[tuple]:
         """Record the queries at the positions ``stop`` and drop them."""
         nonlocal state, rows, u, v, tnorm, loss, alpha, cos, sin
         for i, value, direction in zip(rows[stop].tolist(), loss[stop].tolist(), u[stop]):
-            out[i] = (value, direction, steps, converged)
+            out[i] = DepthResult(value, direction, steps, converged)
         count, holes, fill = _refill(stop, len(rows))
         stack.keep(count, holes, fill)
         state[holes], rows[holes] = state[fill], rows[fill]

@@ -158,7 +158,7 @@ def _array_riemannian_descent(z, X, params, cfg=None) -> DepthResult:
             other = float(objective.sigmoids(-u).sum()) / objective.n
             if other < cur_loss:  # a tie keeps the start
                 u, cur_loss = -u, other
-            return DepthResult(cur_loss, u, iterations=1, converged=True, init=cfg.init)
+            return DepthResult(cur_loss, u, iterations=1, converged=True)
 
         grad = _array_gradient(objective, p, u)
         alpha = optim._ALPHA0
@@ -192,9 +192,7 @@ def _array_riemannian_descent(z, X, params, cfg=None) -> DepthResult:
                 u, cur_loss = new_u, new_loss
                 grad = _array_gradient(objective, p, u)
 
-    return DepthResult(
-        value=cur_loss, direction=u, iterations=steps, converged=converged, init=cfg.init
-    )
+    return DepthResult(value=cur_loss, direction=u, iterations=steps, converged=converged)
 
 
 class TestTangentProject:
@@ -457,10 +455,6 @@ class TestSphereDepthWrapper:
             with pytest.raises(ValueError, match="outside the float range; standardize"):
                 default_params(Y)
 
-    def test_records_init(self):
-        X = SampleSet(np.random.default_rng(19).standard_normal((30, 2)))
-        assert sphere_depth([0.0, 0.0], X, DepthParams(r=1.0)).init == "paper-mean"
-
 
 class TestBatchDepth:
     def test_matches_sequential_exactly(self):
@@ -494,6 +488,15 @@ class TestBatchDepth:
         X = SampleSet([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="point 1"):
             batch_depth([[0.0, 0.0], [np.nan, 0.0]], X, DepthParams(r=1.0, s=1.0))
+
+    @pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0]], []], ids=["two", "empty"])
+    def test_nonpositive_s_is_rejected_once(self, points):
+        # Checked before any block is formed, so the error blames no point,
+        # and an empty batch raises as well.
+        X = SampleSet(np.random.default_rng(25).standard_normal((40, 2)))
+        with pytest.raises(ValueError, match="s > 0") as info:
+            batch_depth(points, X, DepthParams(r=1.0, s=0.0))
+        assert not str(info.value).startswith("point 0:")
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_error_in_a_later_block_carries_point_index(self, monkeypatch, threads):
@@ -541,7 +544,6 @@ class TestLockstepParity:
                     assert res.iterations == ref.iterations
                     assert res.converged == ref.converged
                     np.testing.assert_array_equal(res.direction, ref.direction)
-                    assert res.init == ref.init
             lockstep_blocks += len(blocks)
             if s == 0.01:
                 kept_counts |= {kept for _, kept in blocks}
