@@ -19,18 +19,21 @@ The objective has one implementation, the private ``_Objective`` kernel:
 the loss, the gradient, the grid oracle and the solver all evaluate it.
 Its stacked form ``_Stack``, for the lockstep solver of many queries
 (``optim.batch_depth``), sits beside it, and the two share the code that
-computes the rows, keeps them and folds the constants, so each stacked
-evaluation has, query by query, the bits of ``_Objective``'s.
-Per query it computes ``w = X - z``, ``||w||**2`` and, for ``s > 0``,
-``||w||**2 / s`` once.  For ``s > 0`` each direction, or block of
-directions, then costs one product ``w @ (U * (-2r/s))`` that already
-yields ``-t/s``: the scale multiplies the d-vector or d x m block, not the
-n-vector, and one add of ``||w||**2 / s`` finishes the argument of the
-sigmoid.  The ``s = 0`` indicator needs only the sign of ``t`` and keeps
-the unscaled ``t = 2r (w @ U) - ||w||**2``.
-:class:`SampleSet` stores its data column-major, so ``X - z``, ``||w||**2``
-and the per-feature means run over contiguous n-vectors rather than n rows
-of length d.
+keeps rows and builds the coefficients, so each stacked evaluation has,
+query by query, the bits of ``_Objective``'s.
+
+For ``s > 0`` no query copies the data.  :class:`SampleSet` keeps one
+read-only, column-major matrix ``A = [X - mean | ||x - mean||**2 | 1]``,
+built on first use.  With ``z~ = z - mean`` and the ball's centre
+``c~ = z~ + r u``, ``-t/s = A @ [-2 c~ / s, 1 / s, (||c~||**2 - r**2) / s]``
+at any ambient ``u``: each direction, or block of directions, costs one
+product with ``A``, whose coefficients come from d floats, and the
+logistic.  The gradient's ``c @ (X - z)`` is ``c @ X~ - (sum c) z~``.  The
+expansion rounds to within ``tol ((||x~|| + ||c~||)**2 + r**2) / s``
+(``tol = 8 (d + 8) eps``); centring keeps that independent of where the
+data sit.  The ``s = 0`` indicator needs only the sign of ``t`` and keeps a
+per-query ``w = X - z`` with the unscaled ``t = 2r (w @ U) - ||w||**2``;
+only the grid oracle builds it.
 
 The sigmoid is ``1 / (1 + exp(-t/s))`` on numpy's vectorised ``exp``,
 evaluated in place.  For samples far outside the ball ``exp`` overflows to
@@ -47,17 +50,22 @@ query.  For a direction of norm ``rho``,
 exactly 0 (for ``s = 0``, ``R = 2.02 r`` and the indicator is 0: the ball
 of radius ``r`` through ``z`` cannot reach the sample).  The 1% margin
 covers rounding; ``hypot`` keeps ``R`` from underflowing to ``r`` for tiny
-``r``.  Every mean still divides by the full ``n``, so the loss, the
-gradient and the oracle are exact; at small ``s`` most of the sample can
-lie beyond ``R`` and the oracle's block shrinks with it.
+``r``.  For ``s > 0`` the radius also takes in the expansion's rounding,
+and a query whose every row lies within it (``max ||x~|| + ||z~|| <= R``)
+reads ``A`` itself; only otherwise does one product give the rows'
+``||x - z||**2``, and the kept rows are gathered.  Every mean still divides
+by the full ``n``, so the loss, the gradient and the oracle are exact; at
+small ``s`` most of the sample can lie beyond ``R`` and the oracle's block
+shrinks with it.
 
 The sphere oracle is an exact grid minimum with cell bounds.  Each
 :class:`DirectionGrid` is split once, on first use, into cells of at most
 32 nearby directions, each a cap with a center and an angular radius.
 Over a cap, a lower bound on ``<w_i, u>`` for every kept sample gives a
 lower bound on every member's value, and all cells cost one product with
-the data.  The oracle evaluates one member per cell and then only the
-cells whose bound could still beat the best of those; its value and index
+``w = X - z``, which the oracle computes once per query for its bounds.
+The oracle evaluates one member per cell and then only the cells whose
+bound could still beat the best of those; its value and index
 are bit for bit those of evaluating every direction.  On a bi-Gaussian
 sample (n = 200, 4096 directions, sample queries) the oracle evaluates
 5-10% of the directions in d = 2, and a query costs 3-6x less than a full
@@ -155,9 +163,10 @@ class SampleSet:
 
     Rows are observations, columns are features.  Entries must be finite.
     The underlying array is copied column-major (Fortran order) and marked
-    read-only: each feature is one contiguous n-vector, so the per-column
-    passes of the objective kernel and the axis-0 reductions stream through
-    memory instead of looping over n rows of length d.
+    read-only: each feature is one contiguous n-vector, so the axis-0
+    reductions stream through memory instead of looping over n rows of
+    length d.  The objective kernel reads a centred copy, built on first
+    use and kept with the sample (``_centred``).
     """
 
     data: np.ndarray
@@ -182,6 +191,41 @@ class SampleSet:
         mean = self.data.mean(axis=0)
         mean.flags.writeable = False
         return mean
+
+    @functools.cached_property
+    def _unit_mean(self) -> np.ndarray:
+        """The ``paper-mean`` start: the mean over its norm, or ``e_1`` when
+        that norm is below 1e-12 (e.g. centered data); read-only, kept with
+        the sample."""
+        mean = self._mean
+        norm = float(np.linalg.norm(mean))
+        if norm < 1e-12:
+            unit = np.zeros(self.d)
+            unit[0] = 1.0
+        else:
+            unit = mean / norm
+        unit.flags.writeable = False
+        return unit
+
+    @functools.cached_property
+    def _centred(self) -> np.ndarray:
+        """``A = [X - mean | ||x - mean||**2 | 1]``, ``(n, d + 2)``,
+        column-major and read-only: what every ``s > 0`` objective reads
+        (``_Objective``).  The squared norms add the columns left to right."""
+        n, d = self.data.shape
+        A = np.empty((n, d + 2), order="F")
+        np.subtract(self.data, self._mean, out=A[:, :d])
+        norms = np.multiply(A[:, 0], A[:, 0], out=A[:, d])
+        for j in range(1, d):
+            norms += A[:, j] * A[:, j]
+        A[:, d + 1] = 1.0
+        A.flags.writeable = False
+        return A
+
+    @functools.cached_property
+    def _spread(self) -> float:
+        """The largest ``||x - mean||``, from the squared norms of ``A``."""
+        return math.sqrt(float(self._centred[:, self.d].max()))
 
 
 def _pooled_std(X: SampleSet) -> float:
@@ -406,149 +450,265 @@ def sigmoid_derivative(t, s: float):
     return out
 
 
-def _keep_radius(params: DepthParams, u_norm: float) -> float:
+def _keep_radius(params: DepthParams, u_norm: float, spread=0.0, tol: float = 0.0):
     """Distance from the query beyond which a sample's term is exactly 0 for
-    every direction of norm at most ``max(u_norm, 1 + 1e-9)``."""
+    every direction of norm at most ``rho = max(u_norm, 1 + 1e-9)``.
+
+    For ``s > 0`` the kernel's argument comes from the sample's centred
+    matrix and is off by less than ``tol ((||x~|| + ||c~||)**2 + r**2) / s``
+    (:class:`_Objective`), where ``||x~|| + ||c~|| <= spread + r rho`` for
+    ``spread`` at least ``||x~|| + ||z~||``.  The radius takes that error in
+    as if it were part of ``s log(DBL_MAX)``, so a row beyond it still has
+    a computed ``-t/s`` above ``log(DBL_MAX)``.  ``spread`` is a float or an
+    array of them; the per-query steps are ``+ - * /`` and a square root,
+    so both give the same bits.  With the defaults (the ``s = 0``
+    indicator, computed from ``w = x - z``) it is
+    ``1.01 (r rho + hypot(r, sqrt(s log(DBL_MAX))))``."""
     rho = max(u_norm, 1.0 + 1e-9)
     r = params.r
-    return 1.01 * (r * rho + math.hypot(r, math.sqrt(params.s * _EXP_OVERFLOW)))
+    h = math.hypot(r, math.sqrt(params.s * _EXP_OVERFLOW))
+    a, b = (spread + r * rho) / h, r / h
+    inner = 1.0 + tol * (a * a + b * b)
+    root = math.sqrt(inner) if isinstance(inner, float) else np.sqrt(inner)
+    return 1.01 * (r * rho + h * root)
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    # Added left to right from 0, as _rowdot adds it: from Python 3.12 the
+    # builtin sum() compensates float sums, which can change the last bit.
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two ``(q, d)`` arrays, each added left to
+    right from 0 as :func:`_dot` adds it."""
+    out = np.zeros(len(a))
+    for j in range(a.shape[1]):
+        out += a[:, j] * b[:, j]
+    return out
+
+
+def _row_masks(
+    X: SampleSet, zt: np.ndarray, zz: np.ndarray, spread: np.ndarray, radius: np.ndarray
+) -> list:
+    """The rows that each of the queries ``z~ = z - mean`` (rows of ``zt``)
+    keeps, ``None`` for all of them or a mask, given ``||z~||**2``, the
+    bound ``spread = max ||x~|| + ||z~||`` and the keep radius of each.
+
+    One product of the centred matrix with ``[-2 z~, 1, ||z~||**2]`` gives
+    each row's ``||x - z||**2``, off by less than ``tol * spread**2``; a row
+    is dropped only when that value exceeds the squared radius by more.
+    The product is a stacked ``np.matmul``, which makes one query's
+    matrix-vector product per item, so a query's mask does not depend on
+    the other queries."""
+    d = X.d
+    tol = _rounding_tol(d)
+    b = np.empty((len(zt), d + 2))
+    np.multiply(zt, -2.0, out=b[:, :d])
+    b[:, d], b[:, d + 1] = 1.0, zz
+    w2 = np.matmul(X._centred[None], b[:, :, None])[:, :, 0]
+    masks = []
+    for mask in w2 <= (radius * radius + tol * spread * spread)[:, None]:
+        if mask.sum() == 1 < X.n:
+            # numpy hands a one-row product to a matrix-vector routine,
+            # whose bits can differ from that row's in a product of all
+            # rows; a second row, whose terms are 0, keeps it a matrix
+            # product.
+            mask[np.argmin(mask)] = True
+        masks.append(None if mask.all() else mask)
+    return masks
+
+
+def _centred_queries(X: SampleSet, z: np.ndarray, params: DepthParams) -> tuple[np.ndarray, list]:
+    """For the queries ``z``, the rows of a ``(q, d)`` array (``s > 0``, unit
+    directions): ``z~ = z - mean`` and the rows each keeps (``None`` for
+    all of them, or a mask), with the bits of :class:`_Objective`'s floats.
+    A query keeps every row when ``max ||x~|| + ||z~||`` is within its
+    keep radius (:func:`_keep_radius`), and otherwise takes the mask of
+    :func:`_row_masks`."""
+    zt = z - X._mean
+    zz = _rowdot(zt, zt)
+    spread = np.sqrt(zz) + X._spread
+    radius = _keep_radius(params, 1.0, spread, _rounding_tol(X.d))
+    kept: list = [None] * len(z)
+    far = np.flatnonzero(spread > radius)
+    if far.size:
+        masks = _row_masks(X, zt[far], zz[far], spread[far], radius[far])
+        for i, mask in zip(far.tolist(), masks):
+            kept[i] = mask
+    return zt, kept
 
 
 def _differences(
-    X: SampleSet, z: np.ndarray, params: DepthParams, u_norm: float = 1.0, unit: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``w = (X - z).T / unit`` with the squared norms ``w2`` of its columns,
-    and which columns lie within ``_keep_radius(params, u_norm)``.
-
-    One query ``z`` of shape ``(d,)`` gives ``w`` as ``(d, n)`` and ``w2``
-    and the mask as ``(n,)``; a stack of queries ``(q, d)`` gives ``(q, d,
-    n)`` and ``(q, n)``, item by item the same bits.  Each ``(d, n)`` is
-    C-ordered, so its transpose is column-major like :class:`SampleSet`'s
-    data, and compressing its columns keeps each kept column contiguous.
-    """
-    w = X.data.T - z[..., None]
+    X: SampleSet, z: np.ndarray, unit: float = 1.0, kept: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``w = (X - z).T / unit`` over the rows ``kept`` (a mask; all rows by
+    default) as a C-ordered ``(d, k)``, whose transpose is column-major like
+    :class:`SampleSet`'s data, and the squared norms of its columns."""
+    data = X.data.T if kept is None else X.data.T.compress(kept, axis=1)
+    w = data - z[:, None]
     if unit != 1.0:
         w /= unit
-    w2 = np.einsum("...ji,...ji->...i", w, w)
-    radius = _keep_radius(params, u_norm)
-    return w, w2, w2 <= radius * radius  # inf, not OverflowError as from radius**2
+    return w, np.einsum("ji,ji->i", w, w)
 
 
-class _Folded:
-    """What an ``s > 0`` objective folds into the sigmoid's argument
-    ``-t/s`` once, for :class:`_Objective` and :class:`_Stack` alike:
-    ``||w_i||**2 / s``, the factor ``-2r/s`` that scales a direction, the
-    gradient's scale ``2r/(s n)``, and two buffers shaped like ``w2``, for
-    the sigmoid pass and for the gradient's weights."""
+class _Objective:
+    """The objective of one query point ``z``.
 
-    def _set_folding(self, w2: np.ndarray, params: DepthParams, n: int, out=None) -> None:
-        self.n, self.r, self.s = n, params.r, params.s
-        self.w2_s = np.divide(w2, self.s, out=out)
-        self._fold = -2.0 * self.r / self.s
-        self._scale = 2.0 * self.r / (self.s * n)
-        self._args = np.empty_like(w2)
-        self._weights = np.empty_like(w2)
+    For ``s > 0`` it reads the sample's centred matrix
+    ``A = [X - mean | ||x - mean||**2 | 1]`` (:attr:`SampleSet._centred`).
+    With ``z~ = z - mean`` and the ball's centre ``c~ = z~ + r u``,
+    ``-t = ||x - z - r u||**2 - r**2 = ||x~ - c~||**2 - r**2``, so at any
+    ambient ``u``
 
-    def _remainder(self, uu):
-        """``r**2 (1 - ||u||**2) / s`` from ``uu = ||u||**2``: what a
-        direction off the unit sphere subtracts from ``-t/s``."""
-        return self.r * self.r * (1.0 - uu) / self.s
+        -t/s = A @ [-2 c~ / s, 1 / s, (||c~||**2 - r**2) / s]:
 
+    one matrix-vector product per direction, with coefficients built from
+    d floats.  A query copies nothing of the data unless rows lie beyond
+    the keep radius (:func:`_centred_queries`); then it gathers the kept
+    rows of ``A`` once, column-major, and every term it drops is exactly 0.
+    Every mean sums the kept rows and divides by the full sample size
+    ``n``.  The expansion rounds to within ``tol ((||x~|| + ||c~||)**2 +
+    r**2) / s`` of ``-t/s`` (``tol = 8 (d + 8) eps``): centring keeps that
+    independent of where the data sit, but not of how far a row or the
+    ball lie from the sample mean.
 
-class _Objective(_Folded):
-    """The objective of one query point.  With ``w_i = x_i - z`` the ball
-    argument expands as
-    ``t_i = r**2 - ||w_i - r*u||**2 = 2r <w_i, u> - ||w_i||**2 + r**2 (1 - ||u||**2)``.
+    The objective owns two kept-row vectors, allocated once: the sigmoid
+    pass of one direction writes into the first, and the gradient's weights
+    into the second.  So the result of :meth:`sigmoids` (or of
+    :meth:`folded_args` at one direction) holds until the next such call on
+    the same objective; an objective belongs to one solve, which keeps
+    concurrent solves apart.
 
-    Per query it computes ``w``, ``||w_i||**2`` and keeps only the rows with
-    ``||w_i|| <= _keep_radius(params, u_norm)``: every other row has
-    ``-t_i/s > log(DBL_MAX)`` for all directions of norm up to ``u_norm``
-    (at least ``1 + 1e-9``, so unit directions are covered), and its
-    sigmoid or indicator is exactly 0.  The kept rows are gathered once,
-    column-major, and only when some row lies beyond the radius.  Every mean
-    sums the kept rows and divides by the full sample size ``n``, so it is
-    exact.
-
-    For ``s > 0`` the sigmoid needs only ``-t/s``, so the constants are
-    folded into what is computed once per query (``||w_i||**2 / s``) or per
-    direction (the d-vector ``u * (-2r/s)``); an evaluation is then one
-    product with the kept data, one add and the logistic.  The objective
-    owns two n-vectors, allocated once: the sigmoid pass of one direction
-    writes into the first, and the gradient's weights into the second.  So
-    the result of :meth:`sigmoids` (or of :meth:`folded_args` at one
-    direction) holds until the next such call on the same objective; an
-    objective belongs to one solve, which keeps concurrent solves apart.
-
-    The ``s = 0`` indicator needs only the sign of ``t``, so there ``w``,
-    ``r`` and the keep radius are taken in units of the power of two at or
-    below ``r``.  Scaling by a power of two is exact, so ``t`` is the one in
-    the data's units times a power of 4, with the same sign; but neither
+    The ``s = 0`` indicator needs only the sign of ``t``, so it keeps the
+    per-query ``w = x - z`` and computes ``t = 2r <w, u> - ||w||**2`` for
+    unit ``u``, dropping the rows beyond :func:`_keep_radius`.  There
+    ``w``, ``r`` and the radius are taken in units of the power of two at
+    or below ``r``.  Scaling by a power of two is exact, so ``t`` is the one
+    in the data's units times a power of 4, with the same sign; but neither
     ``||w_i||**2`` nor ``2r <w_i, u>`` underflows when ``r`` is tiny.
     """
 
     def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams, u_norm: float = 1.0):
-        unit = 1.0
+        self.n, self.r, self.s = X.n, params.r, params.s
         if params.s == 0:
             unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
+            self.r = params.r / unit
             # For a subnormal r a row can overflow to inf; it lies beyond
             # the keep radius and is dropped below.  Callers hold
             # np.errstate(over="ignore").
-            params = DepthParams(params.r / unit, 0.0)
-        w, w2, keep = _differences(X, z, params, u_norm, unit)
-        if not keep.all():
-            w, w2 = w.compress(keep, axis=1), w2[keep]
-        self.w, self.w2 = w.T, w2
-        if params.s > 0:
-            self._set_folding(w2, params, X.n)
-        else:
-            self.n, self.r, self.s = X.n, params.r, params.s
+            w, w2 = _differences(X, z, unit)
+            radius = _keep_radius(DepthParams(self.r, 0.0), u_norm)
+            keep = w2 <= radius * radius  # inf, not OverflowError as from radius**2
+            if not keep.all():
+                w, w2 = w.compress(keep, axis=1), w2[keep]
+            self.w, self.w2 = w.T, w2
+            self.k = len(w2)
+            return
+        # The steps of _centred_queries on floats, which give the same bits.
+        zt = z - X._mean
+        self.zt = zt.tolist()
+        zz = _dot(self.zt, self.zt)
+        self._norm_zt = math.sqrt(zz)
+        spread = self._norm_zt + X._spread
+        radius = _keep_radius(params, u_norm, spread, _rounding_tol(X.d))
+        self._kept = None
+        if spread > radius:
+            (self._kept,) = _row_masks(
+                X, zt[None], np.array([zz]), np.array([spread]), np.array([radius])
+            )
+        self._X, self._z = X, z
+        rows = X._centred.T
+        if self._kept is not None:
+            rows = rows.compress(self._kept, axis=1)
+        self.rows = rows.T  # the kept rows of A, column-major
+        self.k = len(self.rows)
+        self._data = self.rows[:, : X.d]
+        self._fold, self._inv_s, self._rr = -2.0 / self.s, 1.0 / self.s, self.r * self.r
+        self._scale = 2.0 * self.r / (self.s * self.n)
+        self._coef = np.empty(X.d + 2)
+        self._args = np.empty(self.k)
+        self._weights = np.empty(self.k)
 
     def ball_args(self, U: np.ndarray) -> np.ndarray:
-        """``2r <w_i, u> - ||w_i||**2`` for a block of directions ``(d, m)``;
-        this is the ball argument on the unit sphere, and what the ``s = 0``
-        indicator compares with 0 (in the units above)."""
+        """``2r <w_i, u> - ||w_i||**2`` for a block of directions ``(d, m)``
+        (``s = 0``); this is the ball argument on the unit sphere, and what
+        the indicator compares with 0 (in the units above)."""
         t = self.w @ U
         t *= 2.0 * self.r
         t -= self.w2[:, None]
         return t
 
-    def folded_args(self, U: np.ndarray) -> np.ndarray:
-        """``-t/s = (||w_i||**2 - 2r <w_i, u>) / s`` on the unit sphere for
-        one direction ``(d,)`` or a block ``(d, m)`` (``s > 0``): one product
-        with the data, the scale applied to ``U`` rather than to the result.
-        One direction's result is the objective's buffer (see the class)."""
-        scaled = U * self._fold
-        if scaled.ndim == 1:
-            m = np.matmul(self.w, scaled, out=self._args)
-            m += self.w2_s
-        else:
-            m = self.w @ scaled
-            m += self.w2_s[:, None]
-        return m
+    def _centre(self, u) -> list[float]:
+        """``c~ = z~ + r u`` for a sequence ``u`` of ``d`` floats."""
+        r = self.r
+        return [a + r * b for a, b in zip(self.zt, u)]
 
-    def sigmoids(self, u: np.ndarray) -> np.ndarray:
-        """Per-sample smoothed ball membership at any ambient ``u``, in the
-        objective's buffer (see the class).  Far samples overflow ``exp``;
-        callers hold ``np.errstate(over="ignore")``."""
-        m = self.folded_args(u)
-        remainder = self._remainder(float(u @ u))
-        if remainder != 0.0:
-            m -= remainder
-        return _logistic_of_negated(m)
+    def folded_args(self, U) -> np.ndarray:
+        """``-t/s`` (``s > 0``) for one ambient direction, ``d`` floats or a
+        ``(d,)`` array, or for a block ``(d, m)`` of them: one product with
+        the kept rows.  One direction's result is the objective's buffer (see
+        the class)."""
+        if isinstance(U, np.ndarray):
+            if U.ndim == 2:
+                return self.rows @ self._block_coefficients(U)
+            U = U.tolist()
+        centre = self._centre(U)
+        fold = self._fold
+        coef = [x * fold for x in centre]
+        coef += (self._inv_s, (_dot(centre, centre) - self._rr) / self.s)
+        self._coef[:] = coef
+        return np.matmul(self.rows, self._coef, out=self._args)
+
+    def _block_coefficients(self, U: np.ndarray) -> np.ndarray:
+        """The coefficients of :meth:`folded_args` for the columns of ``U``,
+        as ``(d + 2, m)``, each column's by the same elementwise steps."""
+        d = U.shape[0]
+        centre = self.r * U
+        centre += np.array(self.zt)[:, None]
+        coef = np.empty((d + 2, U.shape[1]))
+        np.multiply(centre, self._fold, out=coef[:d])
+        cc = centre[0] * centre[0]
+        for row in centre[1:]:
+            cc += row * row
+        coef[d] = self._inv_s
+        cc -= self._rr
+        np.divide(cc, self.s, out=coef[d + 1])
+        return coef
+
+    def sigmoids(self, u) -> np.ndarray:
+        """Per-sample smoothed ball membership at any ambient ``u`` (``d``
+        floats or a ``(d,)`` array), in the objective's buffer (see the
+        class).  Far samples overflow ``exp``; callers hold
+        ``np.errstate(over="ignore")``."""
+        return _logistic_of_negated(self.folded_args(u))
+
+    @functools.cached_property
+    def _direct(self) -> tuple[np.ndarray, np.ndarray]:
+        """``w = x - z`` over the kept rows, column-major, and ``||w||**2``,
+        computed directly for the cell bounds of ``s > 0``."""
+        w, w2 = _differences(self._X, self._z, kept=self._kept)
+        return w.T, w2
 
     def cell_bounds(self, cells: _Cells, chunk: slice) -> np.ndarray:
         """Values that no member of each cell in ``chunk`` has below it:
         the mean of the terms at a ball argument no larger than the one of
         any member, less what rounding can add to that mean.  See
         :func:`grid_oracle_sphere_depth` for the bound and its rounding."""
-        w, w2 = self.w, self.w2
-        if self.s > 0:
+        if self.s == 0:
+            w, w2 = self.w, self.w2
+        else:
+            w, w2 = self._direct
+            xx = self.rows[:, w.shape[1]]
             # A row farther than this has a term below eps/n in every
             # direction; leaving it out can only lower the bound.
             reach = self.r + math.sqrt(self.r * self.r + self.s * math.log(self.n / _EPS))
             reachable = w2 <= reach * reach
             if not reachable.all():
-                w, w2 = w[reachable], w2[reachable]
+                w, w2, xx = w[reachable], w2[reachable], xx[reachable]
         tol = _rounding_tol(w.shape[1])
         w2 = w2[:, None]
         nw = np.sqrt(w2)
@@ -559,14 +719,19 @@ class _Objective(_Folded):
         np.subtract(w2 * (1.0 + tol), perp, out=perp)
         np.maximum(perp, 0.0, out=perp)
         np.sqrt(perp, out=perp)
-        # t = 2r <w, u> - ||w||**2 at the least <w, u> over the cap, lowered
-        # by what rounding and the directions' norms can add to t; for s > 0
-        # it is folded into -t/s as in folded_args.
-        shift = w2 + (2.0 * self.r * nw + w2) * (tol + cells.norm_dev)
+        # t = 2r <w, u> - ||w||**2 + r**2 (1 - ||u||**2) at the least <w, u>
+        # over the cap, lowered by what the bound's rounding and the
+        # directions' norms can add to t.
+        dev = cells.norm_dev
+        shift = w2 + (2.0 * self.r * nw + w2) * (tol + dev) + 3.0 * self.r * self.r * dev
         if self.s == 0:
             scale, offset = 2.0 * self.r, -shift
         else:
-            scale, offset = -2.0 * self.r / self.s, shift / self.s
+            # Folded into -t/s, and raised by what the expansion can add to
+            # a member's -t/s: ||x~|| + ||c~|| <= ||x~|| + ||z~|| + r ||u||.
+            spread = np.sqrt(xx)[:, None] + (self._norm_zt + self.r * (1.0 + dev))
+            scale = -2.0 * self.r / self.s
+            offset = (shift + tol * (spread * spread + self.r * self.r)) / self.s
         perp *= scale * cells.sin[chunk]
         arg = np.multiply(wc, scale * cells.cos[chunk], out=wc)
         arg -= perp
@@ -583,52 +748,82 @@ class _Objective(_Folded):
         return np.maximum(lower, 0.0, out=lower)
 
     def gradient(self, p: np.ndarray, u: list[float]) -> list[float]:
-        """Ambient gradient ``(2r/(s n)) (c @ w - r (sum c) u)`` from the
+        """Ambient gradient ``(2r/(s n)) (c @ x~ - (sum c) c~)`` from the
         sigmoids ``p`` at ``u``, with ``c_i = p_i (1 - p_i)`` in the
-        objective's weight buffer.  ``u`` is a sequence of ``d`` floats; the
-        tail after ``c @ w`` runs on floats, and the scale multiplies the
-        d-vector, not the n-vector ``c``."""
+        objective's weight buffer; ``c @ x~ - (sum c) c~`` is
+        ``sum_i c_i (x_i - z - r u)``.  ``u`` is a sequence of ``d``
+        floats; the tail after ``c @ x~`` runs on floats, and the scale
+        multiplies the d-vector, not the n-vector ``c``."""
         c = np.subtract(1.0, p, out=self._weights)
         c *= p
-        rc = self.r * float(c.sum())
+        total = float(c.sum())
         scale = self._scale
-        return [(g - rc * x) * scale for g, x in zip((c @ self.w).tolist(), u)]
+        return [
+            (g - total * x) * scale for g, x in zip((c @ self._data).tolist(), self._centre(u))
+        ]
 
 
-class _Stack(_Folded):
-    """The objectives of queries that keep the same number ``k`` of rows,
-    stacked for ``optim``'s lockstep solver (``s > 0``): the kept rows
-    ``w`` as ``(q, d, k)``, so each item's transpose is column-major like
-    :attr:`_Objective.w`, and the constants of :class:`_Folded`, with
-    ``w2_s`` as ``(q, k)``.  A stacked ``np.matmul`` makes, item by item, the BLAS
-    call of the one query's product, and each row sum of a contiguous
-    ``(q, k)`` block is the query's ``p.sum()``; so each method returns,
-    row by row, the bits of the :class:`_Objective` method of its name.
+class _Stack:
+    """The objectives of queries that keep the same rows count ``k``,
+    stacked for ``optim``'s lockstep solver (``s > 0``).
 
-    The stack takes over ``w`` and ``w2`` and works in them in place.  The
-    methods take the active queries' iterates as a ``(q, d)`` array, and
+    When every query keeps every row the stack holds no rows of its own: it
+    reads the sample's centred matrix ``A`` through a broadcast
+    ``(1, n, d + 2)`` view.  Otherwise it gathers each query's kept rows as
+    ``(q, k, d + 2)``, each item column-major like :attr:`_Objective.rows`.
+    Per query it keeps ``z~``, which moves when queries stop.  A stacked
+    ``np.matmul`` makes, item by item, the BLAS call of the one query's
+    product, the coefficients are built column by column in the float
+    loop's order, and each row sum of a contiguous ``(q, k)`` block is the
+    query's ``p.sum()``; so each method returns, row by row, the bits of
+    the :class:`_Objective` method of its name.
+
+    The methods take the active queries' iterates as a ``(q, d)`` array, and
     :meth:`keep` drops the queries that stopped."""
 
-    def __init__(self, w: np.ndarray, w2: np.ndarray, params: DepthParams, n: int):
-        self.w = w
-        self._set_folding(w2, params, n, out=w2)
+    def __init__(self, X: SampleSet, zt: np.ndarray, kept: list | None, params: DepthParams):
+        self.n, self.r, self.s = X.n, params.r, params.s
+        d, q = X.d, len(zt)
+        self._gathered = kept is not None
+        if self._gathered:
+            self._rowsT = np.array([X._centred.T.compress(mask, axis=1) for mask in kept])
+        else:
+            self._rowsT = X._centred.T[None]
+        self.k = self._rowsT.shape[2]
+        self.zt = zt
+        self._fold, self._rr = -2.0 / self.s, self.r * self.r
+        self._scale = 2.0 * self.r / (self.s * self.n)
+        self._coef = np.empty((q, d + 2))
+        self._coef[:, d] = 1.0 / self.s
+        self._args = np.empty((q, self.k))
+        self._weights = np.empty((q, self.k))
 
     def keep(self, count: int, holes: np.ndarray, fill: np.ndarray) -> None:
         """Keep the first ``count`` queries, with the queries at ``fill``
         (each at or above ``count``) moved into the places ``holes`` of
-        queries that stopped; only those queries' rows move."""
-        self.w[holes] = self.w[fill]
-        self.w2_s[holes] = self.w2_s[fill]
-        self.w, self.w2_s = self.w[:count], self.w2_s[:count]
+        queries that stopped.  What moves is each query's ``z~``, and its
+        gathered rows when the stack has its own."""
+        self.zt[holes] = self.zt[fill]
+        self.zt = self.zt[:count]
+        if self._gathered:
+            self._rowsT[holes] = self._rowsT[fill]
+            self._rowsT = self._rowsT[:count]
+
+    def _centres(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """``c~ = z~ + r u`` for each query (those at ``rows``, if given)."""
+        zt = self.zt if rows is None else self.zt.take(rows, axis=0)
+        return zt + self.r * u
 
     def sigmoids(self, u: np.ndarray) -> np.ndarray:
         """Each row is :meth:`_Objective.sigmoids` at that row of ``u``, in
         a buffer that holds until the next call."""
-        m = self._args[: len(u)]
-        np.matmul(self.w.transpose(0, 2, 1), (u * self._fold)[:, :, None], out=m[:, :, None])
-        m += self.w2_s
-        # The remainder is subtracted even where it is 0, which is exact.
-        m -= self._remainder(np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])[:, None]
+        q, d = u.shape
+        centre = self._centres(u)
+        coef = self._coef[:q]
+        np.multiply(centre, self._fold, out=coef[:, :d])
+        coef[:, d + 1] = (_rowdot(centre, centre) - self._rr) / self.s
+        m = self._args[:q]
+        np.matmul(self._rowsT.transpose(0, 2, 1), coef[:, :, None], out=m[:, :, None])
         return _logistic_of_negated(m)
 
     def gradient(self, p: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -636,14 +831,18 @@ class _Stack(_Folded):
         ``rows`` of the stack (all of them by default), from the sigmoids
         ``p`` of all its queries and the iterates ``u`` of those in
         ``rows``."""
-        w = self.w
+        d = u.shape[1]
+        data = self._rowsT
         if rows is not None:
-            p, w = p.take(rows, axis=0), w.take(rows, axis=0)
+            p = p.take(rows, axis=0)
+            if self._gathered:
+                data = data.take(rows, axis=0)
         c = np.subtract(1.0, p, out=self._weights[: len(p)])
         c *= p
-        rc = self.r * c.sum(axis=1)
-        g = np.matmul(c[:, None, :], w.transpose(0, 2, 1))[:, 0, :]
-        return (g - rc[:, None] * u) * self._scale
+        g = np.matmul(c[:, None, :], data[:, :d].transpose(0, 2, 1))[:, 0, :]
+        g -= c.sum(axis=1)[:, None] * self._centres(u, rows)
+        g *= self._scale
+        return g
 
 
 def _stacks(X: SampleSet, z: np.ndarray, params: DepthParams) -> Iterator[tuple]:
@@ -652,21 +851,15 @@ def _stacks(X: SampleSet, z: np.ndarray, params: DepthParams) -> Iterator[tuple]
     ``s`` is small.  Yields each group's positions in ``z`` with its
     :class:`_Stack`, or with ``None`` for a query alone in its count, for
     which a stack costs more than its :class:`_Objective`."""
-    w, w2, kept = _differences(X, z, params)
-    counts = kept.sum(axis=1)
+    zt, kept = _centred_queries(X, z, params)
+    counts = np.array([X.n if mask is None else int(mask.sum()) for mask in kept])
     for k in np.unique(counts).tolist():
         group = np.flatnonzero(counts == k)
         if len(group) == 1:
             yield group, None
             continue
-        if k < X.n:  # each query's kept rows, compressed as _Objective does
-            rows = np.array([w[q].compress(kept[q], axis=1) for q in group])
-            rows2 = w2[group][kept[group]].reshape(len(group), k)
-        elif len(group) < len(z):
-            rows, rows2 = w[group], w2[group]
-        else:  # every query keeps every row: no copy
-            rows, rows2 = w, w2
-        yield group, _Stack(rows, rows2, params, X.n)
+        masks = None if k == X.n else [kept[q] for q in group.tolist()]
+        yield group, _Stack(X, zt[group], masks, params)
 
 
 def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
@@ -788,18 +981,23 @@ def grid_oracle_sphere_depth(
     Rows whose term is below ``eps/n`` in every direction are left out of
     it, which can only lower the bound.
 
-    Rounding.  A member's computed ``t`` (or ``-t/s``) is off by less than
-    ``tol * (2r ||w|| + ||w||**2)`` (over ``s``), with
-    ``tol = 8 (d + 8) eps``: a d-term dot product loses at most ``d eps`` of
-    ``||w|| ||u||``, and each of the few operations after it one ``eps``.
-    The bound's ``t`` is lowered by that much again, plus
-    ``2r ||w|| max | ||u|| - 1 |`` for grid directions that are not exactly
-    unit; the antipodal test is moved by ``tol ||w||`` toward the second
-    case, ``||w||**2 - <w, c>**2`` is raised by ``tol ||w||**2`` before its
-    square root, and ``delta`` is rounded outward.  So each computed term
-    of the bound is at most the computed term of the member, up to the
-    relative error of the logistic, a few ``eps``; arguments of the bound
-    above 700 are capped, which raises a term of 0 by less than 1e-304.
+    Rounding.  At ``s = 0`` a member's computed ``t`` is off by less than
+    ``tol * (2r ||w|| + ||w||**2)``, with ``tol = 8 (d + 8) eps``: a d-term
+    dot product loses at most ``d eps`` of ``||w|| ||u||``, and each of the
+    few operations after it one ``eps``; the bound's own ``t``, computed
+    from the same ``w``, rounds by as little.  The bound's ``t`` is lowered
+    by that much again, and by ``2r ||w|| dev + 3 r**2 dev`` for grid
+    directions whose norms are off 1 by up to ``dev``; the antipodal test
+    is moved by ``tol ||w||`` toward the second case,
+    ``||w||**2 - <w, c>**2`` is raised by ``tol ||w||**2`` before its square
+    root, and ``delta`` is rounded outward.  At ``s > 0`` the bound's ``t``
+    is folded into ``-t/s``, which is then raised by what the centred
+    expansion can add to a member's ``-t/s``,
+    ``tol ((||x~|| + ||z~|| + r (1 + dev))**2 + r**2) / s``
+    (``_Objective``).  So each computed term of the bound is at most the
+    computed term of the member, up to the relative error of the logistic,
+    a few ``eps``; arguments of the bound above 700 are capped, which
+    raises a term of 0 by less than 1e-304.
     The two sequential sums of at most ``n`` terms in ``[0, 1]`` add at
     most ``n eps`` each to the means, so the bound exceeds a member's value
     by less than ``8 (n + 8) eps``, which is subtracted from it; no value
@@ -815,9 +1013,9 @@ def grid_oracle_sphere_depth(
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
 
     with np.errstate(over="ignore"):
-        # Grid directions are unit vectors, so the ball argument needs no
-        # remainder term: a sample at the query sits at exactly t = 0, which
-        # the s = 0 indicator counts as inside.
+        # At s = 0 the grid directions are taken as unit vectors: a sample
+        # at the query sits at exactly t = 0, which the indicator counts as
+        # inside.
         objective = _Objective(z, X, params)
 
         def block_values(chunk: np.ndarray) -> np.ndarray:

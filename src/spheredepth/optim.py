@@ -21,13 +21,14 @@ sphere depth these cost less as floats than as numpy calls, and
 :func:`tangent_project` and :func:`exp_map` call the same helpers.  The
 dot products add left to right on every Python version (the builtin
 ``sum`` compensates from 3.12), so they can differ from BLAS's in the
-last bit.  Only the passes over the kept rows of the data stay in numpy,
-writing into two n-vectors that the query's ``core._Objective`` owns.
-Each trial direction costs one product with the data, the logistic in
-place and the loss sum; an accepted step adds the weights
-``c = p (1 - p)``, the product ``c @ w`` and the sum of ``c``.  The loss
-is computed at the array the solver returns, so ``value`` equals
-``sphere_loss(direction)`` exactly.
+last bit.  Only the passes over the data stay in numpy: each is one
+product with the sample's centred matrix (``core._Objective``), whose
+``d + 2`` coefficients are built on the floats, and it writes into one of
+two kept-row vectors that the query's objective owns.  Each trial direction
+costs that product, the logistic in place and the loss sum; an accepted
+step adds the weights ``c = p (1 - p)``, the product ``c @ X~`` with the
+centred data and the sum of ``c``.  The loss is computed at the array the
+solver returns, so ``value`` equals ``sphere_loss(direction)`` exactly.
 
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
@@ -38,45 +39,45 @@ direction, iterations, converged)``, built where the loop stops: in
 :func:`batch_depth` as each query leaves its block.
 
 :func:`batch_depth` runs the same loop for many queries at once when
-each query's rows ``X - z`` hold at most 2**12 entries (``n d <= 4096``).
-It takes the queries in blocks of consecutive points whose rows fit
-2**17 float64 entries (1 MiB), so one block holds 327 queries at
-``n = 200, d = 2`` and 65 at ``n = 400, d = 5``, and stacks them as
-``(q, d, n)`` in ``core._Stack``, the stacked ``core._Objective``.
-Queries of a block that keep the same number of rows advance in lockstep:
-each iteration makes one stacked product for all the trial directions,
-one logistic in place, one row sum, and one stacked ``c @ w`` for the
-gradients of the queries that move.  Every query keeps its own iterate,
-angle, loss and stop, and leaves the block when it stops; its descent
-direction, and the ``cos`` and ``sin`` of its angle, are recomputed only
-when they change.  The lockstep steps are chosen to round as the
-per-point loop does: a stacked ``np.matmul`` makes, item by item, the
-BLAS call of one query's product, and the d-vector steps run column by
-column in the float loop's order.  So a batch equals a loop of
-:func:`riemannian_descent` bit for bit.
+``n d <= 2**12``.  It takes the queries in blocks of ``2**17 // (n d)``
+consecutive points, so one block holds 327 queries at ``n = 200, d = 2``
+and 65 at ``n = 400, d = 5``.  Queries of a block that keep the same
+number of rows advance in lockstep in ``core._Stack``, the stacked
+``core._Objective``.  A stack of queries that keep every row copies no
+data: each pass is one stacked product of the sample's centred matrix,
+broadcast, with a ``(q, d + 2)`` block of coefficients.  At small ``s``,
+where rows lie beyond the keep radius, the stack gathers each query's kept
+rows.  Each iteration makes one stacked product for all the trial
+directions, one logistic in place, one row sum, and one stacked
+``c @ X~`` for the gradients of the queries that move.  Every query keeps
+its own iterate, angle, loss and stop, and leaves the block when it stops;
+its descent direction, and the ``cos`` and ``sin`` of its angle, are
+recomputed only when they change.  The lockstep steps are chosen to round
+as the per-point loop does: a stacked ``np.matmul`` makes, item by item,
+the BLAS call of one query's product, and the coefficients and the
+d-vector steps run column by column in the float loop's order.  So a
+batch equals a loop of :func:`riemannian_descent` bit for bit.
 
 The per-point loop stays for single queries, where one block of one query
-costs about four times as much, and for larger samples, where a block no
-longer fits the caches.  Per query, in ms, with lockstep blocks of
-``2**17 // (n d)`` queries (r = s = 1; 48 sample rows and 48
-standard-normal points of a bi-Gaussian sample; both run interleaved in
-one process on a 2-core x86-64 host)::
+costs about four times as much, and for samples with ``n d > 2**12``.
+Per query, in ms, with lockstep blocks of ``2**17 // (n d)`` queries
+(r = s = 1; 48 sample rows and 48 standard-normal points of a bi-Gaussian
+sample; both run interleaved in one process, medians of 5, on a 2-core
+x86-64 host with OpenBLAS 0.3.31)::
 
     d x n       n d      lockstep   per-point loop
-    2 x 1000    2,000    0.19       0.37
-    2 x 2048    4,096    0.37       0.44
-    2 x 3000    6,000    0.53       0.54
-    2 x 4000    8,000    0.60       0.44
-    2 x 8000    16,000   1.18       0.72
-    5 x 800     4,000    0.11       0.17
-    5 x 1200    6,000    0.20       0.24
-    5 x 6000    30,000   0.87       0.41
+    2 x 1000    2,000    0.13       0.31
+    2 x 2048    4,096    0.21       0.35
+    2 x 3000    6,000    0.32       0.41
+    2 x 4000    8,000    0.46       0.53
+    2 x 8000    16,000   0.75       0.62
+    5 x 800     4,000    0.09       0.24
+    5 x 1200    6,000    0.14       0.24
+    5 x 6000    30,000   0.62       0.49
 
-A lockstep iteration at ``n = 200, d = 2`` costs about 110 us plus 2.1 us
-per active query: a line fitted to the iterations of 40 ``htest``-shaped
-calls, in 2**16-entry blocks.  Before the angles' ``cos`` and ``sin``, the
-descent directions and the bookkeeping were cut to what changes, the same
-fit, interleaved, gave about 170 us plus 2.1 us.
+So lockstep still pays somewhat above the limit of ``2**12``, up to about
+``n d = 8,000``; the limit was set when each block stacked its own copies
+of ``X - z``, which no longer fit the caches above about 6,000.
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ from .core import (
     DepthParams,
     SampleSet,
     _as_vector,
+    _dot,
     _Objective,
     _pooled_std,
+    _rowdot,
     _Stack,
     _stacks,
     unit_direction,
@@ -124,16 +127,18 @@ _ALPHA0 = math.pi
 _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.5
 _MAX_ITER = 1000
-# The rows that one lockstep block of ``batch_depth`` stacks hold at most
-# this many entries (1 MiB of float64).  Freeing a larger block raises
-# glibc's dynamic mmap threshold, which changes how the caller's later large
-# arrays are allocated: right after anomaly scorings of n = 400, d = 5, a
-# 400 x 400 numpy kernel faulted 3,558 pages per call with 2**16-entry
-# blocks, 3,360-3,391 with these, and 0 with 2**18-entry blocks.
+# One lockstep block of ``batch_depth`` takes ``_BLOCK_ENTRIES // (n d)``
+# queries; its largest arrays, the pass and weight buffers and the keep
+# masks, hold ``n`` entries per query.  Freeing large blocks raises glibc's
+# dynamic mmap threshold, which changes how the caller's later large arrays
+# are allocated: with blocks that held ``q n d`` floats, a 400 x 400 numpy
+# kernel run right after anomaly scorings of n = 400, d = 5 faulted 3,558
+# pages per call with 2**16 entries, 3,360-3,391 with these, and 0 with
+# 2**18.  The smaller blocks of today's stacks have not been measured so.
 _BLOCK_ENTRIES = 2**17
-# A query whose rows ``X - z`` hold more entries than this is solved by
-# ``riemannian_descent``: above about 6,000 a lockstep block no longer fits
-# the caches and runs slower than the per-point loop (module docstring).
+# A query with ``n d`` above this is solved by ``riemannian_descent``.  The
+# limit was set where a block of ``X - z`` copies stopped fitting the
+# caches; lockstep now pays up to about 8,000 (module docstring).
 _LOCKSTEP_ENTRIES = 2**12
 
 
@@ -190,15 +195,6 @@ def exp_map(u, v, alpha: float) -> np.ndarray:
     return np.array(_geodesic(u.tolist(), v.tolist(), alpha))
 
 
-def _dot(a: list[float], b: list[float]) -> float:
-    # Added left to right from 0, as _rowdot adds it: from Python 3.12 the
-    # builtin sum() compensates float sums, which can change the last bit.
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc += x * y
-    return acc
-
-
 def _tangent(u: list[float], g: list[float]) -> list[float]:
     dot = _dot(g, u)
     return [a - dot * b for a, b in zip(g, u)]
@@ -212,9 +208,9 @@ def _geodesic(u: list[float], v: list[float], alpha: float) -> list[float]:
 
 
 def _initial_direction(z: np.ndarray, X: SampleSet, init: str) -> np.ndarray:
-    anchor = X._mean
-    if init == "mean-minus-z":
-        anchor = anchor - z
+    if init == "paper-mean":  # the same for every query, so kept with the sample
+        return X._unit_mean.copy()
+    anchor = X._mean - z
     norm = float(np.linalg.norm(anchor))
     if norm < 1e-12:
         # Degenerate anchor (e.g. centered data): fall back to e_1.
@@ -247,7 +243,10 @@ def riemannian_descent(
     # Far samples overflow exp in the sigmoid to an exact 0; the error state
     # is entered once per solve, as entering it costs about 1.4 us.
     with np.errstate(over="ignore"):
-        p = objective.sigmoids(u)
+        # The iterate as floats beside its array: the d-vector steps and the
+        # coefficients of each pass run on the floats.
+        point = u.tolist()
+        p = objective.sigmoids(point)
         cur_loss = float(p.sum()) / objective.n
         if X.d == 1:
             # {-1, +1} has no tangent direction: try the other point once.
@@ -256,9 +255,6 @@ def riemannian_descent(
                 u, cur_loss = -u, other
             return DepthResult(cur_loss, u, 1, True)
 
-        # The iterate as floats beside its array: the d-vector steps run on
-        # the floats, and the passes over the data take the array.
-        point = u.tolist()
         grad = objective.gradient(p, point)
         alpha = _ALPHA0
         converged = False
@@ -270,10 +266,9 @@ def riemannian_descent(
                 converged = True
                 break
             trial = _geodesic(point, [a / -tnorm for a in tangent], alpha)
-            new_u = np.array(trial)
             # One pass over the data per trial direction; a move reuses its
             # sigmoids for the gradient at the new iterate.
-            p = objective.sigmoids(new_u)
+            p = objective.sigmoids(trial)
             new_loss = float(p.sum()) / objective.n
             steps = it
 
@@ -285,11 +280,11 @@ def riemannian_descent(
                 alpha = min(max(minimiser, _SHRINK_MIN * alpha), _SHRINK_MAX * alpha)
             elif cur_loss - new_loss < _TOL:
                 if new_loss < cur_loss:  # an exact tie keeps the step's start
-                    u, cur_loss = new_u, new_loss
+                    u, cur_loss = np.array(trial), new_loss
                 converged = True
                 break
             else:
-                u, point, cur_loss = new_u, trial, new_loss
+                u, point, cur_loss = np.array(trial), trial, new_loss
                 grad = objective.gradient(p, point)
 
     return DepthResult(cur_loss, u, steps, converged)
@@ -347,14 +342,13 @@ def batch_depth(
     ``s <= 0`` is rejected once, with :func:`riemannian_descent`'s
     message, before any block is formed, and every point is checked as
     that function checks it, the error naming the point's index; so no
-    solve raises.  When each query's rows ``X - z`` hold at most 2**12
-    entries, the queries go in blocks of consecutive points whose stacked
-    rows hold at most 2**17 entries.  Within a block, the queries that
-    keep the same number of rows (all of them, unless ``s`` is small; see
-    ``core._Objective``) are solved in lockstep, as the module docstring
-    describes.  A query alone in its row count or in its block runs
-    :func:`riemannian_descent`, and so does every query in d = 1 or when
-    its rows hold more than 2**12 entries.  ``threads > 1`` solves the
+    solve raises.  When ``n d <= 2**12``, the queries go in blocks of
+    ``2**17 // (n d)`` consecutive points.  Within a block, the queries
+    that keep the same number of rows (all of them, unless ``s`` is small;
+    see ``core._Objective``) are solved in lockstep, as the module
+    docstring describes.  A query alone in its row count or in its block
+    runs :func:`riemannian_descent`, and so does every query in d = 1 or
+    when ``n d > 2**12``.  ``threads > 1`` solves the
     blocks (or, outside lockstep, the points) on a thread pool; the output
     is the same.  Each :class:`DepthResult` is built where its solve ends,
     by :func:`riemannian_descent` or by the lockstep loop.
@@ -411,15 +405,6 @@ def _query_rows(points, d: int) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"point {i}: {exc}") from exc
     return np.array(rows).reshape(len(rows), d)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of two ``(q, d)`` arrays, each added left to
-    right from 0 as :func:`_dot` adds it."""
-    out = np.zeros(len(a))
-    for j in range(a.shape[1]):
-        out += a[:, j] * b[:, j]
-    return out
 
 
 def _refill(stop: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -362,12 +362,26 @@ class TestGridOracleSphereDepth:
             grid_oracle_sphere_depth([0.0, 0.0, 0.0], X, DepthParams(r=1.0), grid)
 
 
+def _centred_args(z, X, params, U):
+    """``-t/s`` of every sample for the ``(m, d)`` directions ``U``, as
+    ``(n, m)``, with the kernel's arithmetic (``s > 0``): the centred matrix
+    times the coefficients ``[-2 c~ / s, 1 / s, (||c~||**2 - r**2) / s]`` of
+    the ball centres ``c~ = z - mean + r u``."""
+    r, s = params.r, params.s
+    centre = r * U.T + (z - X._mean)[:, None]
+    cc = np.zeros(len(U))
+    for row in centre:
+        cc += row * row
+    coef = np.vstack([centre * (-2.0 / s), np.full((1, len(U)), 1.0 / s), ((cc - r * r) / s)[None]])
+    return X._centred @ coef
+
+
 def _all_rows_block(z, X, params, U):
     """The oracle's per-direction values for the ``(m, d)`` grid ``U`` from
     every sample, with the kernel's arithmetic and no rows dropped.  At
     ``s = 0`` lengths are in units of the power of two at or below ``r``."""
-    w = X.data - z
     if params.s == 0:
+        w = X.data - z
         unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
         w /= unit
         w2 = np.einsum("ij,ij->i", w, w)
@@ -375,11 +389,94 @@ def _all_rows_block(z, X, params, U):
         t *= 2.0 * (params.r / unit)
         t -= w2[:, None]
         return (t >= 0.0).sum(axis=0) / X.n
-    w2 = np.einsum("ij,ij->i", w, w)
-    m = w @ (U.T * (-2.0 * params.r / params.s))
-    m += (w2 / params.s)[:, None]
+    m = _centred_args(z, X, params, U)
     with np.errstate(over="ignore"):
         return (1.0 / (1.0 + np.exp(m))).sum(axis=0) / X.n
+
+
+class TestCentredExpansion:
+    """The ``s > 0`` kernel computes ``-t/s`` from the sample's centred
+    matrix.  Against ``x - z`` taken directly in ``np.longdouble``, each
+    kept row's argument must lie within the bound fixed below, and no row
+    the keep mask drops may have a nonzero term in any direction."""
+
+    @staticmethod
+    def bound(X, z, params, u):
+        """The per-term allowance ``8 (d + 8) eps ((||x~|| + ||c~||)**2 +
+        r**2) / s`` with ``x~ = x - mean`` and ``c~ = z - mean + r u``."""
+        mean = X._mean.astype(np.longdouble)
+        xt = np.linalg.norm(X.data.astype(np.longdouble) - mean, axis=1)
+        ct = np.linalg.norm(np.asarray(z, np.longdouble) - mean + np.longdouble(params.r) * u)
+        tol = 8.0 * (X.d + 8) * np.finfo(np.float64).eps
+        return tol * ((xt + ct) ** 2 + np.longdouble(params.r) ** 2) / np.longdouble(params.s)
+
+    @staticmethod
+    def reference(X, z, params, u):
+        """``-t/s = (||x - z - r u||**2 - r**2) / s`` in ``np.longdouble``."""
+        r = np.longdouble(params.r)
+        w = X.data.astype(np.longdouble) - np.asarray(z, np.longdouble) - r * u
+        return ((w * w).sum(axis=1) - r * r) / np.longdouble(params.s)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("sigma", [1.0, 1e3])
+    def test_arguments_within_bound_and_no_live_row_dropped(self, sigma, offset, s):
+        rng = np.random.default_rng((70, int(sigma), int(offset > 0), int(s == 1.0)))
+        d, params = 3, DepthParams(r=1.0, s=s)
+        data = offset + sigma * rng.standard_normal((300, d))
+        mean = data.mean(axis=0)
+        e = unit_direction([1.0, 2.0, -1.0])
+        queries = [
+            *data[:3],  # sample rows
+            data[3] + 0.5 * e,  # inside a ball through a sample
+            mean + 30.0 * sigma * e,  # far from the data
+            mean - 1e4 * sigma * e,
+        ]
+        # Rows at the keep radius from the first query, on either side of it.
+        z0 = queries[0]
+        X0 = SampleSet(data)
+        spread = X0._spread + float(np.linalg.norm(z0 - X0._mean))
+        radius = core._keep_radius(params, 1.0, spread, core._rounding_tol(d))
+        ring = [z0 + radius * (1.0 + k) * unit_direction(rng.standard_normal(d))
+                for k in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05)]
+        X = SampleSet(np.vstack([data, ring]))
+        dropped_rows = worst_checked = 0
+        with np.errstate(over="ignore"):
+            for z in queries:
+                objective = core._Objective(z, X, params)
+                kept = np.arange(X.n) if objective._kept is None else np.flatnonzero(objective._kept)
+                dropped = np.setdiff1d(np.arange(X.n), kept)
+                dropped_rows += dropped.size
+                # Each dropped row at its worst direction, toward the row: the
+                # kernel's term over all rows must be exactly 0 there.
+                toward = X.data[dropped] - z
+                toward /= np.linalg.norm(toward, axis=1)[:, None]
+                for i, u in zip(dropped, toward):
+                    arg = _centred_args(z, X, params, u[None])[i, 0]
+                    assert core._logistic_of_negated(np.array([arg]))[0] == 0.0
+                    assert self.reference(X, z, params, u.astype(np.longdouble))[i] > 700
+                    worst_checked += 1
+                for u in [unit_direction(rng.standard_normal(d)) for _ in range(3)] + [e, -e]:
+                    got = objective.folded_args(u).astype(np.longdouble)
+                    ul = u.astype(np.longdouble)
+                    ref, allowed = self.reference(X, z, params, ul), self.bound(X, z, params, ul)
+                    assert np.all(np.abs(got - ref[kept]) <= allowed[kept])
+                    # The loss: the logistic's slope is at most 1/4, and the
+                    # dropped rows' terms are below 1e-300.
+                    loss = sphere_loss(u, z, X, params)
+                    exact = float(np.sum(1.0 / (1.0 + np.exp(ref))) / X.n)
+                    eps = np.finfo(np.float64).eps
+                    assert abs(loss - exact) <= float(allowed.mean()) / 4 + 8 * (X.n + 8) * eps
+        assert dropped_rows > 0 and worst_checked == dropped_rows
+        if s == 1e-3:  # the ring straddles the radius of the first query
+            first = core._Objective(z0, X, params)
+            assert first._kept is not None
+            ring_kept = first._kept[len(data):].tolist()
+            # Within the radius: kept.  At 1e-3 and 5% beyond it: dropped,
+            # as the rounding allowance on ||x - z||**2 is far smaller.  The
+            # rows within 1e-9 of it may go either way, and were checked
+            # above when dropped.
+            assert ring_kept[:2] == [True, True] and ring_kept[4:] == [False, False]
 
 
 class TestDroppedRows:
@@ -393,7 +490,7 @@ class TestDroppedRows:
         params = DepthParams(r=1.0, s=s)
         dropped = 0
         for z in list(X.data[:5]) + list(rng.uniform(-3.0, 3.0, (5, 2))):
-            dropped += X.n - core._Objective(z, X, params).w.shape[0]
+            dropped += X.n - core._Objective(z, X, params).k
             values = _all_rows_block(z, X, params, grid.directions)
             res = grid_oracle_sphere_depth(z, X, params, grid)
             assert res.index == int(np.argmin(values))
@@ -631,6 +728,20 @@ class TestCellBounds:
         for grid in grids:
             for z in list(X.data[:3]) + list(rng.uniform(-0.8, 0.8, (3, 3))) + [[9.0, 0.0, 0.0]]:
                 _assert_full_scan(np.asarray(z), X, params, grid)
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_data_far_wider_than_the_ball(self, d, s):
+        # r = 1 in data of spread 1e3 offset by 1e8: the centred expansion
+        # moves a member's -t/s by far more than the direct form would, and
+        # the bounds must allow for it.
+        rng = np.random.default_rng((65, d))
+        X = SampleSet(1e8 + 1e3 * rng.standard_normal((60, d)))
+        grid = DirectionGrid.generate(1024, d)
+        params = DepthParams(r=1.0, s=s)
+        near = X.data[6] + 0.5 * unit_direction(rng.standard_normal(d))
+        for z in list(X.data[:6]) + [near]:
+            _assert_full_scan(z, X, params, grid)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_wide_cells(self, d):

@@ -100,8 +100,9 @@ def watched(monkeypatch):
 
 
 # The solver loop as it was before its d-vector steps moved to floats, kept
-# verbatim with the helpers it called (numpy on d-vectors, BLAS dot
-# products) as the reference for TestParityWithArrayLoop.
+# with the helpers it called (numpy on d-vectors, BLAS dot products) as the
+# reference for TestParityWithArrayLoop; only its gradient's product reads
+# the objective's centred rows in place of ``X - z``.
 
 
 def _array_tangent_project(u, g) -> np.ndarray:
@@ -120,8 +121,8 @@ def _array_geodesic(u: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
 def _array_gradient(objective, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     c = 1.0 - p
     c *= p
-    g = c @ objective.w
-    g -= (objective.r * float(c.sum())) * u
+    g = c @ objective.rows[:, : u.size]
+    g -= float(c.sum()) * (np.array(objective.zt) + objective.r * u)
     g *= 2.0 * objective.r / (objective.s * objective.n)
     return g
 
@@ -340,7 +341,7 @@ class TestRiemannianDescent:
             z = rng.uniform(-2, 2, 2)
             res, steps, losses, _ = watched(z, X, params)
             rejected += not all(step.accepted for step in steps)
-            dropped += X.n - core._Objective(z, X, params).w.shape[0]
+            dropped += X.n - core._Objective(z, X, params).k
             assert res.value == min(losses)
             # Exact even where samples beyond the keep radius are dropped:
             # the loss keeps the same rows at a returned (unit) direction.
@@ -356,7 +357,7 @@ class TestRiemannianDescent:
         rng = np.random.default_rng(14)
         X = SampleSet(rng.standard_normal((50, 2)))
         z, params = [1e3, -1e3], DepthParams(r=1.0, s=s)
-        assert core._Objective(np.array(z), X, params).w.shape == (0, 2)
+        assert core._Objective(np.array(z), X, params).rows.shape == (0, 4)
         res = riemannian_descent(z, X, params)
         assert (res.value, res.iterations, res.converged) == (0.0, 0, True)
         oracle = grid_oracle_sphere_depth(z, X, params, DirectionGrid.generate(64, 2))
@@ -527,7 +528,7 @@ class TestLockstepParity:
         blocks = []
 
         def counting(stack, starts):
-            blocks.append(stack.w2_s.shape)
+            blocks.append((len(starts), stack.k))
             return lockstep(stack, starts)
 
         monkeypatch.setattr(optim, "_lockstep", counting)
