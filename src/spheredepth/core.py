@@ -28,12 +28,15 @@ built on first use.  With ``z~ = z - mean`` and the ball's centre
 ``c~ = z~ + r u``, ``-t/s = A @ [-2 c~ / s, 1 / s, (||c~||**2 - r**2) / s]``
 at any ambient ``u``: each direction, or block of directions, costs one
 product with ``A``, whose coefficients come from d floats, and the
-logistic.  The gradient's ``c @ (X - z)`` is ``c @ X~ - (sum c) z~``.  The
-expansion rounds to within ``tol ((||x~|| + ||c~||)**2 + r**2) / s``
-(``tol = 8 (d + 8) eps``); centring keeps that independent of where the
-data sit.  The ``s = 0`` indicator needs only the sign of ``t`` and keeps a
-per-query ``w = X - z`` with the unscaled ``t = 2r (w @ U) - ||w||**2``;
-only the grid oracle builds it.
+logistic.  The gradient's ``c @ (X - z)`` is ``c @ X~ - (sum c) z~``.  One
+direction's products run in row blocks of at most ``_ROW_BLOCK_ENTRIES``
+entries, each small enough that OpenBLAS keeps it on the calling thread,
+so a solve uses one core at any n.  The expansion rounds to within
+``tol ((||x~|| + ||c~||)**2 + r**2) / s`` (``tol = 8 (d + 8) eps``);
+centring keeps that independent of where the data sit.  The ``s = 0``
+indicator needs only the sign of ``t`` and keeps a per-query ``w = X - z``
+with the unscaled ``t = 2r (w @ U) - ||w||**2``; only the grid oracle
+builds it.
 
 The sigmoid is ``1 / (1 + exp(-t/s))`` on numpy's vectorised ``exp``,
 evaluated in place.  For samples far outside the ball ``exp`` overflows to
@@ -108,6 +111,16 @@ __all__ = [
 # Target block size (entries) for chunked n-by-M distance matrices in the
 # grid oracles; keeps peak memory around 32 MB of float64.
 _ORACLE_BLOCK_ENTRIES = 4_000_000
+
+# One direction's products with a query's rows (the pass and the gradient)
+# and the far-query masks run in row blocks of at most this many entries.
+# OpenBLAS hands a matrix-vector product to all of its threads once it is
+# large enough (numpy 2.4.6's OpenBLAS 0.3.31 did so from 460,800 entries
+# for ``A @ b`` with A of n x 5, and for ``c @ A`` at d = 8), and its idle
+# workers then spin: at n = 1e5, d = 3 a solve kept both cores of a 2-core
+# host busy, and its time came to depend on what else ran on the second
+# core.  In blocks each product runs on the calling thread.
+_ROW_BLOCK_ENTRIES = 2**18
 
 # Past this argument ``exp`` overflows to ``inf`` and ``1 / (1 + inf)`` is 0.
 _EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
@@ -473,6 +486,15 @@ def _keep_radius(params: DepthParams, u_norm: float, spread=0.0, tol: float = 0.
     return 1.01 * (r * rho + h * root)
 
 
+def _row_blocks(k: int, width: int) -> list[slice]:
+    """Ranges of whole rows, at most ``_ROW_BLOCK_ENTRIES`` entries each,
+    that cover ``k`` rows of ``width`` entries; a single range when the
+    product is small.  Each range but the last is a multiple of 64 rows, so
+    every block of a column starts at the alignment the column starts at."""
+    step = max(64, _ROW_BLOCK_ENTRIES // width // 64 * 64)
+    return [slice(lo, lo + step) for lo in range(0, k, step)] or [slice(0, 0)]
+
+
 def _dot(a: list[float], b: list[float]) -> float:
     # Added left to right from 0, as _rowdot adds it: from Python 3.12 the
     # builtin sum() compensates float sums, which can change the last bit.
@@ -503,13 +525,15 @@ def _row_masks(
     is dropped only when that value exceeds the squared radius by more.
     The product is a stacked ``np.matmul``, which makes one query's
     matrix-vector product per item, so a query's mask does not depend on
-    the other queries."""
+    the other queries; it runs in row blocks (``_ROW_BLOCK_ENTRIES``)."""
     d = X.d
     tol = _rounding_tol(d)
     b = np.empty((len(zt), d + 2))
     np.multiply(zt, -2.0, out=b[:, :d])
     b[:, d], b[:, d + 1] = 1.0, zz
-    w2 = np.matmul(X._centred[None], b[:, :, None])[:, :, 0]
+    w2 = np.empty((len(zt), X.n))
+    for block in _row_blocks(X.n, d + 2):
+        w2[:, block] = np.matmul(X._centred[None, block], b[:, :, None])[:, :, 0]
     masks = []
     for mask in w2 <= (radius * radius + tol * spread * spread)[:, None]:
         if mask.sum() == 1 < X.n:
@@ -581,7 +605,8 @@ class _Objective:
     into the second.  So the result of :meth:`sigmoids` (or of
     :meth:`folded_args` at one direction) holds until the next such call on
     the same objective; an objective belongs to one solve, which keeps
-    concurrent solves apart.
+    concurrent solves apart.  Both of one direction's products run in row
+    blocks (``_ROW_BLOCK_ENTRIES``), so a solve stays on its own thread.
 
     The ``s = 0`` indicator needs only the sign of ``t``, so it keeps the
     per-query ``w = x - z`` and computes ``t = 2r <w, u> - ||w||**2`` for
@@ -632,6 +657,12 @@ class _Objective:
         self._coef = np.empty(X.d + 2)
         self._args = np.empty(self.k)
         self._weights = np.empty(self.k)
+        self._passes = [(self.rows, self._args)]
+        self._sums = [(self._weights, self._data)]
+        if self.k * (X.d + 2) > _ROW_BLOCK_ENTRIES:
+            blocks = _row_blocks(self.k, X.d + 2)
+            self._passes = [(self.rows[block], self._args[block]) for block in blocks]
+            self._sums = [(self._weights[block], self._data[block]) for block in blocks]
 
     def ball_args(self, U: np.ndarray) -> np.ndarray:
         """``2r <w_i, u> - ||w_i||**2`` for a block of directions ``(d, m)``
@@ -661,7 +692,9 @@ class _Objective:
         coef = [x * fold for x in centre]
         coef += (self._inv_s, (_dot(centre, centre) - self._rr) / self.s)
         self._coef[:] = coef
-        return np.matmul(self.rows, self._coef, out=self._args)
+        for rows, out in self._passes:
+            np.matmul(rows, self._coef, out=out)
+        return self._args
 
     def _block_coefficients(self, U: np.ndarray) -> np.ndarray:
         """The coefficients of :meth:`folded_args` for the columns of ``U``,
@@ -757,10 +790,12 @@ class _Objective:
         c = np.subtract(1.0, p, out=self._weights)
         c *= p
         total = float(c.sum())
+        weights, data = self._sums[0]
+        cx = weights @ data
+        for weights, data in self._sums[1:]:
+            cx += weights @ data
         scale = self._scale
-        return [
-            (g - total * x) * scale for g, x in zip((c @ self._data).tolist(), self._centre(u))
-        ]
+        return [(g - total * x) * scale for g, x in zip(cx.tolist(), self._centre(u))]
 
 
 class _Stack:

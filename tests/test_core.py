@@ -609,6 +609,52 @@ class TestOracleBlocks:
         assert res.index == 0
 
 
+class TestRowBlocks:
+    """One direction's products split into row blocks give the one-block
+    objective, up to the order of the gradient's sums."""
+
+    @pytest.mark.parametrize("k", [0, 1, 63, 64, 1000, 52_416, 52_417, 100_000])
+    @pytest.mark.parametrize("width", [3, 5, 10])
+    def test_blocks_cover_rows(self, k, width):
+        blocks = core._row_blocks(k, width)
+        assert blocks[0].start == 0 and blocks[-1].stop >= k
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [len(range(k)[block]) for block in blocks]
+        assert sum(sizes) == k
+        assert all(size % 64 == 0 for size in sizes[:-1])
+        assert max(sizes) * width <= core._ROW_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("s", [1.0, 0.01])
+    def test_blocked_objective_matches_one_block(self, s, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = SampleSet(rng.standard_normal((1000, 3)))
+        params = DepthParams(r=1.0, s=s)
+        queries = [X.data[5], [0.3, -0.2, 0.1], [2.5, 2.0, -1.5], [29.0, 0.0, 0.0]]
+        directions = [unit_direction(v) for v in rng.standard_normal((4, 3))]
+
+        def evaluate():
+            out = []
+            for z in queries:
+                objective = core._Objective(np.asarray(z), X, params)
+                kept = None if objective._kept is None else objective._kept.copy()
+                for u in directions:
+                    with np.errstate(over="ignore"):
+                        p = objective.sigmoids(u).copy()
+                    out.append((kept, objective.k, p, objective.gradient(p, u.tolist())))
+            return out
+
+        whole = evaluate()
+        assert X.n * (X.d + 2) <= core._ROW_BLOCK_ENTRIES  # one block by default
+        monkeypatch.setattr(core, "_ROW_BLOCK_ENTRIES", 64 * 5)  # 16 blocks of all rows
+        blocked = evaluate()
+        assert any(kept is not None for kept, *_ in whole), "expected a query with dropped rows"
+        for (kept, k, p, g), (kept_b, k_b, p_b, g_b) in zip(whole, blocked):
+            assert k_b == k
+            assert (kept is None and kept_b is None) or np.array_equal(kept, kept_b)
+            np.testing.assert_allclose(p_b, p, rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(g_b, g, rtol=1e-12, atol=1e-15)
+
+
 def _assert_full_scan(z, X, params, grid):
     """The oracle's value and index are those of the all-rows block."""
     values = _all_rows_block(z, X, params, grid.directions)
