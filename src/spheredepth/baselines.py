@@ -7,8 +7,13 @@ classical ``1 / (1 + (z-mu)' S^{-1} (z-mu))``.  The kernelized spatial
 depth is the spatial depth computed in the RKHS of a Gaussian kernel,
 expanded through the kernel trick so only pairwise distances are needed.
 Like the Mahalanobis depth it is fitted once per sample: the fit holds the
-n x n matrix ``E = 1 - K`` of the reference Gram (O(n**2) memory), and a
-query then costs one n x n matrix-vector product.
+n x n matrix ``E = 1 - K`` of the reference Gram (O(n**2) memory).  Both
+depths take one point (and return a float) or a ``(q, d)`` array of points
+(and return a ``(q,)`` array), through one implementation.  Kernel-spatial
+queries are scored in blocks of at most ``_BLOCK_ENTRIES`` (2**15)
+query-by-sample entries; a block of ``b`` queries costs one
+``(b x n) @ (n x n)`` matrix product, so the memory beyond ``E`` stays a
+few block arrays at any q.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SampleSet, _as_vector
-from .optim import DepthResult, _initial_direction
+from .optim import DepthResult, _initial_direction, _query_rows
 
 __all__ = [
     "HalfspaceConfig",
@@ -39,6 +44,10 @@ __all__ = [
 _SIMPLEX_TOLERANCE = 1e-4
 _MAX_EVALS = 400
 _INITIAL_SIMPLEX_SCALE = 1.0
+
+# Kernel-spatial scoring holds a few query-by-sample arrays of at most this
+# many entries (256 KiB each) per block of queries.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -195,12 +204,28 @@ def fit_mahalanobis(X: SampleSet, regularization: float = 0.0) -> MahalanobisMod
     return MahalanobisModel(mean=mean, covariance_inverse=inv, regularization=regularization)
 
 
-def mahalanobis_depth(z, model: MahalanobisModel) -> float:
-    """``1 / (1 + (z - mean)' S^{-1} (z - mean))``; equals 1 iff z is the mean."""
-    z = _as_vector(z, model.d, name="query point")
-    delta = z - model.mean
-    q = float(delta @ model.covariance_inverse @ delta)
-    return 1.0 / (1.0 + max(q, 0.0))
+def _queries(z, d: int) -> tuple[np.ndarray, bool]:
+    """``z`` as the rows of a ``(q, d)`` array, and whether it was one point.
+
+    An input of fewer than two dimensions is one point; a 2-D input is
+    checked row by row, and an error names the bad row.
+    """
+    if np.ndim(z) < 2:
+        return _as_vector(z, d, name="query point")[None, :], True
+    return _query_rows(z, d), False
+
+
+def mahalanobis_depth(z, model: MahalanobisModel) -> float | np.ndarray:
+    """``1 / (1 + (z - mean)' S^{-1} (z - mean))``; equals 1 iff z is the mean.
+
+    ``z`` is one point (the depth is a float) or a ``(q, d)`` array of
+    points (a ``(q,)`` array of depths), scored with one ``delta @ S^{-1}``.
+    """
+    Z, single = _queries(z, model.d)
+    delta = Z - model.mean
+    quad = np.einsum("ij,ij->i", delta @ model.covariance_inverse, delta)
+    depth = 1.0 / (1.0 + np.maximum(quad, 0.0))
+    return float(depth[0]) if single else depth
 
 
 def fit_kernelized_spatial(
@@ -224,27 +249,46 @@ def fit_kernelized_spatial(
     return KernelSpatialModel(data=X.data, h2=h2, complement=complement)
 
 
-def kernelized_spatial_depth(z, model: KernelSpatialModel) -> float:
+def kernelized_spatial_depth(z, model: KernelSpatialModel) -> float | np.ndarray:
     """Spatial depth in the RKHS of a Gaussian kernel.
 
     ``1 - || (1/m) sum_i (phi(z) - phi(x_i)) / ||phi(z) - phi(x_i)|| ||``
     expanded via the kernel trick.  Samples coinciding with ``z`` have a
     zero displacement in the RKHS and are dropped from the average; if all
     samples coincide with ``z`` the depth is 1.
+
+    ``z`` is one point (the depth is a float) or a ``(q, d)`` array of
+    points (a ``(q,)`` array of depths).  The queries go in blocks of
+    ``max(1, 2**15 // n)``; each block costs one ``cdist`` to the sample and
+    one product of its weights with ``E``.
     """
-    z = _as_vector(z, model.d, name="query point")
-    diff = model.data - z
-    # eta_i = 1 - k(z, x_i) = ||delta_i||**2 / 2 with delta_i = phi(z) - phi(x_i),
-    # via expm1 for full precision near coincidence.
-    eta = -np.expm1(-np.einsum("ij,ij->i", diff, diff) / model.h2)
-    keep = eta > 0.0
-    m = np.count_nonzero(keep)
-    if m == 0:
-        return 1.0
-    # <delta_i, delta_j> = eta_i + eta_j - E_ij; weights a_i = 1 / ||delta_i||
-    # and b_i = a_i * eta_i give m**2 norm2 = 2 (sum b)(sum a) - a'Ea.
-    a = np.zeros_like(eta)
-    a[keep] = 1.0 / np.sqrt(2.0 * eta[keep])
-    b = np.sqrt(eta / 2.0)
-    norm2 = (2.0 * b.sum() * a.sum() - float(a @ (model.complement @ a))) / m**2
-    return float(np.clip(1.0 - np.sqrt(max(norm2, 0.0)), 0.0, 1.0))
+    from scipy.spatial.distance import cdist  # deferred: it adds about 0.5 s to the import
+
+    Z, single = _queries(z, model.d)
+    data = np.ascontiguousarray(model.data)  # cdist would copy it per block
+    rows = max(1, _BLOCK_ENTRIES // data.shape[0])
+    depth = np.empty(len(Z))
+    for lo in range(0, len(Z), rows):
+        # eta_ij = 1 - k(z_i, x_j) = ||delta_ij||**2 / 2 with
+        # delta_ij = phi(z_i) - phi(x_j), via expm1 for full precision near
+        # coincidence.  cdist sums coordinate differences, so the data may
+        # sit far from the origin.
+        eta = cdist(Z[lo : lo + rows], data, "sqeuclidean")
+        eta /= -model.h2
+        np.expm1(eta, out=eta)
+        np.negative(eta, out=eta)
+        keep = eta > 0.0
+        # <delta_i, delta_j> = eta_i + eta_j - E_ij; weights a_i = 1 / ||delta_i||
+        # and b_i = a_i * eta_i give m**2 norm2 = 2 (sum b)(sum a) - a'Ea.
+        # A row with no kept sample has a = b = 0, so norm2 = 0 and depth 1.
+        a = np.multiply(eta, 2.0)
+        np.sqrt(a, out=a)  # 0 where eta is 0
+        np.divide(1.0, a, out=a, where=keep)
+        eta /= 2.0
+        b = np.sqrt(eta, out=eta)
+        aea = np.einsum("ij,ij->i", a @ model.complement, a)
+        m = np.maximum(np.count_nonzero(keep, axis=1), 1)
+        norm2 = (2.0 * b.sum(axis=1) * a.sum(axis=1) - aea) / m**2
+        depth[lo : lo + rows] = 1.0 - np.sqrt(np.maximum(norm2, 0.0))
+    np.clip(depth, 0.0, 1.0, out=depth)
+    return float(depth[0]) if single else depth

@@ -133,10 +133,10 @@ def _depth_scores(
         out["depths"] = [halfspace_depth(z, X, cfg).value for z in points]
     elif method == "mahalanobis":
         model = fit_mahalanobis(X, regularization)
-        out["depths"] = [mahalanobis_depth(z, model) for z in points]
+        out["depths"] = mahalanobis_depth(points, model).tolist()
     elif method == "kspatial":
         model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=bandwidth))
-        out["depths"] = [kernelized_spatial_depth(z, model) for z in points]
+        out["depths"] = kernelized_spatial_depth(points, model).tolist()
     else:
         raise ValueError(f"unknown method {method!r}; choose from {DEPTH_METHODS}")
     return out
@@ -515,7 +515,8 @@ def run_speedbench(args) -> ExperimentReport:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for batch scoring")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker threads for sphere scoring (other methods ignore it)")
     common.add_argument("--output", type=str, default=None, help="write the report/artifact here")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (csv = per-point score table where applicable)")

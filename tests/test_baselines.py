@@ -1,5 +1,6 @@
 """Tests for the halfspace, Mahalanobis, and kernelized spatial depths."""
 
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -312,3 +313,120 @@ class TestKernelizedSpatialDepth:
         model = fit_kernelized_spatial(SampleSet([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="query point"):
             kernelized_spatial_depth([0.0, 0.0, 0.0], model)
+
+
+def _per_point(depth_fn, Z, model):
+    return np.array([depth_fn(z, model) for z in Z])
+
+
+ARRAY_FORMS = [
+    pytest.param(mahalanobis_depth, fit_mahalanobis, id="mahalanobis"),
+    pytest.param(kernelized_spatial_depth, fit_kernelized_spatial, id="kspatial"),
+]
+
+
+class TestArrayForm:
+    """A ``(q, d)`` array of queries scores each row as the one-point form does."""
+
+    @pytest.mark.parametrize("depth_fn, fit", ARRAY_FORMS)
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_random_samples_match_per_point(self, depth_fn, fit, d):
+        rng = np.random.default_rng((20, d))
+        X = SampleSet(rng.standard_normal((40, d)))
+        Z = 1.5 * rng.standard_normal((30, d))
+        model = fit(X)
+        values = depth_fn(Z, model)
+        assert isinstance(values, np.ndarray) and values.shape == (30,)
+        np.testing.assert_allclose(values, _per_point(depth_fn, Z, model), rtol=0, atol=1e-12)
+
+    def test_kspatial_coincident_query_and_duplicate_rows(self):
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((20, 3))
+        X = SampleSet(np.vstack([base, base[:5], base[:2]]))
+        Z = np.vstack([base[:3], rng.standard_normal((4, 3)), base[1:2]])
+        model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=0.8))
+        values = kernelized_spatial_depth(Z, model)
+        np.testing.assert_allclose(
+            values, _per_point(kernelized_spatial_depth, Z, model), rtol=0, atol=1e-12
+        )
+
+    def test_kspatial_all_rows_coincident_is_one(self):
+        model = fit_kernelized_spatial(SampleSet([[1.0, 1.0]] * 3))
+        values = kernelized_spatial_depth([[1.0, 1.0], [0.0, 1.0], [1.0, 1.0]], model)
+        assert values[0] == values[2] == 1.0
+        assert values[1] == kernelized_spatial_depth([0.0, 1.0], model) < 1.0
+
+    def test_kspatial_large_offset(self):
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((50, 3))
+        Z = rng.standard_normal((20, 3))
+        far = fit_kernelized_spatial(SampleSet(data + 1e6))
+        values = kernelized_spatial_depth(Z + 1e6, far)
+        np.testing.assert_allclose(
+            values, _per_point(kernelized_spatial_depth, Z + 1e6, far), rtol=0, atol=1e-12
+        )
+        near = kernelized_spatial_depth(Z, fit_kernelized_spatial(SampleSet(data)))
+        np.testing.assert_allclose(values, near, rtol=0, atol=1e-10)
+
+    def test_kspatial_blocks_end_in_a_partial_block(self, monkeypatch):
+        import scipy.spatial.distance as distance
+
+        rng = np.random.default_rng(23)
+        X = SampleSet(rng.standard_normal((40, 2)))
+        Z = rng.standard_normal((25, 2))
+        model = fit_kernelized_spatial(X)
+        expected = _per_point(kernelized_spatial_depth, Z, model)
+        block_rows = []
+        cdist = distance.cdist
+
+        def counted(XA, XB, metric):
+            block_rows.append(len(XA))
+            return cdist(XA, XB, metric)
+
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 300)  # 7 queries of n = 40
+        monkeypatch.setattr(distance, "cdist", counted)
+        values = kernelized_spatial_depth(Z, model)
+        assert block_rows == [7, 7, 7, 4]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+    def test_mahalanobis_at_mean_and_closed_form(self):
+        model = MahalanobisModel(mean=np.array([1.0, -2.0, 0.5]), covariance_inverse=np.eye(3))
+        Z = np.array([[1.0, -2.0, 0.5], [2.0, -1.0, 1.5], [1.0, -2.0, 2.5]])
+        values = mahalanobis_depth(Z, model)
+        assert values[0] == 1.0
+        np.testing.assert_allclose(values[1:], [1.0 / 4.0, 1.0 / 5.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("depth_fn, fit", ARRAY_FORMS)
+    def test_bad_rows_name_the_query(self, depth_fn, fit):
+        model = fit(SampleSet(np.random.default_rng(24).standard_normal((10, 2))))
+        with pytest.raises(ValueError, match="query point has dimension 3, expected 2"):
+            depth_fn(np.zeros((4, 3)), model)
+        Z = np.zeros((4, 2))
+        Z[2, 1] = np.nan
+        with pytest.raises(ValueError, match="point 2: query point contains non-finite"):
+            depth_fn(Z, model)
+
+    @pytest.mark.parametrize("depth_fn, fit", ARRAY_FORMS)
+    def test_one_row_array_returns_length_one_array(self, depth_fn, fit):
+        model = fit(SampleSet(np.random.default_rng(25).standard_normal((10, 2))))
+        values = depth_fn([[0.2, -0.1]], model)
+        assert isinstance(values, np.ndarray) and values.shape == (1,)
+        single = depth_fn([0.2, -0.1], model)
+        assert isinstance(single, float) and values[0] == pytest.approx(single, abs=1e-12)
+
+    def test_kspatial_memory_is_bounded_by_the_block(self):
+        # 2,000 queries against n = 400: one q x n float array would take
+        # 6.4 MB, five times what the blocks are allowed beyond E.
+        rng = np.random.default_rng(26)
+        X = SampleSet(rng.standard_normal((400, 3)))
+        Z = rng.standard_normal((2000, 3))
+        kernelized_spatial_depth(Z[:1], fit_kernelized_spatial(X))  # import scipy first
+        tracemalloc.start()
+        try:
+            model = fit_kernelized_spatial(X)
+            kernelized_spatial_depth(Z, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        allowance = 8 * 2**15 * 8  # eight float64 arrays of the 2**15-entry block limit
+        assert peak <= model.complement.nbytes + allowance
