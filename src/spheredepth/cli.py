@@ -84,6 +84,16 @@ def _load_features(args) -> tuple[SampleSet, str]:
     return X, f"{args.generator}(n={args.n}, d={args.d}, seed={args.seed})"
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _label_col(text: str):
     try:
         return int(text)
@@ -515,7 +525,7 @@ def run_speedbench(args) -> ExperimentReport:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads for sphere scoring (other methods ignore it)")
     common.add_argument("--output", type=str, default=None, help="write the report/artifact here")
     common.add_argument("--format", choices=("json", "csv"), default="json",

@@ -39,13 +39,15 @@ direction, iterations, converged)``, built where the loop stops: in
 :func:`batch_depth` as each query leaves its block.
 
 :func:`batch_depth` runs the same loop for many queries at once when
-``n d <= 2**12``.  It takes the queries in blocks of ``2**17 // (n d)``
-consecutive points, so one block holds 327 queries at ``n = 200, d = 2``
-and 65 at ``n = 400, d = 5``.  Queries of a block that keep the same
-number of rows advance in lockstep in ``core._Stack``, the stacked
-``core._Objective``.  A stack of queries that keep every row copies no
-data: each pass is one stacked product of the sample's centred matrix,
-broadcast, with a ``(q, d + 2)`` block of coefficients.  At small ``s``,
+``n d <= 2**12``.  It takes the queries in blocks of ``2**16 // n``
+consecutive points, so that a block's largest arrays, its ``(q, n)`` pass
+and weight buffers, hold at most ``2**16`` entries: one block holds 327
+queries at ``n = 200`` and 163 at ``n = 400``, so the 400 self-scores of
+``n = 400, d = 5`` go in blocks of 163, 163 and 74.  Queries of a block
+that keep the same number of rows advance in lockstep in ``core._Stack``,
+the stacked ``core._Objective``.  A stack of queries that keep every row
+copies no data: each pass is one stacked product of the sample's centred
+matrix, broadcast, with a ``(q, d + 2)`` block of coefficients.  At small ``s``,
 where rows lie beyond the keep radius, the stack gathers each query's kept
 rows.  Each iteration makes one stacked product for all the trial
 directions, one logistic in place, one row sum, and one stacked
@@ -60,24 +62,25 @@ batch equals a loop of :func:`riemannian_descent` bit for bit.
 
 The per-point loop stays for single queries, where one block of one query
 costs about four times as much, and for samples with ``n d > 2**12``.
-Per query, in ms, with lockstep blocks of ``2**17 // (n d)`` queries
+Per query, in ms, with lockstep blocks of ``2**16 // n`` queries
 (r = s = 1; 48 sample rows and 48 standard-normal points of a bi-Gaussian
-sample; both run interleaved in one process, medians of 5, on a 2-core
+sample; both run interleaved in one process, medians of 7, on a 2-core
 x86-64 host with OpenBLAS 0.3.31)::
 
-    d x n       n d      lockstep   per-point loop
-    2 x 1000    2,000    0.13       0.31
-    2 x 2048    4,096    0.21       0.35
-    2 x 3000    6,000    0.32       0.41
-    2 x 4000    8,000    0.46       0.53
-    2 x 8000    16,000   0.75       0.62
-    5 x 800     4,000    0.09       0.24
-    5 x 1200    6,000    0.14       0.24
-    5 x 6000    30,000   0.62       0.49
+    d x n       n d      block   lockstep   per-point loop
+    2 x 1000    2,000    65      0.13       0.34
+    2 x 2048    4,096    32      0.22       0.40
+    2 x 3000    6,000    21      0.33       0.44
+    2 x 4000    8,000    16      0.41       0.42
+    2 x 8000    16,000   8       0.78       0.69
+    5 x 800     4,000    81      0.09       0.26
+    5 x 1200    6,000    54      0.12       0.27
+    5 x 6000    30,000   10      0.56       0.48
 
 So lockstep still pays somewhat above the limit of ``2**12``, up to about
-``n d = 8,000``; the limit was set when each block stacked its own copies
-of ``X - z``, which no longer fit the caches above about 6,000.
+``n d = 8,000``, where the two loops draw level; the limit was set when
+each block stacked its own copies of ``X - z``, which no longer fit the
+caches above about 6,000.
 """
 
 from __future__ import annotations
@@ -127,15 +130,17 @@ _ALPHA0 = math.pi
 _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.5
 _MAX_ITER = 1000
-# One lockstep block of ``batch_depth`` takes ``_BLOCK_ENTRIES // (n d)``
-# queries; its largest arrays, the pass and weight buffers and the keep
-# masks, hold ``n`` entries per query.  Freeing large blocks raises glibc's
-# dynamic mmap threshold, which changes how the caller's later large arrays
-# are allocated: with blocks that held ``q n d`` floats, a 400 x 400 numpy
-# kernel run right after anomaly scorings of n = 400, d = 5 faulted 3,558
-# pages per call with 2**16 entries, 3,360-3,391 with these, and 0 with
-# 2**18.  The smaller blocks of today's stacks have not been measured so.
-_BLOCK_ENTRIES = 2**17
+# One lockstep block of ``batch_depth`` takes ``_BLOCK_ENTRIES // n``
+# queries, so its largest arrays, the ``(q, n)`` pass and weight buffers and
+# keep masks, hold at most this many entries (a float64 buffer 512 KiB); at
+# small ``s`` its gathered kept rows hold at most ``d + 2`` times as many.
+# Freeing large blocks raises glibc's dynamic mmap threshold, which changes
+# how the caller's later large arrays are allocated.  The ``anomaly-csv``
+# benchmark's reference kernel (a 400 x 400 Gram matrix and its exponential,
+# and numpy calls on 400 x 5 arrays) run right after anomaly scorings of
+# n = 400, d = 5 faulted about 4,050 pages per call (medians of 10 calls)
+# both with these blocks and with the earlier ``2**17 // (n d)`` queries.
+_BLOCK_ENTRIES = 2**16
 # A query with ``n d`` above this is solved by ``riemannian_descent``.  The
 # limit was set where a block of ``X - z`` copies stopped fitting the
 # caches; lockstep now pays up to about 8,000 (module docstring).
@@ -343,7 +348,7 @@ def batch_depth(
     message, before any block is formed, and every point is checked as
     that function checks it, the error naming the point's index; so no
     solve raises.  When ``n d <= 2**12``, the queries go in blocks of
-    ``2**17 // (n d)`` consecutive points.  Within a block, the queries
+    ``2**16 // n`` consecutive points.  Within a block, the queries
     that keep the same number of rows (all of them, unless ``s`` is small;
     see ``core._Objective``) are solved in lockstep, as the module
     docstring describes.  A query alone in its row count or in its block
@@ -360,9 +365,8 @@ def batch_depth(
     if cfg is None:
         cfg = OptimizerConfig()
     queries = _query_rows(points, X.d)
-    entries = X.n * X.d
-    lockstep = X.d > 1 and entries <= _LOCKSTEP_ENTRIES
-    size = _BLOCK_ENTRIES // entries if lockstep else 1
+    lockstep = X.d > 1 and X.n * X.d <= _LOCKSTEP_ENTRIES
+    size = _BLOCK_ENTRIES // X.n if lockstep else 1
 
     def solve_block(lo: int) -> list[DepthResult]:
         z = queries[lo : lo + size]

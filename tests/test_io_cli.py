@@ -202,6 +202,13 @@ class TestDepthCommand:
         err = capsys.readouterr().err
         assert "s > 0" in err and "--method oracle-grid" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_are_rejected(self, capsys, threads):
+        with pytest.raises(SystemExit) as info:
+            main(["depth", "--n", "20", "--query", "0,0", "--threads", threads])
+        assert info.value.code == 2
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+
     def test_oracle_check_gap(self, capsys):
         code = main([
             "depth", "--generator", "gaussian", "--n", "200", "--d", "2",

@@ -502,7 +502,7 @@ class TestBatchDepth:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_error_in_a_later_block_carries_point_index(self, monkeypatch, threads):
         X = SampleSet(np.random.default_rng(24).standard_normal((40, 2)))
-        monkeypatch.setattr(optim, "_BLOCK_ENTRIES", 3 * X.n * X.d)  # blocks of 3 points
+        monkeypatch.setattr(optim, "_BLOCK_ENTRIES", 3 * X.n)  # blocks of 3 points
         points = [[0.1 * i, 0.0] for i in range(9)]
         points[7] = [0.0, np.inf]
         with pytest.raises(ValueError, match="^point 7: query point contains non-finite"):
@@ -538,7 +538,7 @@ class TestLockstepParity:
             params, cfg = DepthParams(r=1.0, s=s), OptimizerConfig(init=init)
             expected = [riemannian_descent(z, X, params, cfg) for z in queries]
             for queries_per_block, threads in itertools.product((1, 3, len(queries)), (1, 2)):
-                monkeypatch.setattr(optim, "_BLOCK_ENTRIES", queries_per_block * X.n * d)
+                monkeypatch.setattr(optim, "_BLOCK_ENTRIES", queries_per_block * X.n)
                 got = batch_depth(queries, X, params, cfg, threads=threads)
                 for res, ref in zip(got, expected, strict=True):
                     assert res.value == ref.value
@@ -624,8 +624,17 @@ class TestShippedBlockRule:
         shell *= rng.uniform(2.5, 4.0, (20, 1)) / np.linalg.norm(shell, axis=1, keepdims=True)
         X, _ = standardize(SampleSet(np.vstack([rng.standard_normal((380, 5)), shell]) * 2.5 + 10.0))
         batch_depth(X.data, X, default_params(X))
-        assert sum(blocks) == 400
-        assert len(blocks) == math.ceil(400 / (optim._BLOCK_ENTRIES // (400 * 5)))
+        assert blocks == [163, 163, 74]  # 2**16 // 400 queries per block
+
+    @pytest.mark.parametrize(("n", "expected"), [(200, [200]), (500, [131, 131, 131, 107])])
+    def test_d2_shapes_keep_their_blocks(self, monkeypatch, no_point_solves, n, expected):
+        # At d = 2, ``2**16 // n`` queries per block equals the earlier rule
+        # ``2**17 // (n d)``, which sized blocks by ``(q, n, d)`` copies of
+        # ``X - z``; so htest and every other d = 2 call keep their blocks.
+        blocks = _counting_lockstep(monkeypatch)
+        X = gen_truncated_gaussian(2, n, 47, truncation_norm=10.0)
+        batch_depth(X.data, X, DepthParams(r=1.0, s=1.0))
+        assert blocks == expected
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_htest_shape_matches_per_point_solver(self, monkeypatch, threads):
@@ -651,10 +660,45 @@ class TestShippedBlockRule:
         if above:
             assert blocks == []  # every query ran riemannian_descent
         else:
-            size = optim._BLOCK_ENTRIES // optim._LOCKSTEP_ENTRIES
+            size = optim._BLOCK_ENTRIES // n
             # two threads may finish the blocks in either order
             assert sorted(blocks) == sorted([size, len(queries) - size])
         _assert_same_results(got, expected)
+
+
+class TestBlockMemoryBound:
+    """Every ``core._Stack`` that ``batch_depth`` builds at the shipped block
+    rule holds ``(q, k)`` pass and weight buffers of at most
+    ``_BLOCK_ENTRIES`` entries, and, when it gathers kept rows, at most
+    ``(d + 2) _BLOCK_ENTRIES`` of them."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_stacks_stay_within_the_block_entries(self, monkeypatch, d):
+        built = []
+
+        class Recording(core._Stack):
+            def __init__(self, *args):
+                super().__init__(*args)  # recorded as built: queries stop later
+                built.append((len(self.zt), self.k, self._args.size, self._weights.size,
+                              self._gathered, self._rowsT.size))
+
+        monkeypatch.setattr(core, "_Stack", Recording)
+        n = 300  # n d <= 2**12 up to d = 8; 400 queries make two blocks
+        X = gen_mixture(bi_gaussian_spec(d), n, seed=(48, d))
+        uniform = np.random.default_rng((49, d)).uniform(-4.0, 4.0, (n // 3, d))
+        queries = np.vstack([X.data, uniform])
+        default = default_params(X)
+        for s in (1.0, default.s, 0.01):
+            built.clear()
+            batch_depth(queries, X, DepthParams(r=default.r, s=s))
+            assert built
+            for q, k, args, weights, gathered, rows in built:
+                assert args == weights == q * k <= optim._BLOCK_ENTRIES
+                assert rows <= (d + 2) * optim._BLOCK_ENTRIES
+            if s == 1.0:  # every row kept: each block is one full stack
+                assert [q for q, *_ in built] == [218, 182]
+            if s == 0.01:
+                assert any(gathered for *_, gathered, _ in built)
 
 
 class TestParityWithArrayLoop:
