@@ -84,7 +84,7 @@ def _load_features(args) -> tuple[SampleSet, str]:
     return X, f"{args.generator}(n={args.n}, d={args.d}, seed={args.seed})"
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         count = int(text)
     except ValueError:
@@ -525,7 +525,7 @@ def run_speedbench(args) -> ExperimentReport:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    common.add_argument("--threads", type=_thread_count, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for sphere scoring (other methods ignore it)")
     common.add_argument("--output", type=str, default=None, help="write the report/artifact here")
     common.add_argument("--format", choices=("json", "csv"), default="json",
@@ -578,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rank correlation vs the true bi-Gaussian density")
     p.add_argument("--dims", type=int, nargs="+", default=(2, 4, 6, 8))
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--runs", type=_positive_int, default=50)
     p.add_argument("--methods", nargs="+", default=("sphere", "kspatial"),
                    choices=("sphere", "kspatial", "density"))
     p.add_argument("--r", type=float, default=1.0)
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.runner(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,28 +15,33 @@ and exact grid oracles that minimize over a finite set of directions.  The
 oracles serve as desk-scale ground truth for the continuous infimum; the
 fast solver lives in :mod:`spheredepth.optim`.
 
-The objective has one implementation, the private ``_Objective`` kernel:
-the loss, the gradient, the grid oracle and the solver all evaluate it.
-Its stacked form ``_Stack``, for the lockstep solver of many queries
+The solver's objective has one implementation, the private ``_Objective``
+kernel: the loss, the gradient and the solver evaluate it.  Its stacked
+form ``_Stack``, for the lockstep solver of many queries
 (``optim.batch_depth``), sits beside it, and the two share the code that
 keeps rows and builds the coefficients, so each stacked evaluation has,
-query by query, the bits of ``_Objective``'s.
+query by query, the bits of ``_Objective``'s.  The grid oracle has a
+kernel of its own, ``_Differences``, which reads ``x - z`` directly.
 
-For ``s > 0`` no query copies the data.  :class:`SampleSet` keeps one
+For ``s > 0`` no solve copies the data.  :class:`SampleSet` keeps one
 read-only, column-major matrix ``A = [X - mean | ||x - mean||**2 | 1]``,
 built on first use.  With ``z~ = z - mean`` and the ball's centre
 ``c~ = z~ + r u``, ``-t/s = A @ [-2 c~ / s, 1 / s, (||c~||**2 - r**2) / s]``
-at any ambient ``u``: each direction, or block of directions, costs one
-product with ``A``, whose coefficients come from d floats, and the
-logistic.  The gradient's ``c @ (X - z)`` is ``c @ X~ - (sum c) z~``.  One
-direction's products run in row blocks of at most ``_ROW_BLOCK_ENTRIES``
-entries, each small enough that OpenBLAS keeps it on the calling thread,
-so a solve uses one core at any n.  The expansion rounds to within
+at any ambient ``u``: each direction costs one product with ``A``, whose
+coefficients come from d floats, and the logistic.  The gradient's
+``c @ (X - z)`` is ``c @ X~ - (sum c) z~``.  One direction's products run
+in row blocks of at most ``_ROW_BLOCK_ENTRIES`` entries, each small enough
+that OpenBLAS keeps it on the calling thread, so a solve uses one core at
+any n.  The expansion rounds to within
 ``tol ((||x~|| + ||c~||)**2 + r**2) / s`` (``tol = 8 (d + 8) eps``);
-centring keeps that independent of where the data sit.  The ``s = 0``
-indicator needs only the sign of ``t`` and keeps a per-query ``w = X - z``
-with the unscaled ``t = 2r (w @ U) - ||w||**2``; only the grid oracle
-builds it.
+centring keeps that independent of where the data sit.
+
+The grid oracle evaluates blocks of unit directions ``U`` at every ``s``
+on a per-query ``[w | ||w||**2]`` with ``w = x - z``: at ``s > 0`` one
+product ``-t/s = [w | ||w||**2] @ [-2r U / s ; 1 / s]`` and the logistic,
+at ``s = 0`` the sign of ``t = 2r (w @ U) - ||w||**2``.  Its arguments
+round to within ``tol (2r ||w|| + ||w||**2)``, over ``s`` when ``s > 0``,
+whatever the distance of the rows and the ball from the sample mean.
 
 The sigmoid is ``1 / (1 + exp(-t/s))`` on numpy's vectorised ``exp``,
 evaluated in place.  For samples far outside the ball ``exp`` overflows to
@@ -53,23 +58,24 @@ query.  For a direction of norm ``rho``,
 exactly 0 (for ``s = 0``, ``R = 2.02 r`` and the indicator is 0: the ball
 of radius ``r`` through ``z`` cannot reach the sample).  The 1% margin
 covers rounding; ``hypot`` keeps ``R`` from underflowing to ``r`` for tiny
-``r``.  For ``s > 0`` the radius also takes in the expansion's rounding,
-and a query whose every row lies within it (``max ||x~|| + ||z~|| <= R``)
+``r``.  The solver's radius also takes in the expansion's rounding, and
+a query whose every row lies within it (``max ||x~|| + ||z~|| <= R``)
 reads ``A`` itself; only otherwise does one product give the rows'
-``||x - z||**2``, and the kept rows are gathered.  Every mean still divides
-by the full ``n``, so the loss, the gradient and the oracle are exact; at
-small ``s`` most of the sample can lie beyond ``R`` and the oracle's block
-shrinks with it.
+``||x - z||**2``, and the kept rows are gathered.  The oracle's kernel
+keeps the rows within ``R`` itself.  Every mean still divides by the full
+``n``, so the loss, the gradient and the oracle are exact; at small ``s``
+most of the sample can lie beyond ``R`` and the oracle's block shrinks
+with it.
 
 The sphere oracle is an exact grid minimum with cell bounds.  Each
 :class:`DirectionGrid` is split once, on first use, into cells of at most
 32 nearby directions, each a cap with a center and an angular radius.
 Over a cap, a lower bound on ``<w_i, u>`` for every kept sample gives a
 lower bound on every member's value, and all cells cost one product with
-``w = X - z``, which the oracle computes once per query for its bounds.
-The oracle evaluates one member per cell and then only the cells whose
-bound could still beat the best of those; its value and index
-are bit for bit those of evaluating every direction.  On a bi-Gaussian
+the ``w = x - z`` of the oracle's kernel.  The oracle evaluates one member
+per cell and then only the cells whose bound could still beat the best of
+those; its value and index are bit for bit those of evaluating every
+direction.  On a bi-Gaussian
 sample (n = 200, 4096 directions, sample queries) the oracle evaluates
 5-10% of the directions in d = 2, and a query costs 3-6x less than a full
 scan for ``s`` in {0, 0.01, 0.1, 1}; in d = 3 it costs 2.5-4x less, and
@@ -223,7 +229,7 @@ class SampleSet:
     @functools.cached_property
     def _centred(self) -> np.ndarray:
         """``A = [X - mean | ||x - mean||**2 | 1]``, ``(n, d + 2)``,
-        column-major and read-only: what every ``s > 0`` objective reads
+        column-major and read-only: what the solver's objective reads
         (``_Objective``).  The squared norms add the columns left to right."""
         n, d = self.data.shape
         A = np.empty((n, d + 2), order="F")
@@ -474,8 +480,8 @@ def _keep_radius(params: DepthParams, u_norm: float, spread=0.0, tol: float = 0.
     as if it were part of ``s log(DBL_MAX)``, so a row beyond it still has
     a computed ``-t/s`` above ``log(DBL_MAX)``.  ``spread`` is a float or an
     array of them; the per-query steps are ``+ - * /`` and a square root,
-    so both give the same bits.  With the defaults (the ``s = 0``
-    indicator, computed from ``w = x - z``) it is
+    so both give the same bits.  With the defaults (the grid oracle's
+    kernel, computed from ``w = x - z``) it is
     ``1.01 (r rho + hypot(r, sqrt(s log(DBL_MAX))))``."""
     rho = max(u_norm, 1.0 + 1e-9)
     r = params.r
@@ -566,23 +572,10 @@ def _centred_queries(X: SampleSet, z: np.ndarray, params: DepthParams) -> tuple[
     return zt, kept
 
 
-def _differences(
-    X: SampleSet, z: np.ndarray, unit: float = 1.0, kept: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``w = (X - z).T / unit`` over the rows ``kept`` (a mask; all rows by
-    default) as a C-ordered ``(d, k)``, whose transpose is column-major like
-    :class:`SampleSet`'s data, and the squared norms of its columns."""
-    data = X.data.T if kept is None else X.data.T.compress(kept, axis=1)
-    w = data - z[:, None]
-    if unit != 1.0:
-        w /= unit
-    return w, np.einsum("ji,ji->i", w, w)
-
-
 class _Objective:
-    """The objective of one query point ``z``.
+    """The solver's objective of one query point ``z`` (``s > 0``).
 
-    For ``s > 0`` it reads the sample's centred matrix
+    It reads the sample's centred matrix
     ``A = [X - mean | ||x - mean||**2 | 1]`` (:attr:`SampleSet._centred`).
     With ``z~ = z - mean`` and the ball's centre ``c~ = z~ + r u``,
     ``-t = ||x - z - r u||**2 - r**2 = ||x~ - c~||**2 - r**2``, so at any
@@ -603,49 +596,25 @@ class _Objective:
     The objective owns two kept-row vectors, allocated once: the sigmoid
     pass of one direction writes into the first, and the gradient's weights
     into the second.  So the result of :meth:`sigmoids` (or of
-    :meth:`folded_args` at one direction) holds until the next such call on
+    :meth:`folded_args`) holds until the next such call on
     the same objective; an objective belongs to one solve, which keeps
     concurrent solves apart.  Both of one direction's products run in row
     blocks (``_ROW_BLOCK_ENTRIES``), so a solve stays on its own thread.
-
-    The ``s = 0`` indicator needs only the sign of ``t``, so it keeps the
-    per-query ``w = x - z`` and computes ``t = 2r <w, u> - ||w||**2`` for
-    unit ``u``, dropping the rows beyond :func:`_keep_radius`.  There
-    ``w``, ``r`` and the radius are taken in units of the power of two at
-    or below ``r``.  Scaling by a power of two is exact, so ``t`` is the one
-    in the data's units times a power of 4, with the same sign; but neither
-    ``||w_i||**2`` nor ``2r <w_i, u>`` underflows when ``r`` is tiny.
     """
 
     def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams, u_norm: float = 1.0):
         self.n, self.r, self.s = X.n, params.r, params.s
-        if params.s == 0:
-            unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
-            self.r = params.r / unit
-            # For a subnormal r a row can overflow to inf; it lies beyond
-            # the keep radius and is dropped below.  Callers hold
-            # np.errstate(over="ignore").
-            w, w2 = _differences(X, z, unit)
-            radius = _keep_radius(DepthParams(self.r, 0.0), u_norm)
-            keep = w2 <= radius * radius  # inf, not OverflowError as from radius**2
-            if not keep.all():
-                w, w2 = w.compress(keep, axis=1), w2[keep]
-            self.w, self.w2 = w.T, w2
-            self.k = len(w2)
-            return
         # The steps of _centred_queries on floats, which give the same bits.
         zt = z - X._mean
         self.zt = zt.tolist()
         zz = _dot(self.zt, self.zt)
-        self._norm_zt = math.sqrt(zz)
-        spread = self._norm_zt + X._spread
+        spread = math.sqrt(zz) + X._spread
         radius = _keep_radius(params, u_norm, spread, _rounding_tol(X.d))
         self._kept = None
         if spread > radius:
             (self._kept,) = _row_masks(
                 X, zt[None], np.array([zz]), np.array([spread]), np.array([radius])
             )
-        self._X, self._z = X, z
         rows = X._centred.T
         if self._kept is not None:
             rows = rows.compress(self._kept, axis=1)
@@ -664,30 +633,18 @@ class _Objective:
             self._passes = [(self.rows[block], self._args[block]) for block in blocks]
             self._sums = [(self._weights[block], self._data[block]) for block in blocks]
 
-    def ball_args(self, U: np.ndarray) -> np.ndarray:
-        """``2r <w_i, u> - ||w_i||**2`` for a block of directions ``(d, m)``
-        (``s = 0``); this is the ball argument on the unit sphere, and what
-        the indicator compares with 0 (in the units above)."""
-        t = self.w @ U
-        t *= 2.0 * self.r
-        t -= self.w2[:, None]
-        return t
-
     def _centre(self, u) -> list[float]:
         """``c~ = z~ + r u`` for a sequence ``u`` of ``d`` floats."""
         r = self.r
         return [a + r * b for a, b in zip(self.zt, u)]
 
-    def folded_args(self, U) -> np.ndarray:
-        """``-t/s`` (``s > 0``) for one ambient direction, ``d`` floats or a
-        ``(d,)`` array, or for a block ``(d, m)`` of them: one product with
-        the kept rows.  One direction's result is the objective's buffer (see
-        the class)."""
-        if isinstance(U, np.ndarray):
-            if U.ndim == 2:
-                return self.rows @ self._block_coefficients(U)
-            U = U.tolist()
-        centre = self._centre(U)
+    def folded_args(self, u) -> np.ndarray:
+        """``-t/s`` at one ambient direction, ``d`` floats or a ``(d,)``
+        array: one product with the kept rows, in the objective's buffer
+        (see the class)."""
+        if isinstance(u, np.ndarray):
+            u = u.tolist()
+        centre = self._centre(u)
         fold = self._fold
         coef = [x * fold for x in centre]
         coef += (self._inv_s, (_dot(centre, centre) - self._rr) / self.s)
@@ -696,89 +653,12 @@ class _Objective:
             np.matmul(rows, self._coef, out=out)
         return self._args
 
-    def _block_coefficients(self, U: np.ndarray) -> np.ndarray:
-        """The coefficients of :meth:`folded_args` for the columns of ``U``,
-        as ``(d + 2, m)``, each column's by the same elementwise steps."""
-        d = U.shape[0]
-        centre = self.r * U
-        centre += np.array(self.zt)[:, None]
-        coef = np.empty((d + 2, U.shape[1]))
-        np.multiply(centre, self._fold, out=coef[:d])
-        cc = centre[0] * centre[0]
-        for row in centre[1:]:
-            cc += row * row
-        coef[d] = self._inv_s
-        cc -= self._rr
-        np.divide(cc, self.s, out=coef[d + 1])
-        return coef
-
     def sigmoids(self, u) -> np.ndarray:
         """Per-sample smoothed ball membership at any ambient ``u`` (``d``
         floats or a ``(d,)`` array), in the objective's buffer (see the
         class).  Far samples overflow ``exp``; callers hold
         ``np.errstate(over="ignore")``."""
         return _logistic_of_negated(self.folded_args(u))
-
-    @functools.cached_property
-    def _direct(self) -> tuple[np.ndarray, np.ndarray]:
-        """``w = x - z`` over the kept rows, column-major, and ``||w||**2``,
-        computed directly for the cell bounds of ``s > 0``."""
-        w, w2 = _differences(self._X, self._z, kept=self._kept)
-        return w.T, w2
-
-    def cell_bounds(self, cells: _Cells, chunk: slice) -> np.ndarray:
-        """Values that no member of each cell in ``chunk`` has below it:
-        the mean of the terms at a ball argument no larger than the one of
-        any member, less what rounding can add to that mean.  See
-        :func:`grid_oracle_sphere_depth` for the bound and its rounding."""
-        if self.s == 0:
-            w, w2 = self.w, self.w2
-        else:
-            w, w2 = self._direct
-            xx = self.rows[:, w.shape[1]]
-            # A row farther than this has a term below eps/n in every
-            # direction; leaving it out can only lower the bound.
-            reach = self.r + math.sqrt(self.r * self.r + self.s * math.log(self.n / _EPS))
-            reachable = w2 <= reach * reach
-            if not reachable.all():
-                w, w2, xx = w[reachable], w2[reachable], xx[reachable]
-        tol = _rounding_tol(w.shape[1])
-        w2 = w2[:, None]
-        nw = np.sqrt(w2)
-        wc = w @ cells.centers[chunk].T
-        near = wc > nw * (tol - cells.cos[chunk])  # the cap stops short of -w/||w||
-        # sqrt(||w||**2 - <w, c>**2), raised by what rounding can take from it
-        perp = np.multiply(wc, wc)
-        np.subtract(w2 * (1.0 + tol), perp, out=perp)
-        np.maximum(perp, 0.0, out=perp)
-        np.sqrt(perp, out=perp)
-        # t = 2r <w, u> - ||w||**2 + r**2 (1 - ||u||**2) at the least <w, u>
-        # over the cap, lowered by what the bound's rounding and the
-        # directions' norms can add to t.
-        dev = cells.norm_dev
-        shift = w2 + (2.0 * self.r * nw + w2) * (tol + dev) + 3.0 * self.r * self.r * dev
-        if self.s == 0:
-            scale, offset = 2.0 * self.r, -shift
-        else:
-            # Folded into -t/s, and raised by what the expansion can add to
-            # a member's -t/s: ||x~|| + ||c~|| <= ||x~|| + ||z~|| + r ||u||.
-            spread = np.sqrt(xx)[:, None] + (self._norm_zt + self.r * (1.0 + dev))
-            scale = -2.0 * self.r / self.s
-            offset = (shift + tol * (spread * spread + self.r * self.r)) / self.s
-        perp *= scale * cells.sin[chunk]
-        arg = np.multiply(wc, scale * cells.cos[chunk], out=wc)
-        arg -= perp
-        np.copyto(arg, -scale * nw, where=~near)
-        arg += offset
-        if self.s == 0:
-            return (arg >= 0.0).sum(axis=0) / self.n
-        # Below 700 exp stays finite and off its slow overflow path; a term
-        # that would be 0 rises by less than 1e-304.
-        np.minimum(arg, 700.0, out=arg)
-        lower = _logistic_of_negated(arg).sum(axis=0) / self.n
-        lower -= 8.0 * (self.n + 8) * _EPS
-        # No value is below 0, which keeps a plateau of exact zeros skippable.
-        return np.maximum(lower, 0.0, out=lower)
 
     def gradient(self, p: np.ndarray, u: list[float]) -> list[float]:
         """Ambient gradient ``(2r/(s n)) (c @ x~ - (sum c) c~)`` from the
@@ -929,6 +809,111 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
         return np.array(objective.gradient(objective.sigmoids(u), u.tolist()))
 
 
+class _Differences:
+    """The grid oracle's kernel for one query point ``z``: ``[w | ||w||**2]``
+    with ``w = x - z``, column-major, over the rows within the keep radius
+    (:func:`_keep_radius`); every term it drops is exactly 0.
+
+    It evaluates unit directions only, at which the ball argument is
+    ``t = 2r <w, u> - ||w||**2``; a sample at the query sits at exactly
+    ``t = 0``, which the indicator counts as inside.  At ``s > 0`` a block
+    of directions ``U`` costs one product,
+    ``-t/s = [w | ||w||**2] @ [-2r U / s ; 1 / s]``, and the logistic.  At
+    ``s = 0`` the indicator needs only the sign of ``t``, and ``w``, ``r``
+    and the radius are taken in units of the power of two at or below
+    ``r``.  Scaling by a power of two is exact, so ``t`` is the one in the
+    data's units times a power of 4, with the same sign; but neither
+    ``||w_i||**2`` nor ``2r <w_i, u>`` underflows when ``r`` is tiny.
+    """
+
+    def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams):
+        self.n, self.s = X.n, params.s
+        unit = 1.0 if self.s > 0 else math.ldexp(1.0, math.frexp(params.r)[1] - 1)
+        self.r = params.r / unit
+        d = X.d
+        rows = np.empty((d + 1, X.n))
+        w = np.subtract(X.data.T, z[:, None], out=rows[:d])
+        if unit != 1.0:
+            # For a subnormal r a row can overflow to inf; it lies beyond
+            # the keep radius and is dropped below.  Callers hold
+            # np.errstate(over="ignore").
+            w /= unit
+        w2 = np.einsum("ji,ji->i", w, w, out=rows[d])
+        radius = _keep_radius(DepthParams(self.r, self.s), 1.0)
+        keep = w2 <= radius * radius  # inf, not OverflowError as from radius**2
+        if self.s > 0 and keep.sum() == 1 < X.n:
+            # As in _row_masks: a second row, whose terms are 0, keeps a
+            # one-row product off numpy's matrix-vector routine.
+            keep[np.argmin(keep)] = True
+        if not keep.all():
+            rows = rows.compress(keep, axis=1)
+        self.rows = rows.T
+
+    def values(self, directions: np.ndarray) -> np.ndarray:
+        """The objective at each unit direction of an ``(m, d)`` block."""
+        d = directions.shape[1]
+        U = directions.T
+        if self.s == 0:
+            t = self.rows[:, :d] @ U
+            t *= 2.0 * self.r
+            t -= self.rows[:, d:]
+            terms = t >= 0.0
+        else:
+            coef = np.empty((d + 1, U.shape[1]))
+            np.multiply(U, -2.0 * self.r / self.s, out=coef[:d])
+            coef[d] = 1.0 / self.s
+            terms = _logistic_of_negated(self.rows @ coef)
+        return terms.sum(axis=0) / self.n
+
+    def cell_bounds(self, cells: _Cells, chunk: slice) -> np.ndarray:
+        """Values that no member of each cell in ``chunk`` has below it:
+        the mean of the terms at a ball argument no larger than the one of
+        any member, less what rounding can add to that mean.  See
+        :func:`grid_oracle_sphere_depth` for the bound and its rounding."""
+        d = self.rows.shape[1] - 1
+        w, w2 = self.rows[:, :d], self.rows[:, d]
+        if self.s > 0:
+            # A row farther than this has a term below eps/n in every
+            # direction; leaving it out can only lower the bound.
+            reach = self.r + math.sqrt(self.r * self.r + self.s * math.log(self.n / _EPS))
+            reachable = w2 <= reach * reach
+            if not reachable.all():
+                w, w2 = w[reachable], w2[reachable]
+        tol = _rounding_tol(d)
+        w2 = w2[:, None]
+        nw = np.sqrt(w2)
+        wc = w @ cells.centers[chunk].T
+        near = wc > nw * (tol - cells.cos[chunk])  # the cap stops short of -w/||w||
+        # sqrt(||w||**2 - <w, c>**2), raised by what rounding can take from it
+        perp = np.multiply(wc, wc)
+        np.subtract(w2 * (1.0 + tol), perp, out=perp)
+        np.maximum(perp, 0.0, out=perp)
+        np.sqrt(perp, out=perp)
+        # t = 2r <w, u> - ||w||**2 + r**2 (1 - ||u||**2) at the least <w, u>
+        # over the cap, lowered by what the bound's rounding and the
+        # directions' norms can add to t.
+        dev = cells.norm_dev
+        shift = w2 + (2.0 * self.r * nw + w2) * (tol + dev) + 3.0 * self.r * self.r * dev
+        if self.s == 0:
+            scale, offset = 2.0 * self.r, -shift
+        else:  # folded into -t/s
+            scale, offset = -2.0 * self.r / self.s, shift / self.s
+        perp *= scale * cells.sin[chunk]
+        arg = np.multiply(wc, scale * cells.cos[chunk], out=wc)
+        arg -= perp
+        np.copyto(arg, -scale * nw, where=~near)
+        arg += offset
+        if self.s == 0:
+            return (arg >= 0.0).sum(axis=0) / self.n
+        # Below 700 exp stays finite and off its slow overflow path; a term
+        # that would be 0 rises by less than 1e-304.
+        np.minimum(arg, 700.0, out=arg)
+        lower = _logistic_of_negated(arg).sum(axis=0) / self.n
+        lower -= 8.0 * (self.n + 8) * _EPS
+        # No value is below 0, which keeps a plateau of exact zeros skippable.
+        return np.maximum(lower, 0.0, out=lower)
+
+
 def _scan_values(grid: DirectionGrid, idx: np.ndarray, block: int, block_values) -> np.ndarray:
     """Values at the ascending grid indices ``idx``, bit for bit as the full
     scan of the grid in blocks of ``block`` directions computes them.
@@ -1012,25 +997,24 @@ def grid_oracle_sphere_depth(
     while ``theta + delta <= pi``, that is ``<w, c> >= -||w|| cos(delta)``,
     and ``<w, u> >= -||w||`` otherwise.  The mean of the terms at the
     resulting ``t`` bounds every member's value from below
-    (``_Objective.cell_bounds``).  All cells cost one product ``w @ C``.
+    (``_Differences.cell_bounds``).  All cells cost one product ``w @ C``.
     Rows whose term is below ``eps/n`` in every direction are left out of
     it, which can only lower the bound.
 
-    Rounding.  At ``s = 0`` a member's computed ``t`` is off by less than
-    ``tol * (2r ||w|| + ||w||**2)``, with ``tol = 8 (d + 8) eps``: a d-term
-    dot product loses at most ``d eps`` of ``||w|| ||u||``, and each of the
-    few operations after it one ``eps``; the bound's own ``t``, computed
-    from the same ``w``, rounds by as little.  The bound's ``t`` is lowered
-    by that much again, and by ``2r ||w|| dev + 3 r**2 dev`` for grid
-    directions whose norms are off 1 by up to ``dev``; the antipodal test
-    is moved by ``tol ||w||`` toward the second case,
-    ``||w||**2 - <w, c>**2`` is raised by ``tol ||w||**2`` before its square
-    root, and ``delta`` is rounded outward.  At ``s > 0`` the bound's ``t``
-    is folded into ``-t/s``, which is then raised by what the centred
-    expansion can add to a member's ``-t/s``,
-    ``tol ((||x~|| + ||z~|| + r (1 + dev))**2 + r**2) / s``
-    (``_Objective``).  So each computed term of the bound is at most the
-    computed term of the member, up to the relative error of the logistic,
+    Rounding.  A member's computed ``t``, or ``-t/s`` at ``s > 0``, is off
+    by less than ``tol (2r ||w|| + ||w||**2)``, over ``s`` at ``s > 0``,
+    with ``tol = 8 (d + 8) eps``: its dot product of at most ``d + 1`` terms
+    loses at most ``(d + 1) eps`` of their magnitudes, and each of the few
+    operations around it, the coefficients' included, one ``eps``; the
+    bound's own argument, computed from the same ``w``, rounds by as
+    little.  The bound's ``t`` is lowered by that much again, and by
+    ``2r ||w|| dev + 3 r**2 dev`` for grid directions whose norms are off 1
+    by up to ``dev``; the antipodal test is moved by ``tol ||w||`` toward
+    the second case, ``||w||**2 - <w, c>**2`` is raised by ``tol ||w||**2``
+    before its square root, and ``delta`` is rounded outward.  At ``s > 0``
+    the bound's ``t`` is then folded into ``-t/s``.  So each computed term
+    of the bound is at most the computed term of the member, up to the
+    relative error of the logistic,
     a few ``eps``; arguments of the bound above 700 are capped, which
     raises a term of 0 by less than 1e-304.
     The two sequential sums of at most ``n`` terms in ``[0, 1]`` add at
@@ -1048,19 +1032,8 @@ def grid_oracle_sphere_depth(
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
 
     with np.errstate(over="ignore"):
-        # At s = 0 the grid directions are taken as unit vectors: a sample
-        # at the query sits at exactly t = 0, which the indicator counts as
-        # inside.
-        objective = _Objective(z, X, params)
-
-        def block_values(chunk: np.ndarray) -> np.ndarray:
-            if params.s == 0:
-                terms = objective.ball_args(chunk.T) >= 0.0
-            else:
-                terms = _logistic_of_negated(objective.folded_args(chunk.T))
-            return terms.sum(axis=0) / objective.n
-
-        return _grid_minimum(grid, X.n, block_values, objective.cell_bounds)
+        kernel = _Differences(z, X, params)
+        return _grid_minimum(grid, X.n, kernel.values, kernel.cell_bounds)
 
 
 def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleResult:

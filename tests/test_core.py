@@ -378,10 +378,11 @@ def _centred_args(z, X, params, U):
 
 def _all_rows_block(z, X, params, U):
     """The oracle's per-direction values for the ``(m, d)`` grid ``U`` from
-    every sample, with the kernel's arithmetic and no rows dropped.  At
-    ``s = 0`` lengths are in units of the power of two at or below ``r``."""
+    every sample, with the oracle kernel's arithmetic on ``w = x - z`` and
+    no rows dropped.  At ``s = 0`` lengths are in units of the power of two
+    at or below ``r``."""
+    w = X.data - z
     if params.s == 0:
-        w = X.data - z
         unit = math.ldexp(1.0, math.frexp(params.r)[1] - 1)
         w /= unit
         w2 = np.einsum("ij,ij->i", w, w)
@@ -389,13 +390,15 @@ def _all_rows_block(z, X, params, U):
         t *= 2.0 * (params.r / unit)
         t -= w2[:, None]
         return (t >= 0.0).sum(axis=0) / X.n
-    m = _centred_args(z, X, params, U)
+    rows = np.asfortranarray(np.column_stack([w, np.einsum("ij,ij->i", w, w)]))
+    coef = np.vstack([U.T * (-2.0 * params.r / params.s), np.full((1, len(U)), 1.0 / params.s)])
+    m = rows @ coef
     with np.errstate(over="ignore"):
         return (1.0 / (1.0 + np.exp(m))).sum(axis=0) / X.n
 
 
 class TestCentredExpansion:
-    """The ``s > 0`` kernel computes ``-t/s`` from the sample's centred
+    """The solver's kernel computes ``-t/s`` from the sample's centred
     matrix.  Against ``x - z`` taken directly in ``np.longdouble``, each
     kept row's argument must lie within the bound fixed below, and no row
     the keep mask drops may have a nonzero term in any direction."""
@@ -490,7 +493,7 @@ class TestDroppedRows:
         params = DepthParams(r=1.0, s=s)
         dropped = 0
         for z in list(X.data[:5]) + list(rng.uniform(-3.0, 3.0, (5, 2))):
-            dropped += X.n - core._Objective(z, X, params).k
+            dropped += X.n - len(core._Differences(z, X, params).rows)
             values = _all_rows_block(z, X, params, grid.directions)
             res = grid_oracle_sphere_depth(z, X, params, grid)
             assert res.index == int(np.argmin(values))
@@ -542,6 +545,43 @@ class TestDroppedRows:
         grid = DirectionGrid.generate(64, 2)
         res = grid_oracle_sphere_depth(np.zeros(2), X, DepthParams(r=1e-310, s=0.0), grid)
         assert (res.index, res.value) == (0, 1 / X.n)
+
+
+class TestOracleKernel:
+    """The grid oracle reads ``x - z`` directly, not the solver's centred
+    matrix, so its rounding does not grow with the data's distance from
+    their mean."""
+
+    @pytest.mark.parametrize("s", [1e-3, 1.0])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    @pytest.mark.parametrize("sigma", [1.0, 1e3])
+    def test_value_matches_longdouble_loss(self, sigma, offset, s):
+        rng = np.random.default_rng((71, int(sigma), int(offset > 0), int(s == 1.0)))
+        params = DepthParams(r=1.0, s=s)
+        data = offset + sigma * rng.standard_normal((300, 3))
+        X = SampleSet(data)
+        grid = DirectionGrid.generate(1024, 3)
+        e = unit_direction([1.0, 2.0, -1.0])
+        mean = data.mean(axis=0)
+        queries = [*data[:4], *(data[4:7] + 0.5 * e), mean, mean + 3.0 * sigma * e]
+        for z in queries:
+            res = grid_oracle_sphere_depth(z, X, params, grid)
+            u = res.direction.astype(np.longdouble)
+            with np.errstate(over="ignore"):
+                terms = 1.0 / (1.0 + np.exp(TestCentredExpansion.reference(X, z, params, u)))
+            assert abs(res.value - float(terms.sum() / X.n)) <= 1e-12
+
+    def test_leaves_centred_matrix_unbuilt(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the oracle called _row_masks")
+
+        monkeypatch.setattr(core, "_row_masks", fail)
+        rng = np.random.default_rng(72)
+        X = SampleSet(np.vstack([rng.standard_normal((50, 2)), rng.uniform(-40, 40, (10, 2))]))
+        grid = DirectionGrid.generate(256, 2)
+        for s in (0.01, 1.0):  # at s = 0.01 rows lie beyond the keep radius
+            grid_oracle_sphere_depth([0.1, 0.2], X, DepthParams(r=1.0, s=s), grid)
+        assert "_centred" not in vars(X)
 
 
 class TestGridOracleHalfspaceDepth:
@@ -723,12 +763,8 @@ class TestCellBounds:
         # values bit for bit.
         rng = np.random.default_rng(64)
         X = SampleSet(rng.standard_normal((500, 3)))
-        objective = core._Objective(np.zeros(3), X, DepthParams(r=1.0, s=0.1))
+        block_values = core._Differences(np.zeros(3), X, DepthParams(r=1.0, s=0.1)).values
         grid = DirectionGrid.generate(65, 3)
-
-        def block_values(chunk):
-            return core._logistic_of_negated(objective.folded_args(chunk.T)).sum(axis=0) / X.n
-
         full = np.concatenate(
             [block_values(grid.directions[k : k + block]) for k in range(0, grid.m, block)]
         )
@@ -778,9 +814,10 @@ class TestCellBounds:
     @pytest.mark.parametrize("s", [1e-3, 1.0])
     @pytest.mark.parametrize("d", [2, 3])
     def test_data_far_wider_than_the_ball(self, d, s):
-        # r = 1 in data of spread 1e3 offset by 1e8: the centred expansion
-        # moves a member's -t/s by far more than the direct form would, and
-        # the bounds must allow for it.
+        # r = 1 in data of spread 1e3 offset by 1e8: most rows lie far
+        # beyond the ball, and the few kept ones must give the full scan's
+        # bits.  The oracle reads x - z directly, so neither the offset nor
+        # the spread widens an argument's rounding.
         rng = np.random.default_rng((65, d))
         X = SampleSet(1e8 + 1e3 * rng.standard_normal((60, d)))
         grid = DirectionGrid.generate(1024, d)
@@ -808,14 +845,13 @@ class TestCellBounds:
         grid = DirectionGrid.generate(4096, 2)
         evaluated = [0]
 
-        def counting(kernel):
-            def wrapped(self, U):
-                evaluated[0] += U.shape[1]
-                return kernel(self, U)
-            return wrapped
+        values = core._Differences.values
 
-        for name in ("folded_args", "ball_args"):
-            monkeypatch.setattr(core._Objective, name, counting(getattr(core._Objective, name)))
+        def counting(self, directions):
+            evaluated[0] += len(directions)
+            return values(self, directions)
+
+        monkeypatch.setattr(core._Differences, "values", counting)
         for z in queries:
             grid_oracle_sphere_depth(z, X, DepthParams(r=1.0, s=s), grid)
         assert 0 < evaluated[0] <= 0.35 * len(queries) * grid.m

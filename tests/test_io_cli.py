@@ -209,6 +209,12 @@ class TestDepthCommand:
         assert info.value.code == 2
         assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
 
+    def test_missing_csv_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        assert main(["depth", "--csv", str(missing), "--query", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
     def test_oracle_check_gap(self, capsys):
         code = main([
             "depth", "--generator", "gaussian", "--n", "200", "--d", "2",
@@ -337,6 +343,12 @@ class TestRankbenchCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_runs_below_one_are_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["rankbench", "--dims", "2", "--n", "20", "--runs", "0"])
+        assert info.value.code == 2
+        assert "--runs: must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestHtestCommand:
     def test_determinism_and_schema(self, capsys):
@@ -412,6 +424,12 @@ class TestAnomalyCommand:
         code = main(["anomaly", "--csv", str(path), "--label-column", "y"])
         assert code == 2
         assert "single label class" in capsys.readouterr().err
+
+    def test_directory_as_csv_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        code = main(["anomaly", "--csv", str(tmp_path), "--label-column", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_csv_format_scores(self, separable_csv, capsys):
         code = main([
