@@ -21,6 +21,7 @@ import io as _stdio
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -315,14 +316,20 @@ def _exclude_self_terms(values, points, reference: SampleSet) -> list[float]:
     depth is the affine transform ``(value - 0.5 k / n) * n / (n - k)``
     with ``k`` coincident rows.  The rows are counted for the whole batch
     at once, through a table of the reference rows; its keys compare as the
-    floats do, so -0.0 matches 0.0.
+    floats do, so -0.0 matches 0.0.  A point that equals every reference
+    row (``k = n``) has no term left, which is a ``ValueError`` naming it.
     """
     rows = Counter(map(tuple, reference.data.tolist()))
     n = reference.n
     out = []
-    for value, z in zip(values, np.asarray(points).tolist()):
+    for i, (value, z) in enumerate(zip(values, np.asarray(points).tolist())):
         k = rows[tuple(z)]
-        out.append((value - 0.5 * k / n) * n / (n - k) if 0 < k < n else value)
+        if k == n:
+            raise ValueError(
+                f"point {i} {z} equals every reference row (n = {n}), so excluding "
+                "its self terms leaves no term; use --self-terms include or larger samples"
+            )
+        out.append((value - 0.5 * k / n) * n / (n - k) if k else value)
     return out
 
 
@@ -644,34 +651,37 @@ def _scores_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_output_directory(path: str) -> None:
+    """Reject ``--output`` before any work when its directory is missing or
+    is not a directory; nothing is created."""
+    parent = Path(path).parent
+    if not parent.exists():
+        raise ValueError(f"--output: directory {str(parent)!r} does not exist")
+    if not parent.is_dir():
+        raise ValueError(f"--output: {str(parent)!r} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output_directory(args.output)
         result = args.runner(args)
+        if isinstance(result, tuple):  # contour: (report, csv text)
+            text = result[1]
+        elif args.format == "csv":
+            text = _scores_csv(result)
+        else:
+            text = result.to_json()
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            write_text_atomic(args.output, text)
+            print(f"wrote {args.output}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if isinstance(result, tuple):  # contour: (report, csv text)
-        report, artifact = result
-        if args.output is None:
-            sys.stdout.write(artifact)
-        else:
-            write_text_atomic(args.output, artifact)
-            print(f"wrote {args.output}")
-        return 0
-
-    report = result
-    if args.format == "csv":
-        text = _scores_csv(report)
-    else:
-        text = report.to_json()
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        write_text_atomic(args.output, text)
-        print(f"wrote {args.output}")
     return 0
 
 

@@ -72,17 +72,22 @@ The sphere oracle is an exact grid minimum with cell bounds.  Each
 32 nearby directions, each a cap with a center and an angular radius.
 Over a cap, a lower bound on ``<w_i, u>`` for every kept sample gives a
 lower bound on every member's value, and all cells cost one product with
-the ``w = x - z`` of the oracle's kernel.  The oracle evaluates one member
-per cell and then only the cells whose bound could still beat the best of
-those; its value and index are bit for bit those of evaluating every
-direction.  On a bi-Gaussian
-sample (n = 200, 4096 directions, sample queries) the oracle evaluates
-5-10% of the directions in d = 2, and a query costs 3-6x less than a full
-scan for ``s`` in {0, 0.01, 0.1, 1}; in d = 3 it costs 2.5-4x less, and
-1.1-1.6x less at n = 1e5 with 1024 directions.  Two costs remain.  In
-d = 5 the cells are wide: a query costs 1.4-1.9x less at ``s = 0`` and
-``s >= 0.1``, but at ``s = 0.01`` nearly every cell is evaluated and the
-bounds cost about 1% more at n >= 200 and 20% at n = 60.  And the split
+the ``w = x - z`` of the oracle's kernel.  The oracle bounds every cell
+before it evaluates any, then evaluates the members of the three cells of
+least bound, and then only the cells whose bound could still beat the best
+of those: it opens cells in ascending bound, the order of a
+branch-and-bound.  Its value and index are bit for bit those of
+evaluating every direction.  On a bi-Gaussian sample (n = 200, 4096
+directions, 20 sample queries; interleaved medians of 7 on a 2-core x86-64
+host) the oracle evaluates 3-7% of the directions in d = 2 for ``s`` in
+{0.01, 0.1, 1} and 13% at ``s = 0``, and a query costs 4.3-6x less than a
+full scan for ``s > 0`` and 2.5x less at ``s = 0``; in d = 3 it evaluates
+13-36% and costs 1.6-3.7x less, and 1.1-1.8x less at n = 1e5 with 1024
+directions.  Two costs remain.  In d = 5 the cells are wide: a query costs
+1.3-1.8x less at ``s >= 0.1`` and n >= 200, but at ``s = 0.01`` and
+``s = 0`` nearly every cell is evaluated, and the bounds make a query
+cost 1-7% and 70% more than the full scan at n = 200 (20-25% and 120% at
+n = 60; at ``s = 0`` a direction's value is a cheap count).  And the split
 costs 3-4.5 ms for 4096 directions, paid on a grid's first oracle call, so
 a caller that builds a grid per query can pay more than a full scan.
 
@@ -135,6 +140,15 @@ _EPS = float(np.finfo(np.float64).eps)
 
 # Most directions in one cell of a grid's partition (see ``DirectionGrid._cells``).
 _CELL_SIZE = 32
+
+# The sphere oracle first evaluates every member of this many cells, those
+# of least bound, to find the value that prunes the others (``_grid_minimum``).
+# On 60 sample queries of a bi-Gaussian sample at each s in {1, 0.1, 0.01}
+# (n = 200, d = 2, 4096 directions), 1, 3 and 8 cells sent 40,832, 42,016 and
+# 57,024 directions to the kernel in 332, 294 and 223 calls, against 62,379
+# in 360 for a first round of one member per cell, and a query took 0.92,
+# 0.90 and 0.97 of that order's time (interleaved medians of 9).
+_FIRST_CELLS = 3
 
 
 def _rounding_tol(d: int) -> float:
@@ -633,21 +647,21 @@ class _Objective:
             self._passes = [(self.rows[block], self._args[block]) for block in blocks]
             self._sums = [(self._weights[block], self._data[block]) for block in blocks]
 
-    def _centre(self, u) -> list[float]:
-        """``c~ = z~ + r u`` for a sequence ``u`` of ``d`` floats."""
-        r = self.r
-        return [a + r * b for a, b in zip(self.zt, u)]
-
     def folded_args(self, u) -> np.ndarray:
         """``-t/s`` at one ambient direction, ``d`` floats or a ``(d,)``
         array: one product with the kept rows, in the objective's buffer
-        (see the class)."""
+        (see the class).  One pass over ``c~ = z~ + r u`` gives the
+        coefficients and ``||c~||**2``, added left to right from 0 as
+        :func:`_dot` adds it."""
         if isinstance(u, np.ndarray):
             u = u.tolist()
-        centre = self._centre(u)
-        fold = self._fold
-        coef = [x * fold for x in centre]
-        coef += (self._inv_s, (_dot(centre, centre) - self._rr) / self.s)
+        r, fold = self.r, self._fold
+        coef, cc = [], 0.0
+        for a, b in zip(self.zt, u):
+            c = a + r * b
+            cc += c * c
+            coef.append(c * fold)
+        coef += (self._inv_s, (cc - self._rr) / self.s)
         self._coef[:] = coef
         for rows, out in self._passes:
             np.matmul(rows, self._coef, out=out)
@@ -669,13 +683,13 @@ class _Objective:
         multiplies the d-vector, not the n-vector ``c``."""
         c = np.subtract(1.0, p, out=self._weights)
         c *= p
-        total = float(c.sum())
+        total = float(np.add.reduce(c))
         weights, data = self._sums[0]
         cx = weights @ data
         for weights, data in self._sums[1:]:
             cx += weights @ data
-        scale = self._scale
-        return [(g - total * x) * scale for g, x in zip(cx.tolist(), self._centre(u))]
+        r, scale = self.r, self._scale
+        return [(g - total * (a + r * b)) * scale for g, a, b in zip(cx.tolist(), self.zt, u)]
 
 
 class _Stack:
@@ -690,8 +704,8 @@ class _Stack:
     ``np.matmul`` makes, item by item, the BLAS call of the one query's
     product, the coefficients are built column by column in the float
     loop's order, and each row sum of a contiguous ``(q, k)`` block is the
-    query's ``p.sum()``; so each method returns, row by row, the bits of
-    the :class:`_Objective` method of its name.
+    query's pairwise ``np.add.reduce(p)``; so each method returns, row by
+    row, the bits of the :class:`_Objective` method of its name.
 
     The methods take the active queries' iterates as a ``(q, d)`` array, and
     :meth:`keep` drops the queries that stopped."""
@@ -943,12 +957,14 @@ def _grid_minimum(grid: DirectionGrid, n: int, block_values, cell_bounds=None) -
 
     ``cell_bounds(cells, chunk)``, when given, returns for the grid's cells
     ``cells`` in the slice ``chunk`` values that no member's value is below.
-    Then the first member of each cell is evaluated, and the least of them,
-    at the lowest index, is the best so far.  A cell whose bound exceeds
-    that value, or equals it while its members all have higher indices,
-    cannot hold the answer; only the other cells are evaluated, with the
-    arithmetic of the full scan.  The value and the index are then those of
-    the full scan.
+    Then every cell is bounded first, and the members of the
+    ``_FIRST_CELLS`` cells of least bound (ties to the lower cell) are
+    evaluated; the least value among them, at the lowest index, is the best
+    so far.  A cell whose bound exceeds that value, or equals it while its
+    members all have higher indices, cannot hold the answer; only the other
+    cells are evaluated, in a second round.  Both rounds go through
+    :func:`_scan_values`, so every value has the bits of the full scan, and
+    the value and the index are those of the full scan.
     """
     block = max(1, _ORACLE_BLOCK_ENTRIES // n)
     if cell_bounds is None:  # the full scan
@@ -957,21 +973,24 @@ def _grid_minimum(grid: DirectionGrid, n: int, block_values, cell_bounds=None) -
         )
     else:
         cells = grid._cells
-        first = _scan_values(grid, cells.firsts, block, block_values)
         # The bound holds two n-by-k arrays at once, so it takes half as many
         # cells per chunk as the scan takes directions.
         step = max(1, block // 2)
         lower = np.concatenate(
-            [cell_bounds(cells, slice(k, k + step)) for k in range(0, first.size, step)]
+            [cell_bounds(cells, slice(k, k + step)) for k in range(0, cells.firsts.size, step)]
         )
-        j = int(np.argmin(first))
-        keep = (lower < first[j]) | ((lower == first[j]) & (cells.firsts <= cells.firsts[j]))
-        take = keep[cells.cell_of]
-        take[cells.firsts] = False  # already evaluated
-        rest = np.flatnonzero(take)
         values = np.full(grid.m, np.inf)  # a skipped direction cannot be the minimum
-        values[cells.firsts] = first
-        values[rest] = _scan_values(grid, rest, block, block_values)
+
+        def scan(opened: np.ndarray) -> None:
+            idx = np.flatnonzero(opened[cells.cell_of])
+            values[idx] = _scan_values(grid, idx, block, block_values)
+
+        first = np.zeros(lower.size, dtype=bool)
+        first[np.argsort(lower, kind="stable")[:_FIRST_CELLS]] = True
+        scan(first)
+        j = int(np.argmin(values))
+        best = values[j]
+        scan(((lower < best) | ((lower == best) & (cells.firsts <= j))) & ~first)
     index = int(np.argmin(values))
     return OracleResult(float(values[index]), grid.directions[index].copy(), index)
 

@@ -24,11 +24,18 @@ dot products add left to right on every Python version (the builtin
 last bit.  Only the passes over the data stay in numpy: each is one
 product with the sample's centred matrix (``core._Objective``), whose
 ``d + 2`` coefficients are built on the floats, and it writes into one of
-two kept-row vectors that the query's objective owns.  Each trial direction
-costs that product, the logistic in place and the loss sum; an accepted
-step adds the weights ``c = p (1 - p)``, the product ``c @ X~`` with the
-centred data and the sum of ``c``.  The loss is computed at the array the
-solver returns, so ``value`` equals ``sphere_loss(direction)`` exactly.
+two kept-row vectors that the query's objective owns.  A trial direction
+costs the geodesic on floats, one pass over the ``d`` floats of the ball's
+centre for its coefficients and squared norm, that product, the logistic
+in place and the loss sum, taken by ``np.add.reduce``: the pairwise sum of
+``ndarray.sum`` without its Python wrapper.  No step of a trial builds a
+list that it then throws away, and one pass gives the tangent and its
+squared norm.  At n = 200, d = 2 the coefficients and product take about
+1.9 us and the gradient 3.8 us (``timeit``, best of 7).  An
+accepted step adds the weights ``c = p (1 - p)``, the product ``c @ X~``
+with the centred data and the sum of ``c``.  The loss is computed at the
+array the solver returns, so ``value`` equals ``sphere_loss(direction)``
+exactly.
 
 In d = 1 the sphere is the two points ``{-1, +1}`` and has no tangent
 direction, so the solver compares the start with the other point.
@@ -64,23 +71,24 @@ The per-point loop stays for single queries, where one block of one query
 costs about four times as much, and for samples with ``n d > 2**12``.
 Per query, in ms, with lockstep blocks of ``2**16 // n`` queries
 (r = s = 1; 48 sample rows and 48 standard-normal points of a bi-Gaussian
-sample; both run interleaved in one process, medians of 7, on a 2-core
+sample; both run interleaved in one process, medians of 9, on a 2-core
 x86-64 host with OpenBLAS 0.3.31)::
 
     d x n       n d      block   lockstep   per-point loop
-    2 x 1000    2,000    65      0.13       0.34
-    2 x 2048    4,096    32      0.22       0.40
-    2 x 3000    6,000    21      0.33       0.44
-    2 x 4000    8,000    16      0.41       0.42
-    2 x 8000    16,000   8       0.78       0.69
-    5 x 800     4,000    81      0.09       0.26
-    5 x 1200    6,000    54      0.12       0.27
-    5 x 6000    30,000   10      0.56       0.48
+    2 x 1000    2,000    65      0.09       0.24
+    2 x 2048    4,096    32      0.17       0.29
+    2 x 3000    6,000    21      0.25       0.31
+    2 x 4000    8,000    16      0.31       0.34
+    2 x 8000    16,000   8       0.57       0.48
+    5 x 800     4,000    81      0.05       0.11
+    5 x 1200    6,000    54      0.05       0.11
+    5 x 6000    30,000   10      0.23       0.22
 
 So lockstep still pays somewhat above the limit of ``2**12``, up to about
-``n d = 8,000``, where the two loops draw level; the limit was set when
-each block stacked its own copies of ``X - z``, which no longer fit the
-caches above about 6,000.
+``n d = 8,000`` in d = 2, and the two loops draw level between that and
+16,000 (in d = 5 near 30,000); the limit was set when each block stacked
+its own copies of ``X - z``, which no longer fit the caches above about
+6,000.
 """
 
 from __future__ import annotations
@@ -182,7 +190,7 @@ def tangent_project(u, g) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
     if u.ndim != 1 or u.shape != g.shape:
         raise ValueError(f"u and g must be vectors of one shape, got {u.shape} and {g.shape}")
-    return np.array(_tangent(u.tolist(), g.tolist()))
+    return np.array(_tangent(u.tolist(), g.tolist())[0])
 
 
 def exp_map(u, v, alpha: float) -> np.ndarray:
@@ -200,9 +208,16 @@ def exp_map(u, v, alpha: float) -> np.ndarray:
     return np.array(_geodesic(u.tolist(), v.tolist(), alpha))
 
 
-def _tangent(u: list[float], g: list[float]) -> list[float]:
+def _tangent(u: list[float], g: list[float]) -> tuple[list[float], float]:
+    """The tangent ``g - <g, u> u`` and its squared norm, added left to
+    right from 0 as :func:`_dot` adds it."""
     dot = _dot(g, u)
-    return [a - dot * b for a, b in zip(g, u)]
+    tangent, squared = [], 0.0
+    for a, b in zip(g, u):
+        t = a - dot * b
+        squared += t * t
+        tangent.append(t)
+    return tangent, squared
 
 
 def _geodesic(u: list[float], v: list[float], alpha: float) -> list[float]:
@@ -252,10 +267,10 @@ def riemannian_descent(
         # coefficients of each pass run on the floats.
         point = u.tolist()
         p = objective.sigmoids(point)
-        cur_loss = float(p.sum()) / objective.n
+        cur_loss = float(np.add.reduce(p)) / objective.n
         if X.d == 1:
             # {-1, +1} has no tangent direction: try the other point once.
-            other = float(objective.sigmoids(-u).sum()) / objective.n
+            other = float(np.add.reduce(objective.sigmoids(-u))) / objective.n
             if other < cur_loss:  # a tie keeps the start
                 u, cur_loss = -u, other
             return DepthResult(cur_loss, u, 1, True)
@@ -265,8 +280,8 @@ def riemannian_descent(
         converged = False
         steps = 0
         for it in range(1, _MAX_ITER + 1):
-            tangent = _tangent(point, grad)
-            tnorm = math.sqrt(_dot(tangent, tangent))
+            tangent, squared = _tangent(point, grad)
+            tnorm = math.sqrt(squared)
             if tnorm < _STATIONARY_NORM:
                 converged = True
                 break
@@ -274,7 +289,8 @@ def riemannian_descent(
             # One pass over the data per trial direction; a move reuses its
             # sigmoids for the gradient at the new iterate.
             p = objective.sigmoids(trial)
-            new_loss = float(p.sum()) / objective.n
+            # ndarray.sum's pairwise sum, without its Python wrapper
+            new_loss = float(np.add.reduce(p)) / objective.n
             steps = it
 
             if new_loss > cur_loss:

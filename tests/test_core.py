@@ -789,6 +789,49 @@ class TestCellBounds:
             for z in queries:
                 _assert_full_scan(lam * z, X, params, grid)
 
+    @pytest.mark.parametrize("s", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_minimum_outside_the_first_cells(self, d, s):
+        # The oracle evaluates the least-bounded cells first, then every cell
+        # whose bound could still beat their best.  A minimum in a cell of
+        # the second round must still carry the full scan's bits.
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(d), 120, (66, d))
+        rng = np.random.default_rng((67, d))
+        queries = [
+            *X.data[rng.choice(X.n, 8, replace=False)],  # sample rows
+            *rng.uniform(-4.0, 4.0, (8, d)),  # uniform over the data's box
+            np.full(d, 6.0), np.full(d, -9.0),  # far from the data
+        ]
+        grid = DirectionGrid.generate(2048, d, seed=3)
+        cells, params = grid._cells, DepthParams(r=1.0, s=s)
+        second_round = 0
+        for z in queries:
+            _assert_full_scan(z, X, params, grid)
+            lower = core._Differences(z, X, params).cell_bounds(cells, slice(None))
+            first = np.argsort(lower, kind="stable")[: core._FIRST_CELLS]
+            index = grid_oracle_sphere_depth(z, X, params, grid).index
+            second_round += int(cells.cell_of[index] not in first)
+        assert second_round > 0
+
+    def test_tied_cells_below_the_best_index_are_opened(self):
+        # At s = 0 the values are counts, and a cell's bound can equal the
+        # best value of the first round; such a cell holding a lower index
+        # must still be evaluated, or the tie would not break to it.
+        grid = DirectionGrid.generate(512, 3)
+        cells, params = grid._cells, DepthParams(r=1.0, s=0.0)
+        tied = 0
+        for seed in range(10):
+            rng = np.random.default_rng((68, seed))
+            X = SampleSet(rng.standard_normal((10, 3)))
+            for z in [*X.data[:3], *rng.uniform(-2.0, 2.0, (3, 3))]:
+                _assert_full_scan(z, X, params, grid)
+                lower = core._Differences(z, X, params).cell_bounds(cells, slice(None))
+                first = np.argsort(lower, kind="stable")[: core._FIRST_CELLS]
+                res = grid_oracle_sphere_depth(z, X, params, grid)
+                cell = cells.cell_of[res.index]
+                tied += int(cell not in first and lower[cell] == res.value)
+        assert tied > 0
+
     @pytest.mark.parametrize("s", [0.0, 0.01, 1.0])
     def test_custom_grids(self, s):
         # Compact data, so that no row is dropped: a one-direction block sums

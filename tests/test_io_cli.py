@@ -215,6 +215,29 @@ class TestDepthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
+    @pytest.mark.parametrize("where", ["under-a-file", "missing-directories"])
+    def test_unusable_output_directory_is_an_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        target = blocker / "x.json" if where == "under-a-file" else tmp_path / "no" / "sub" / "x.json"
+        monkeypatch.setattr("spheredepth.cli.run_depth", lambda args: pytest.fail("runner ran"))
+        assert main(["depth", "--n", "20", "--query", "0,0", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --output: ")
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]  # nothing created
+        assert blocker.read_text() == ""
+
+    def test_failed_final_write_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        assert main(["depth", "--n", "20", "--query", "0,0", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
+
     def test_oracle_check_gap(self, capsys):
         code = main([
             "depth", "--generator", "gaussian", "--n", "200", "--d", "2",
@@ -368,6 +391,18 @@ class TestHtestCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "s > 0" in err and "oracle-grid" not in err
+
+    @pytest.mark.parametrize(
+        "sizes", [["--n", "1", "--m", "5"], ["--n", "5", "--m", "1", "--both-orderings"]]
+    )
+    def test_excluding_the_only_term_is_an_error(self, capsys, sizes):
+        # A point equal to every reference row has nothing left once its
+        # self terms are excluded.
+        assert main(["htest", *sizes, "--reps", "2", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point 0 ") and "every reference row (n = 1)" in err
+        kept = main(["htest", *sizes, "--reps", "2", "--seed", "1", "--self-terms", "include"])
+        assert kept == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [

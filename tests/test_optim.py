@@ -513,7 +513,7 @@ class TestLockstepParity:
     """``batch_depth`` solves blocks of queries in lockstep; every result
     must equal the per-point solver's bit for bit."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_matches_per_point_solver(self, monkeypatch, d):
         X = gen_mixture(bi_gaussian_spec(d), 120, seed=(33, d))
         rng = np.random.default_rng((34, d))
