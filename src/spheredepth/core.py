@@ -37,9 +37,9 @@ any n.  The expansion rounds to within
 centring keeps that independent of where the data sit.
 
 The grid oracle evaluates blocks of unit directions ``U`` at every ``s``
-on a per-query ``[w | ||w||**2]`` with ``w = x - z``: at ``s > 0`` one
-product ``-t/s = [w | ||w||**2] @ [-2r U / s ; 1 / s]`` and the logistic,
-at ``s = 0`` the sign of ``t = 2r (w @ U) - ||w||**2``.  Its arguments
+on a per-query ``[w | ||w||**2 | ||w||]`` with ``w = x - z``: at ``s > 0``
+one product ``-t/s = [w | ||w||**2] @ [-2r U / s ; 1 / s]`` and the
+logistic, at ``s = 0`` the sign of ``t = 2r (w @ U) - ||w||**2``.  Its arguments
 round to within ``tol (2r ||w|| + ||w||**2)``, over ``s`` when ``s > 0``,
 whatever the distance of the rows and the ball from the sample mean.
 
@@ -68,28 +68,28 @@ most of the sample can lie beyond ``R`` and the oracle's block shrinks
 with it.
 
 The sphere oracle is an exact grid minimum with cell bounds.  Each
-:class:`DirectionGrid` is split once, on first use, into cells of at most
-32 nearby directions, each a cap with a center and an angular radius.
-Over a cap, a lower bound on ``<w_i, u>`` for every kept sample gives a
-lower bound on every member's value, and all cells cost one product with
-the ``w = x - z`` of the oracle's kernel.  The oracle bounds every cell
+:class:`DirectionGrid` is split once, on first use, into cells of nearby
+directions (at most 32 in d <= 2, 16 in d = 3 and 8 in d >= 4), each with a
+unit center ``c`` and a chord ``h``, the largest ``||u - c||`` over its
+members.  As ``<w, u> >= <w, c> - h ||w||`` for every member, one product of
+the kept rows' ``[w | ||w||**2 | ||w||]`` with ``d + 2`` coefficients per
+cell bounds every cell's values from below.  The oracle bounds every cell
 before it evaluates any, then evaluates the members of the three cells of
 least bound, and then only the cells whose bound could still beat the best
 of those: it opens cells in ascending bound, the order of a
 branch-and-bound.  Its value and index are bit for bit those of
 evaluating every direction.  On a bi-Gaussian sample (n = 200, 4096
 directions, 20 sample queries; interleaved medians of 7 on a 2-core x86-64
-host) the oracle evaluates 3-7% of the directions in d = 2 for ``s`` in
-{0.01, 0.1, 1} and 13% at ``s = 0``, and a query costs 4.3-6x less than a
-full scan for ``s > 0`` and 2.5x less at ``s = 0``; in d = 3 it evaluates
-13-36% and costs 1.6-3.7x less, and 1.1-1.8x less at n = 1e5 with 1024
-directions.  Two costs remain.  In d = 5 the cells are wide: a query costs
-1.3-1.8x less at ``s >= 0.1`` and n >= 200, but at ``s = 0.01`` and
-``s = 0`` nearly every cell is evaluated, and the bounds make a query
-cost 1-7% and 70% more than the full scan at n = 200 (20-25% and 120% at
-n = 60; at ``s = 0`` a direction's value is a cheap count).  And the split
-costs 3-4.5 ms for 4096 directions, paid on a grid's first oracle call, so
-a caller that builds a grid per query can pay more than a full scan.
+host, one BLAS thread) the oracle evaluates 6-10% of the directions in
+d = 2 for ``s`` in {0.01, 0.1, 1} and 2.5% at ``s = 0``, and a query costs
+4.8-6.6x less than a full scan for ``s > 0`` and 4.9x less at ``s = 0``;
+in d = 3 it evaluates 7-25% and costs 2.3-5.3x less, and 2.1x less at
+n = 1e5 with 1024 directions.  In d = 5 it costs 2.0-2.4x less at ``s >= 0.1``,
+and 1.1x less at ``s = 0.01``, where it still evaluates 83%, and at
+``s = 0``.  Two costs remain.  At n = 60 in d = 5 a query at ``s = 0.01``
+or ``s = 0`` costs 1.2x the full scan.  And the split costs 2-4 ms for
+4096 directions, paid on a grid's first oracle call, so a caller that
+builds a grid per query can pay more than a full scan.
 
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.  A grid's cells are a deterministic function of its
@@ -138,8 +138,12 @@ _EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Most directions in one cell of a grid's partition (see ``DirectionGrid._cells``).
-_CELL_SIZE = 32
+
+def _cell_size(d: int) -> int:
+    """Most directions in one cell of a d-dimensional grid's partition (see
+    ``DirectionGrid._cells``)."""
+    return 32 if d <= 2 else 16 if d == 3 else 8
+
 
 # The sphere oracle first evaluates every member of this many cells, those
 # of least bound, to find the value that prunes the others (``_grid_minimum``).
@@ -297,20 +301,18 @@ class _Cells(NamedTuple):
     cell_of: np.ndarray  # the cell of each grid index
     firsts: np.ndarray  # the lowest grid index of each cell, which ascend
     centers: np.ndarray  # (k, d) unit center of each cell
-    cos: np.ndarray  # cosine and sine of each cell's angular radius, which is
-    sin: np.ndarray  # rounded outward so that it covers every member
-    norm_dev: float  # largest | ||u|| - 1 | over the grid's directions
+    chords: np.ndarray  # each cell's largest ||u - c|| over its members u as
+    # the grid stores them, rounded outward
 
 
 def _partition(directions: np.ndarray) -> _Cells:
-    """Split ``directions`` into cells of at most ``_CELL_SIZE`` by recursive
+    """Split ``directions`` into cells of at most ``_cell_size(d)`` by recursive
     median splits on the coordinate with the widest range, equal coordinates
     ordered by grid index, so that the partition is a function of the
     directions alone.  The splits are made a level at a time over all cells,
     each level one sort of keys that are all distinct."""
-    norms = np.linalg.norm(directions, axis=1)
-    unit = directions / norms[:, None]
-    m = len(unit)
+    unit = directions / np.linalg.norm(directions, axis=1)[:, None]
+    m, size = len(unit), _cell_size(unit.shape[1])
     # Each direction's rank along each coordinate.
     rank = np.empty(unit.shape, dtype=np.intp)
     for j, col in enumerate(unit.T):
@@ -321,7 +323,7 @@ def _partition(directions: np.ndarray) -> _Cells:
     while True:
         starts, sizes = edges[:-1], edges[1:] - edges[:-1]
         cell = np.repeat(np.arange(starts.size), sizes)
-        split = sizes > _CELL_SIZE
+        split = sizes > size
         if not split.any():
             break
         pts = unit[order]
@@ -341,19 +343,12 @@ def _partition(directions: np.ndarray) -> _Cells:
     flat = lengths == 0.0
     sums[flat], lengths[flat] = members[starts[flat]], 1.0
     centers = sums / lengths[:, None]
-    # Each member's angle from its center, from both the cosine and the
-    # sine, which keeps it accurate near 0 and near pi.
-    around = np.repeat(centers, sizes, axis=0)
-    cos = np.einsum("ij,ij->i", members, around)
-    sin = np.linalg.norm(members - cos[:, None] * around, axis=1)
-    radius = np.maximum.reduceat(np.arctan2(sin, cos), starts)
-    radius = np.minimum(radius + _rounding_tol(unit.shape[1]), np.pi)
+    # Rounded outward: a computed norm is within (d + 3) eps of the exact one.
+    gaps = np.linalg.norm(directions[order] - np.repeat(centers, sizes, axis=0), axis=1)
+    chords = np.maximum.reduceat(gaps, starts) * (1.0 + _rounding_tol(unit.shape[1]))
     cell_of = np.empty(len(unit), dtype=np.intp)
     cell_of[order] = np.repeat(np.arange(sizes.size), sizes)
-    return _Cells(
-        cell_of, order[starts], centers, np.cos(radius), np.sin(radius),
-        float(np.abs(norms - 1.0).max()),
-    )
+    return _Cells(cell_of, order[starts], centers, chords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -824,9 +819,11 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
 
 
 class _Differences:
-    """The grid oracle's kernel for one query point ``z``: ``[w | ||w||**2]``
-    with ``w = x - z``, column-major, over the rows within the keep radius
-    (:func:`_keep_radius`); every term it drops is exactly 0.
+    """The grid oracle's kernel for one query point ``z``:
+    ``[w | ||w||**2 | ||w||]`` with ``w = x - z``, column-major, over the
+    rows within the keep radius (:func:`_keep_radius`); every term it drops
+    is exactly 0.  The values read the first ``d + 1`` columns, the cell
+    bounds all ``d + 2``.
 
     It evaluates unit directions only, at which the ball argument is
     ``t = 2r <w, u> - ||w||**2``; a sample at the query sits at exactly
@@ -845,7 +842,7 @@ class _Differences:
         unit = 1.0 if self.s > 0 else math.ldexp(1.0, math.frexp(params.r)[1] - 1)
         self.r = params.r / unit
         d = X.d
-        rows = np.empty((d + 1, X.n))
+        rows = np.empty((d + 2, X.n))
         w = np.subtract(X.data.T, z[:, None], out=rows[:d])
         if unit != 1.0:
             # For a subnormal r a row can overflow to inf; it lies beyond
@@ -861,6 +858,7 @@ class _Differences:
             keep[np.argmin(keep)] = True
         if not keep.all():
             rows = rows.compress(keep, axis=1)
+        np.sqrt(rows[d], out=rows[d + 1])
         self.rows = rows.T
 
     def values(self, directions: np.ndarray) -> np.ndarray:
@@ -870,13 +868,13 @@ class _Differences:
         if self.s == 0:
             t = self.rows[:, :d] @ U
             t *= 2.0 * self.r
-            t -= self.rows[:, d:]
+            t -= self.rows[:, d : d + 1]
             terms = t >= 0.0
         else:
             coef = np.empty((d + 1, U.shape[1]))
             np.multiply(U, -2.0 * self.r / self.s, out=coef[:d])
             coef[d] = 1.0 / self.s
-            terms = _logistic_of_negated(self.rows @ coef)
+            terms = _logistic_of_negated(self.rows[:, : d + 1] @ coef)
         return terms.sum(axis=0) / self.n
 
     def cell_bounds(self, cells: _Cells, chunk: slice) -> np.ndarray:
@@ -884,46 +882,34 @@ class _Differences:
         the mean of the terms at a ball argument no larger than the one of
         any member, less what rounding can add to that mean.  See
         :func:`grid_oracle_sphere_depth` for the bound and its rounding."""
-        d = self.rows.shape[1] - 1
-        w, w2 = self.rows[:, :d], self.rows[:, d]
-        if self.s > 0:
-            # A row farther than this has a term below eps/n in every
-            # direction; leaving it out can only lower the bound.
-            reach = self.r + math.sqrt(self.r * self.r + self.s * math.log(self.n / _EPS))
-            reachable = w2 <= reach * reach
-            if not reachable.all():
-                w, w2 = w[reachable], w2[reachable]
+        rows = self.rows
+        d = rows.shape[1] - 2
         tol = _rounding_tol(d)
-        w2 = w2[:, None]
-        nw = np.sqrt(w2)
-        wc = w @ cells.centers[chunk].T
-        near = wc > nw * (tol - cells.cos[chunk])  # the cap stops short of -w/||w||
-        # sqrt(||w||**2 - <w, c>**2), raised by what rounding can take from it
-        perp = np.multiply(wc, wc)
-        np.subtract(w2 * (1.0 + tol), perp, out=perp)
-        np.maximum(perp, 0.0, out=perp)
-        np.sqrt(perp, out=perp)
-        # t = 2r <w, u> - ||w||**2 + r**2 (1 - ||u||**2) at the least <w, u>
-        # over the cap, lowered by what the bound's rounding and the
-        # directions' norms can add to t.
-        dev = cells.norm_dev
-        shift = w2 + (2.0 * self.r * nw + w2) * (tol + dev) + 3.0 * self.r * self.r * dev
+        centers = cells.centers[chunk].T
+        # t = 2r <w, c> - (1 + tol) ||w||**2 - 2r (h + tol) ||w||, over -s at s > 0
+        coef = np.empty((d + 2, centers.shape[1]))
+        np.multiply(centers, 2.0 * self.r, out=coef[:d])
+        coef[d] = -1.0 - tol
+        np.multiply(cells.chords[chunk] + tol, -2.0 * self.r, out=coef[d + 1])
         if self.s == 0:
-            scale, offset = 2.0 * self.r, -shift
-        else:  # folded into -t/s
-            scale, offset = -2.0 * self.r / self.s, shift / self.s
-        perp *= scale * cells.sin[chunk]
-        arg = np.multiply(wc, scale * cells.cos[chunk], out=wc)
-        arg -= perp
-        np.copyto(arg, -scale * nw, where=~near)
-        arg += offset
-        if self.s == 0:
-            return (arg >= 0.0).sum(axis=0) / self.n
+            return (rows @ coef >= 0.0).sum(axis=0) / self.n
+        # Every value is at least 1/n of the nearest row's least term, and a
+        # row beyond this reach has terms below eps/n of that: leaving it out
+        # lowers the bound by less than eps times any value.
+        nw = rows[:, d + 1]
+        near = self.r + float(nw.min(initial=math.inf))
+        reach = self.r + math.sqrt(near * near + self.s * math.log(2 * self.n / _EPS))
+        reachable = nw <= reach
+        if not reachable.all():
+            rows = rows[reachable]
+        coef /= -self.s
+        arg = rows @ coef
         # Below 700 exp stays finite and off its slow overflow path; a term
         # that would be 0 rises by less than 1e-304.
         np.minimum(arg, 700.0, out=arg)
         lower = _logistic_of_negated(arg).sum(axis=0) / self.n
-        lower -= 8.0 * (self.n + 8) * _EPS
+        lower *= 1.0 - 8.0 * (self.n + 8) * _EPS
+        lower -= 1e-303
         # No value is below 0, which keeps a plateau of exact zeros skippable.
         return np.maximum(lower, 0.0, out=lower)
 
@@ -973,11 +959,8 @@ def _grid_minimum(grid: DirectionGrid, n: int, block_values, cell_bounds=None) -
         )
     else:
         cells = grid._cells
-        # The bound holds two n-by-k arrays at once, so it takes half as many
-        # cells per chunk as the scan takes directions.
-        step = max(1, block // 2)
         lower = np.concatenate(
-            [cell_bounds(cells, slice(k, k + step)) for k in range(0, cells.firsts.size, step)]
+            [cell_bounds(cells, slice(k, k + block)) for k in range(0, cells.firsts.size, block)]
         )
         values = np.full(grid.m, np.inf)  # a skipped direction cannot be the minimum
 
@@ -1007,44 +990,50 @@ def grid_oracle_sphere_depth(
     index are bit for bit those of evaluating every direction.
 
     Every term increases with the ball argument ``t = 2r <w, u> - ||w||**2``
-    (``w = x - z``).  A cell of the grid is a cap of unit center ``c`` and
-    angular radius ``delta``; over it, with ``<w, c> = ||w|| cos(theta)``,
+    (``w = x - z``).  A cell of the grid has a unit center ``c`` and a chord
+    ``h``, the largest ``||u - c||`` over its members ``u`` as the grid
+    stores them, unit or not.  For every member,
 
-        <w, u> >= ||w|| cos(theta + delta)
-               =  <w, c> cos(delta) - sqrt(||w||**2 - <w, c>**2) sin(delta)
+        <w, u> = <w, c> + <w, u - c> >= <w, c> - h ||w||
 
-    while ``theta + delta <= pi``, that is ``<w, c> >= -||w|| cos(delta)``,
-    and ``<w, u> >= -||w||`` otherwise.  The mean of the terms at the
-    resulting ``t`` bounds every member's value from below
-    (``_Differences.cell_bounds``).  All cells cost one product ``w @ C``.
-    Rows whose term is below ``eps/n`` in every direction are left out of
-    it, which can only lower the bound.
+    and the mean of the terms at the resulting ``t`` bounds every member's
+    value from below (``_Differences.cell_bounds``).  The bound holds for
+    every direction within ``h`` of ``c``, so it covers a cap of any centre
+    and radius, not only the grid's members.  All cells cost one product of
+    the kept rows' ``[w | ||w||**2 | ||w||]`` with ``d + 2`` coefficients per
+    cell.  At ``s > 0`` every value is at least ``1/n`` of the nearest row's
+    least term, and rows farther than
+    ``r + sqrt((r + ||w_0||)**2 + s log(2n / eps))``, with ``w_0`` the
+    nearest row, have terms below ``eps/n`` of it; they are left out of the
+    product, which lowers the bound by less than ``eps`` times any value.
 
     Rounding.  A member's computed ``t``, or ``-t/s`` at ``s > 0``, is off
-    by less than ``tol (2r ||w|| + ||w||**2)``, over ``s`` at ``s > 0``,
-    with ``tol = 8 (d + 8) eps``: its dot product of at most ``d + 1`` terms
-    loses at most ``(d + 1) eps`` of their magnitudes, and each of the few
-    operations around it, the coefficients' included, one ``eps``; the
-    bound's own argument, computed from the same ``w``, rounds by as
-    little.  The bound's ``t`` is lowered by that much again, and by
-    ``2r ||w|| dev + 3 r**2 dev`` for grid directions whose norms are off 1
-    by up to ``dev``; the antipodal test is moved by ``tol ||w||`` toward
-    the second case, ``||w||**2 - <w, c>**2`` is raised by ``tol ||w||**2``
-    before its square root, and ``delta`` is rounded outward.  At ``s > 0``
-    the bound's ``t`` is then folded into ``-t/s``.  So each computed term
-    of the bound is at most the computed term of the member, up to the
-    relative error of the logistic,
-    a few ``eps``; arguments of the bound above 700 are capped, which
-    raises a term of 0 by less than 1e-304.
-    The two sequential sums of at most ``n`` terms in ``[0, 1]`` add at
-    most ``n eps`` each to the means, so the bound exceeds a member's value
-    by less than ``8 (n + 8) eps``, which is subtracted from it; no value
-    is below 0, so neither is the bound after that.  At ``s = 0`` the terms
-    are 0 or 1 and the sums are exact counts, so the bound's count is at
-    most every member's and nothing is subtracted.  A cell whose bound
-    equals the best value found can then be skipped when its members'
-    indices are all higher, as on the plateau of equal counts, or of exact
-    zeros, that queries outside the data have.
+    by less than ``(d + 3) eps (2r ||w|| + ||w||**2)``, over ``s`` at
+    ``s > 0``: its dot product of at most ``d + 1`` terms loses at most
+    ``(d + 1) eps`` of their magnitudes, and each operation around it, the
+    coefficients' included, one ``eps``.  The bound's product of ``d + 2``
+    terms, whose magnitudes add to at most ``6.02 r ||w|| + 1.01 ||w||**2``
+    (``h <= 2.01``), its coefficients, and the square root in ``||w||``
+    round by less than ``(5d + 20) eps (2r ||w|| + ||w||**2)``; chords are
+    rounded outward.  With ``tol = 8 (d + 8) eps`` the bound's ``t`` is
+    lowered by ``tol (2r ||w|| + ||w||**2)``, which covers both, folded into
+    its coefficients as ``h + tol`` and ``1 + tol``.  A sample at the query
+    has ``w = 0``, so its ``t`` and its bound's are both exactly 0, and it
+    counts in every bound as in every value.  So each computed term of the
+    bound is at most the computed term of the member, up to the relative
+    error of the logistic, a few ``eps``; arguments of the bound above 700
+    are capped, which raises a term of 0 by less than 1e-304.  The two
+    sequential sums of at most ``n`` non-negative terms and the divisions
+    by ``n`` change each mean by a factor within ``(n + 1) eps`` of 1, so
+    the bound is multiplied by ``1 - 8 (n + 8) eps`` and lowered by 1e-303
+    for the capped terms; no value is below 0, so neither is the bound after
+    that.  The allowance is relative, so a plateau of tiny values, as far
+    from the data as 1e-94, can be skipped.  At ``s = 0`` the terms are 0
+    or 1 and the sums are exact counts, so the bound's count is at most
+    every member's and nothing is subtracted.  A cell whose bound equals the
+    best value found can then be skipped when its members' indices are all
+    higher, as on the plateau of equal counts, or of exact zeros, that
+    queries outside the data have.
     """
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:

@@ -709,7 +709,7 @@ def _recursive_cells(directions):
     cells, todo = [], [np.arange(len(unit))]
     while todo:
         idx = todo.pop()
-        if idx.size <= core._CELL_SIZE:
+        if idx.size <= core._cell_size(directions.shape[1]):
             cells.append(np.sort(idx))
             continue
         pts = unit[idx]
@@ -727,12 +727,17 @@ class TestCellBounds:
         grid = DirectionGrid.generate(m, d)
         cells = grid._cells
         sizes = np.bincount(cells.cell_of)
-        assert sizes.min() >= 1 and sizes.max() <= core._CELL_SIZE
+        assert sizes.min() >= 1 and sizes.max() <= core._cell_size(d)
         assert np.array_equal(cells.firsts, np.sort([np.flatnonzero(cells.cell_of == k)[0]
                                                      for k in range(sizes.size)]))
         np.testing.assert_allclose(np.linalg.norm(cells.centers, axis=1), 1.0, atol=1e-15)
-        cos = np.einsum("ij,ij->i", grid.directions, cells.centers[cells.cell_of])
-        assert np.all(cos >= cells.cos[cells.cell_of])
+        # Each cell's chord covers its members as stored, measured in
+        # np.longdouble, and is no wider than rounding needs.
+        gaps = np.linalg.norm(grid.directions.astype(np.longdouble)
+                              - cells.centers[cells.cell_of], axis=1)
+        widest = np.zeros(sizes.size, dtype=np.longdouble)
+        np.maximum.at(widest, cells.cell_of, gaps)
+        assert np.all(widest <= cells.chords) and np.all(cells.chords <= widest * (1 + 1e-13))
         again = core._partition(grid.directions.copy())
         assert all(np.array_equal(a, b) for a, b in zip(cells, again))
         assert grid._cells is cells
@@ -791,10 +796,12 @@ class TestCellBounds:
 
     @pytest.mark.parametrize("s", [1.0, 0.1, 0.01])
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_minimum_outside_the_first_cells(self, d, s):
+    def test_minimum_outside_the_first_cells(self, d, s, monkeypatch):
         # The oracle evaluates the least-bounded cells first, then every cell
         # whose bound could still beat their best.  A minimum in a cell of
-        # the second round must still carry the full scan's bits.
+        # the second round must still carry the full scan's bits.  A first
+        # round of one cell sends more minima to the second.
+        monkeypatch.setattr(core, "_FIRST_CELLS", 1)
         X = datagen.gen_mixture(datagen.bi_gaussian_spec(d), 120, (66, d))
         rng = np.random.default_rng((67, d))
         queries = [
@@ -848,11 +855,32 @@ class TestCellBounds:
             DirectionGrid(np.tile(base[:10], (12, 1))),
             DirectionGrid(base * (1.0 + 8e-13)),  # within 1e-12 of unit: kept as given
         ]
-        assert grids[-1]._cells.norm_dev > 5e-13
+        assert np.abs(np.linalg.norm(grids[-1].directions, axis=1) - 1.0).max() > 5e-13
         params = DepthParams(r=0.8, s=s)
         for grid in grids:
             for z in list(X.data[:3]) + list(rng.uniform(-0.8, 0.8, (3, 3))) + [[9.0, 0.0, 0.0]]:
                 _assert_full_scan(np.asarray(z), X, params, grid)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_bound_is_met_opposite_the_farthest_member(self, d):
+        # One sample along c - u, for the member u farthest from its cell's
+        # center c, meets the chord bound: <w, u> = <w, c> - h ||w||.  The
+        # bound must then equal the least member value to rounding and not
+        # exceed it, with chords measured on directions stored 8e-13 off
+        # unit norm (as normalised directions they would be short by
+        # about 4e-13 h, far more than the rounding allowance).
+        grid = DirectionGrid(DirectionGrid.generate(64, d, seed=6).directions * (1.0 + 8e-13))
+        cells = grid._cells
+        for s, length in ((1e-2, 0.1), (1e-4, 0.01)):
+            for k in range(cells.firsts.size):
+                members = np.flatnonzero(cells.cell_of == k)
+                gaps = np.linalg.norm(grid.directions[members] - cells.centers[k], axis=1)
+                away = cells.centers[k] - grid.directions[members[np.argmax(gaps)]]
+                X = SampleSet([length * away / np.linalg.norm(away)])
+                kernel = core._Differences(np.zeros(d), X, DepthParams(r=1.0, s=s))
+                least = kernel.values(grid.directions)[members].min()
+                lower = kernel.cell_bounds(cells, slice(k, k + 1))[0]
+                assert least * (1.0 - 1e-9) <= lower <= least
 
     @pytest.mark.parametrize("s", [1e-3, 1.0])
     @pytest.mark.parametrize("d", [2, 3])
@@ -871,8 +899,8 @@ class TestCellBounds:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_wide_cells(self, d):
-        # A few cells of up to 32 directions reach past a right angle, where
-        # samples opposite the center need the bound's second case.
+        # Grids of 33 to 100 directions have wide cells, with chords of up
+        # to 1.34-1.42 (about a right angle), where the bound is loosest.
         rng = np.random.default_rng((63, d))
         X = SampleSet(rng.standard_normal((30, d)))
         for m, s in itertools.product((33, 48, 64, 100), (0.0, 0.1, 1.0)):
@@ -880,14 +908,11 @@ class TestCellBounds:
             for z in list(X.data[:4]) + list(rng.uniform(-1.5, 1.5, (4, d))):
                 _assert_full_scan(z, X, DepthParams(r=1.0, s=s), grid)
 
-    @pytest.mark.parametrize("s", [0.0, 0.01, 1.0])
-    def test_most_directions_are_skipped(self, s, monkeypatch):
-        spec = datagen.bi_gaussian_spec(2)
-        X = datagen.gen_mixture(spec, 200, (62, 1))
-        queries = X.data[np.random.default_rng(62).choice(200, 20, replace=False)]
-        grid = DirectionGrid.generate(4096, 2)
+    @staticmethod
+    def evaluated_share(monkeypatch, X, queries, params, grid):
+        """The share of the grid's directions, over ``queries``, that reach
+        ``_Differences.values``; each oracle result must be the full scan's."""
         evaluated = [0]
-
         values = core._Differences.values
 
         def counting(self, directions):
@@ -896,8 +921,74 @@ class TestCellBounds:
 
         monkeypatch.setattr(core._Differences, "values", counting)
         for z in queries:
-            grid_oracle_sphere_depth(z, X, DepthParams(r=1.0, s=s), grid)
-        assert 0 < evaluated[0] <= 0.35 * len(queries) * grid.m
+            _assert_full_scan(z, X, params, grid)
+        return evaluated[0] / (len(queries) * grid.m)
+
+    @pytest.mark.parametrize("s", [0.0, 0.01, 1.0])
+    def test_most_directions_are_skipped(self, s, monkeypatch):
+        spec = datagen.bi_gaussian_spec(2)
+        X = datagen.gen_mixture(spec, 200, (62, 1))
+        queries = X.data[np.random.default_rng(62).choice(200, 20, replace=False)]
+        grid = DirectionGrid.generate(4096, 2)
+        share = self.evaluated_share(monkeypatch, X, queries, DepthParams(r=1.0, s=s), grid)
+        assert 0 < share <= 0.35
+
+    @pytest.mark.parametrize(
+        "where, d, s, most",
+        [("far", 2, 0.1, 0.1), ("far", 2, 0.01, 0.1),
+         ("self", 2, 0.0, 0.06), ("self", 5, 0.0, 0.25)],
+    )
+    def test_plateaus_and_self_ties_are_skipped(self, where, d, s, most, monkeypatch):
+        # Queries outside the data have a plateau of tiny values (1e-20 to
+        # 1e-94 at s = 0.1): only an allowance for the bound's rounding
+        # relative to its value lets a cell's bound rise above the best one.
+        # At s = 0 a sample at the query has t = 0 exactly and counts as
+        # inside in every direction; a bound that lowers its t misses that
+        # count in every cell, and nearly every cell opens.
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(d), 200, (71, d))
+        rng = np.random.default_rng((72, d))
+        if where == "far":
+            queries = rng.uniform(-4.0, 4.0, (30, d))
+        else:
+            queries = X.data[rng.choice(X.n, 20, replace=False)]
+        grid = DirectionGrid.generate(4096, d)
+        share = self.evaluated_share(monkeypatch, X, queries, DepthParams(r=1.0, s=s), grid)
+        assert 0 < share <= most
+
+    @pytest.mark.parametrize("lam", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_bound_below_every_member(self, d, s, lam):
+        # Each cell's bound is at most the least value that the kernel gives
+        # its members, on grids generated, built from directions of any norm
+        # and kept off unit norm by up to 8e-13.
+        rng = np.random.default_rng((73, d))
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(d), 150, (74, d))
+        queries = [
+            *X.data[rng.choice(X.n, 4, replace=False)],  # sample rows
+            *rng.uniform(-4.0, 4.0, (4, d)),  # uniform over the data's box
+            np.full(d, 6.0), np.full(d, -9.0),  # far from the data
+        ]
+        generated = DirectionGrid.generate(1024, d, seed=5).directions
+        grids = [
+            DirectionGrid(generated),
+            DirectionGrid(3.0 * rng.standard_normal((700, d))),
+            DirectionGrid(generated * (1.0 + 8e-13)),
+        ]
+        X, params = SampleSet(lam * X.data), DepthParams(r=lam, s=lam * lam * s)
+        positive = 0
+        for grid in grids:
+            cells = grid._cells
+            for z in queries:
+                kernel = core._Differences(lam * z, X, params)
+                with np.errstate(over="ignore"):
+                    values = kernel.values(grid.directions)  # as the full scan gives them
+                    lower = kernel.cell_bounds(cells, slice(None))
+                least = np.full(cells.firsts.size, np.inf)
+                np.minimum.at(least, cells.cell_of, values)
+                assert np.all(lower <= least)
+                positive += int(np.sum(lower > 0.0))
+        assert positive > 0
 
 
 class TestObjectiveProperties:
