@@ -95,6 +95,12 @@ def _positive_int(text: str) -> int:
     return count
 
 
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
+
+
 def _label_col(text: str):
     try:
         return int(text)
@@ -542,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     data_src.add_argument("--csv", type=str, default=None, help="numeric CSV data source")
     data_src.add_argument("--label-column", type=str, default=None,
                           help="label column (name or index) to strip/score")
-    data_src.add_argument("--delimiter", type=str, default=",")
+    data_src.add_argument("--delimiter", type=_delimiter, default=",")
     data_src.add_argument("--generator", choices=("gaussian", "bi-gaussian"),
                           default="bi-gaussian", help="synthetic source when no CSV is given")
     data_src.add_argument("--n", type=int, default=200)
@@ -614,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="AUROC anomaly scoring on a labeled CSV")
     p.add_argument("--csv", type=str, required=True)
     p.add_argument("--label-column", type=str, required=True)
-    p.add_argument("--delimiter", type=str, default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--methods", nargs="+", default=("sphere", "mahalanobis"),
                    choices=("sphere", "halfspace", "mahalanobis", "kspatial", "oracle-grid"))
     p.add_argument("--standardize", action="store_true",

@@ -18,10 +18,10 @@ fast solver lives in :mod:`spheredepth.optim`.
 The solver's objective has one implementation, the private ``_Objective``
 kernel: the loss, the gradient and the solver evaluate it.  Its stacked
 form ``_Stack``, for the lockstep solver of many queries
-(``optim.batch_depth``), sits beside it, and the two share the code that
-keeps rows and builds the coefficients, so each stacked evaluation has,
-query by query, the bits of ``_Objective``'s.  The grid oracle has a
-kernel of its own, ``_Differences``, which reads ``x - z`` directly.
+(``optim.batch_depth``), sits beside it, reads the same rows and builds
+the coefficients in the same order, so each stacked evaluation has, query
+by query, the bits of ``_Objective``'s.  The grid oracle has a kernel of
+its own, ``_Differences``, which reads ``x - z`` directly.
 
 For ``s > 0`` no solve copies the data.  :class:`SampleSet` keeps one
 read-only, column-major matrix ``A = [X - mean | ||x - mean||**2 | 1]``,
@@ -50,22 +50,25 @@ public entry point (and the solver in :mod:`spheredepth.optim`) holds
 ``np.errstate(over="ignore")`` once around its work; every other
 floating-point error keeps the caller's setting.
 
-Samples whose term is exactly 0 in every direction are dropped once per
-query.  For a direction of norm ``rho``,
+Samples whose term is exactly 0 in every direction can be dropped once
+per query.  For a direction of norm ``rho``,
 ``-t_i >= (||w_i|| - r*rho)**2 - r**2``, so past the radius
 ``R = 1.01 * (r*rho + hypot(r, sqrt(s * log(DBL_MAX))))`` the argument
 ``-t_i/s`` exceeds ``log(DBL_MAX)``, ``exp`` overflows and the term is
 exactly 0 (for ``s = 0``, ``R = 2.02 r`` and the indicator is 0: the ball
 of radius ``r`` through ``z`` cannot reach the sample).  The 1% margin
 covers rounding; ``hypot`` keeps ``R`` from underflowing to ``r`` for tiny
-``r``.  The solver's radius also takes in the expansion's rounding, and
-a query whose every row lies within it (``max ||x~|| + ||z~|| <= R``)
-reads ``A`` itself; only otherwise does one product give the rows'
-``||x - z||**2``, and the kept rows are gathered.  The oracle's kernel
-keeps the rows within ``R`` itself.  Every mean still divides by the full
+``r``.  The oracle's kernel keeps the rows within ``R``.  The solver
+drops rows only for samples with ``n d`` above ``_LOCKSTEP_ENTRIES``:
+at or below it, the range where ``optim.batch_depth`` solves in lockstep,
+both of its loops read every row of ``A``, so they read the same rows.
+Above it the radius also takes in the expansion's rounding, and a query
+whose every row lies within it (``max ||x~|| + ||z~|| <= R``) reads ``A``
+itself; only otherwise does one product give the rows' ``||x - z||**2``,
+and the kept rows are gathered.  Every mean still divides by the full
 ``n``, so the loss, the gradient and the oracle are exact; at small ``s``
-most of the sample can lie beyond ``R`` and the oracle's block shrinks
-with it.
+most of the sample can lie beyond ``R``, and the oracle's block, and the
+solver's above the limit, shrink with it.
 
 The sphere oracle is an exact grid minimum with cell bounds.  Each
 :class:`DirectionGrid` is split once, on first use, into cells of nearby
@@ -101,7 +104,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +135,14 @@ _ORACLE_BLOCK_ENTRIES = 4_000_000
 # host busy, and its time came to depend on what else ran on the second
 # core.  In blocks each product runs on the calling thread.
 _ROW_BLOCK_ENTRIES = 2**18
+
+# A sample with ``n d`` at most this is solved over every row of its centred
+# matrix, and ``optim.batch_depth`` solves its queries in lockstep; above it
+# the solver drops the rows beyond the keep radius and solves point by
+# point.  The limit was set where a block of ``X - z`` copies stopped
+# fitting the caches; lockstep now pays up to about 8,000 (``optim``'s
+# module docstring).
+_LOCKSTEP_ENTRIES = 2**12
 
 # Past this argument ``exp`` overflows to ``inf`` and ``1 / (1 + inf)`` is 0.
 _EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
@@ -478,7 +489,7 @@ def sigmoid_derivative(t, s: float):
     return out
 
 
-def _keep_radius(params: DepthParams, u_norm: float, spread=0.0, tol: float = 0.0):
+def _keep_radius(params: DepthParams, u_norm: float, spread: float = 0.0, tol: float = 0.0):
     """Distance from the query beyond which a sample's term is exactly 0 for
     every direction of norm at most ``rho = max(u_norm, 1 + 1e-9)``.
 
@@ -487,18 +498,14 @@ def _keep_radius(params: DepthParams, u_norm: float, spread=0.0, tol: float = 0.
     (:class:`_Objective`), where ``||x~|| + ||c~|| <= spread + r rho`` for
     ``spread`` at least ``||x~|| + ||z~||``.  The radius takes that error in
     as if it were part of ``s log(DBL_MAX)``, so a row beyond it still has
-    a computed ``-t/s`` above ``log(DBL_MAX)``.  ``spread`` is a float or an
-    array of them; the per-query steps are ``+ - * /`` and a square root,
-    so both give the same bits.  With the defaults (the grid oracle's
-    kernel, computed from ``w = x - z``) it is
+    a computed ``-t/s`` above ``log(DBL_MAX)``.  With the defaults (the grid
+    oracle's kernel, computed from ``w = x - z``) it is
     ``1.01 (r rho + hypot(r, sqrt(s log(DBL_MAX))))``."""
     rho = max(u_norm, 1.0 + 1e-9)
     r = params.r
     h = math.hypot(r, math.sqrt(params.s * _EXP_OVERFLOW))
     a, b = (spread + r * rho) / h, r / h
-    inner = 1.0 + tol * (a * a + b * b)
-    root = math.sqrt(inner) if isinstance(inner, float) else np.sqrt(inner)
-    return 1.01 * (r * rho + h * root)
+    return 1.01 * (r * rho + h * math.sqrt(1.0 + tol * (a * a + b * b)))
 
 
 def _row_blocks(k: int, width: int) -> list[slice]:
@@ -528,57 +535,29 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_masks(
-    X: SampleSet, zt: np.ndarray, zz: np.ndarray, spread: np.ndarray, radius: np.ndarray
-) -> list:
-    """The rows that each of the queries ``z~ = z - mean`` (rows of ``zt``)
-    keeps, ``None`` for all of them or a mask, given ``||z~||**2``, the
-    bound ``spread = max ||x~|| + ||z~||`` and the keep radius of each.
+def _row_mask(X: SampleSet, zt: np.ndarray, zz: float, spread: float, radius: float):
+    """The rows that the query ``z~ = z - mean`` keeps, ``None`` for all of
+    them or a mask, given ``||z~||**2``, the bound
+    ``spread = max ||x~|| + ||z~||`` and its keep radius.
 
     One product of the centred matrix with ``[-2 z~, 1, ||z~||**2]`` gives
     each row's ``||x - z||**2``, off by less than ``tol * spread**2``; a row
     is dropped only when that value exceeds the squared radius by more.
-    The product is a stacked ``np.matmul``, which makes one query's
-    matrix-vector product per item, so a query's mask does not depend on
-    the other queries; it runs in row blocks (``_ROW_BLOCK_ENTRIES``)."""
+    The product runs in row blocks (``_ROW_BLOCK_ENTRIES``)."""
     d = X.d
-    tol = _rounding_tol(d)
-    b = np.empty((len(zt), d + 2))
-    np.multiply(zt, -2.0, out=b[:, :d])
-    b[:, d], b[:, d + 1] = 1.0, zz
-    w2 = np.empty((len(zt), X.n))
+    b = np.empty((d + 2, 1))
+    np.multiply(zt, -2.0, out=b[:d, 0])
+    b[d], b[d + 1] = 1.0, zz
+    w2 = np.empty(X.n)
     for block in _row_blocks(X.n, d + 2):
-        w2[:, block] = np.matmul(X._centred[None, block], b[:, :, None])[:, :, 0]
-    masks = []
-    for mask in w2 <= (radius * radius + tol * spread * spread)[:, None]:
-        if mask.sum() == 1 < X.n:
-            # numpy hands a one-row product to a matrix-vector routine,
-            # whose bits can differ from that row's in a product of all
-            # rows; a second row, whose terms are 0, keeps it a matrix
-            # product.
-            mask[np.argmin(mask)] = True
-        masks.append(None if mask.all() else mask)
-    return masks
-
-
-def _centred_queries(X: SampleSet, z: np.ndarray, params: DepthParams) -> tuple[np.ndarray, list]:
-    """For the queries ``z``, the rows of a ``(q, d)`` array (``s > 0``, unit
-    directions): ``z~ = z - mean`` and the rows each keeps (``None`` for
-    all of them, or a mask), with the bits of :class:`_Objective`'s floats.
-    A query keeps every row when ``max ||x~|| + ||z~||`` is within its
-    keep radius (:func:`_keep_radius`), and otherwise takes the mask of
-    :func:`_row_masks`."""
-    zt = z - X._mean
-    zz = _rowdot(zt, zt)
-    spread = np.sqrt(zz) + X._spread
-    radius = _keep_radius(params, 1.0, spread, _rounding_tol(X.d))
-    kept: list = [None] * len(z)
-    far = np.flatnonzero(spread > radius)
-    if far.size:
-        masks = _row_masks(X, zt[far], zz[far], spread[far], radius[far])
-        for i, mask in zip(far.tolist(), masks):
-            kept[i] = mask
-    return zt, kept
+        w2[block] = np.matmul(X._centred[None, block], b)[0, :, 0]
+    mask = w2 <= radius * radius + _rounding_tol(d) * spread * spread
+    if mask.sum() == 1 < X.n:
+        # numpy hands a one-row product to a matrix-vector routine, whose
+        # bits can differ from that row's in a product of all rows; a second
+        # row, whose terms are 0, keeps it a matrix product.
+        mask[np.argmin(mask)] = True
+    return None if mask.all() else mask
 
 
 class _Objective:
@@ -593,9 +572,11 @@ class _Objective:
         -t/s = A @ [-2 c~ / s, 1 / s, (||c~||**2 - r**2) / s]:
 
     one matrix-vector product per direction, with coefficients built from
-    d floats.  A query copies nothing of the data unless rows lie beyond
-    the keep radius (:func:`_centred_queries`); then it gathers the kept
-    rows of ``A`` once, column-major, and every term it drops is exactly 0.
+    d floats.  For a sample with ``n d <= _LOCKSTEP_ENTRIES`` it reads every
+    row of ``A``, as :class:`_Stack` does.  Above that a query copies
+    nothing of the data unless rows lie beyond the keep radius
+    (:func:`_keep_radius`); then it gathers the kept rows of ``A`` once,
+    column-major (:func:`_row_mask`), and every term it drops is exactly 0.
     Every mean sums the kept rows and divides by the full sample size
     ``n``.  The expansion rounds to within ``tol ((||x~|| + ||c~||)**2 +
     r**2) / s`` of ``-t/s`` (``tol = 8 (d + 8) eps``): centring keeps that
@@ -613,17 +594,15 @@ class _Objective:
 
     def __init__(self, z: np.ndarray, X: SampleSet, params: DepthParams, u_norm: float = 1.0):
         self.n, self.r, self.s = X.n, params.r, params.s
-        # The steps of _centred_queries on floats, which give the same bits.
         zt = z - X._mean
         self.zt = zt.tolist()
-        zz = _dot(self.zt, self.zt)
-        spread = math.sqrt(zz) + X._spread
-        radius = _keep_radius(params, u_norm, spread, _rounding_tol(X.d))
         self._kept = None
-        if spread > radius:
-            (self._kept,) = _row_masks(
-                X, zt[None], np.array([zz]), np.array([spread]), np.array([radius])
-            )
+        if X.n * X.d > _LOCKSTEP_ENTRIES:
+            zz = _dot(self.zt, self.zt)
+            spread = math.sqrt(zz) + X._spread
+            radius = _keep_radius(params, u_norm, spread, _rounding_tol(X.d))
+            if spread > radius:
+                self._kept = _row_mask(X, zt, zz, spread, radius)
         rows = X._centred.T
         if self._kept is not None:
             rows = rows.compress(self._kept, axis=1)
@@ -688,50 +667,40 @@ class _Objective:
 
 
 class _Stack:
-    """The objectives of queries that keep the same rows count ``k``,
-    stacked for ``optim``'s lockstep solver (``s > 0``).
+    """The objectives of a block of queries, stacked for ``optim``'s lockstep
+    solver (``s > 0``, ``n d <= _LOCKSTEP_ENTRIES``).
 
-    When every query keeps every row the stack holds no rows of its own: it
-    reads the sample's centred matrix ``A`` through a broadcast
-    ``(1, n, d + 2)`` view.  Otherwise it gathers each query's kept rows as
-    ``(q, k, d + 2)``, each item column-major like :attr:`_Objective.rows`.
-    Per query it keeps ``z~``, which moves when queries stop.  A stacked
+    Like each query's :class:`_Objective` in that range, the stack reads
+    every row of the sample's centred matrix ``A``, through a broadcast
+    ``(1, n, d + 2)`` view, and copies no data.  Per query it keeps
+    ``z~ = z - mean``, which moves when queries stop.  A stacked
     ``np.matmul`` makes, item by item, the BLAS call of the one query's
     product, the coefficients are built column by column in the float
-    loop's order, and each row sum of a contiguous ``(q, k)`` block is the
+    loop's order, and each row sum of a contiguous ``(q, n)`` block is the
     query's pairwise ``np.add.reduce(p)``; so each method returns, row by
     row, the bits of the :class:`_Objective` method of its name.
 
     The methods take the active queries' iterates as a ``(q, d)`` array, and
     :meth:`keep` drops the queries that stopped."""
 
-    def __init__(self, X: SampleSet, zt: np.ndarray, kept: list | None, params: DepthParams):
+    def __init__(self, X: SampleSet, z: np.ndarray, params: DepthParams):
         self.n, self.r, self.s = X.n, params.r, params.s
-        d, q = X.d, len(zt)
-        self._gathered = kept is not None
-        if self._gathered:
-            self._rowsT = np.array([X._centred.T.compress(mask, axis=1) for mask in kept])
-        else:
-            self._rowsT = X._centred.T[None]
-        self.k = self._rowsT.shape[2]
-        self.zt = zt
+        d, q = X.d, len(z)
+        self._centred = X._centred[None]
+        self.zt = z - X._mean
         self._fold, self._rr = -2.0 / self.s, self.r * self.r
         self._scale = 2.0 * self.r / (self.s * self.n)
         self._coef = np.empty((q, d + 2))
         self._coef[:, d] = 1.0 / self.s
-        self._args = np.empty((q, self.k))
-        self._weights = np.empty((q, self.k))
+        self._args = np.empty((q, self.n))
+        self._weights = np.empty((q, self.n))
 
     def keep(self, count: int, holes: np.ndarray, fill: np.ndarray) -> None:
         """Keep the first ``count`` queries, with the queries at ``fill``
         (each at or above ``count``) moved into the places ``holes`` of
-        queries that stopped.  What moves is each query's ``z~``, and its
-        gathered rows when the stack has its own."""
+        queries that stopped."""
         self.zt[holes] = self.zt[fill]
         self.zt = self.zt[:count]
-        if self._gathered:
-            self._rowsT[holes] = self._rowsT[fill]
-            self._rowsT = self._rowsT[:count]
 
     def _centres(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """``c~ = z~ + r u`` for each query (those at ``rows``, if given)."""
@@ -747,7 +716,7 @@ class _Stack:
         np.multiply(centre, self._fold, out=coef[:, :d])
         coef[:, d + 1] = (_rowdot(centre, centre) - self._rr) / self.s
         m = self._args[:q]
-        np.matmul(self._rowsT.transpose(0, 2, 1), coef[:, :, None], out=m[:, :, None])
+        np.matmul(self._centred, coef[:, :, None], out=m[:, :, None])
         return _logistic_of_negated(m)
 
     def gradient(self, p: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -756,34 +725,14 @@ class _Stack:
         ``p`` of all its queries and the iterates ``u`` of those in
         ``rows``."""
         d = u.shape[1]
-        data = self._rowsT
         if rows is not None:
             p = p.take(rows, axis=0)
-            if self._gathered:
-                data = data.take(rows, axis=0)
         c = np.subtract(1.0, p, out=self._weights[: len(p)])
         c *= p
-        g = np.matmul(c[:, None, :], data[:, :d].transpose(0, 2, 1))[:, 0, :]
+        g = np.matmul(c[:, None, :], self._centred[:, :, :d])[:, 0, :]
         g -= c.sum(axis=1)[:, None] * self._centres(u, rows)
         g *= self._scale
         return g
-
-
-def _stacks(X: SampleSet, z: np.ndarray, params: DepthParams) -> Iterator[tuple]:
-    """The objectives of the queries ``z`` (rows of a ``(q, d)`` array,
-    ``s > 0``), grouped by how many rows each keeps: all of them, unless
-    ``s`` is small.  Yields each group's positions in ``z`` with its
-    :class:`_Stack`, or with ``None`` for a query alone in its count, for
-    which a stack costs more than its :class:`_Objective`."""
-    zt, kept = _centred_queries(X, z, params)
-    counts = np.array([X.n if mask is None else int(mask.sum()) for mask in kept])
-    for k in np.unique(counts).tolist():
-        group = np.flatnonzero(counts == k)
-        if len(group) == 1:
-            yield group, None
-            continue
-        masks = None if k == X.n else [kept[q] for q in group.tolist()]
-        yield group, _Stack(X, zt[group], masks, params)
 
 
 def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
@@ -853,7 +802,7 @@ class _Differences:
         radius = _keep_radius(DepthParams(self.r, self.s), 1.0)
         keep = w2 <= radius * radius  # inf, not OverflowError as from radius**2
         if self.s > 0 and keep.sum() == 1 < X.n:
-            # As in _row_masks: a second row, whose terms are 0, keeps a
+            # As in _row_mask: a second row, whose terms are 0, keeps a
             # one-row product off numpy's matrix-vector routine.
             keep[np.argmin(keep)] = True
         if not keep.all():

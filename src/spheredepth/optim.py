@@ -50,15 +50,16 @@ direction, iterations, converged)``, built where the loop stops: in
 consecutive points, so that a block's largest arrays, its ``(q, n)`` pass
 and weight buffers, hold at most ``2**16`` entries: one block holds 327
 queries at ``n = 200`` and 163 at ``n = 400``, so the 400 self-scores of
-``n = 400, d = 5`` go in blocks of 163, 163 and 74.  Queries of a block
-that keep the same number of rows advance in lockstep in ``core._Stack``,
-the stacked ``core._Objective``.  A stack of queries that keep every row
-copies no data: each pass is one stacked product of the sample's centred
-matrix, broadcast, with a ``(q, d + 2)`` block of coefficients.  At small ``s``,
-where rows lie beyond the keep radius, the stack gathers each query's kept
-rows.  Each iteration makes one stacked product for all the trial
-directions, one logistic in place, one row sum, and one stacked
-``c @ X~`` for the gradients of the queries that move.  Every query keeps
+``n = 400, d = 5`` go in blocks of 163, 163 and 74.  The queries of a
+block advance in lockstep in ``core._Stack``, the stacked
+``core._Objective``.  The same limit decides which rows a solve reads:
+at or below it both loops read every row at every ``s``, and only above
+it does the per-point loop drop the rows beyond the keep radius.  So a
+stack copies no data: each pass is one stacked product of the sample's
+centred matrix, broadcast, with a ``(q, d + 2)`` block of coefficients.
+Each iteration makes one stacked product for all the trial directions,
+one logistic in place, one row sum, and one stacked ``c @ X~`` for the
+gradients of the queries that move.  Every query keeps
 its own iterate, angle, loss and stop, and leaves the block when it stops;
 its descent direction, and the ``cos`` and ``sin`` of its angle, are
 recomputed only when they change.  The lockstep steps are chosen to round
@@ -104,13 +105,13 @@ import numpy as np
 from .core import (
     DepthParams,
     SampleSet,
+    _LOCKSTEP_ENTRIES,
     _as_vector,
     _dot,
     _Objective,
     _pooled_std,
     _rowdot,
     _Stack,
-    _stacks,
     unit_direction,
 )
 
@@ -139,9 +140,9 @@ _SHRINK_MIN = 0.25
 _SHRINK_MAX = 0.5
 _MAX_ITER = 1000
 # One lockstep block of ``batch_depth`` takes ``_BLOCK_ENTRIES // n``
-# queries, so its largest arrays, the ``(q, n)`` pass and weight buffers and
-# keep masks, hold at most this many entries (a float64 buffer 512 KiB); at
-# small ``s`` its gathered kept rows hold at most ``d + 2`` times as many.
+# queries, so its largest arrays, the ``(q, n)`` pass and weight buffers,
+# hold at most this many entries (a float64 buffer 512 KiB); the block reads
+# the sample's centred matrix and copies none of it.
 # Freeing large blocks raises glibc's dynamic mmap threshold, which changes
 # how the caller's later large arrays are allocated.  The ``anomaly-csv``
 # benchmark's reference kernel (a 400 x 400 Gram matrix and its exponential,
@@ -149,10 +150,6 @@ _MAX_ITER = 1000
 # n = 400, d = 5 faulted about 4,050 pages per call (medians of 10 calls)
 # both with these blocks and with the earlier ``2**17 // (n d)`` queries.
 _BLOCK_ENTRIES = 2**16
-# A query with ``n d`` above this is solved by ``riemannian_descent``.  The
-# limit was set where a block of ``X - z`` copies stopped fitting the
-# caches; lockstep now pays up to about 8,000 (module docstring).
-_LOCKSTEP_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -363,15 +360,14 @@ def batch_depth(
     ``s <= 0`` is rejected once, with :func:`riemannian_descent`'s
     message, before any block is formed, and every point is checked as
     that function checks it, the error naming the point's index; so no
-    solve raises.  When ``n d <= 2**12``, the queries go in blocks of
-    ``2**16 // n`` consecutive points.  Within a block, the queries
-    that keep the same number of rows (all of them, unless ``s`` is small;
-    see ``core._Objective``) are solved in lockstep, as the module
-    docstring describes.  A query alone in its row count or in its block
-    runs :func:`riemannian_descent`, and so does every query in d = 1 or
-    when ``n d > 2**12``.  ``threads > 1`` solves the
-    blocks (or, outside lockstep, the points) on a thread pool; the output
-    is the same.  Each :class:`DepthResult` is built where its solve ends,
+    solve raises.  When ``n d <= 2**12``, where every solve reads every
+    row of the sample (``core._Objective``), the queries go in blocks of
+    ``2**16 // n`` consecutive points, and the queries of a block are
+    solved in lockstep, as the module docstring describes.  A query alone
+    in its block runs :func:`riemannian_descent`, and so does every query
+    in d = 1 or when ``n d > 2**12``.  ``threads > 1`` solves the blocks
+    (or, outside lockstep, the points) on a thread pool; the output is the
+    same.  Each :class:`DepthResult` is built where its solve ends,
     by :func:`riemannian_descent` or by the lockstep loop.
     """
     if params is None:
@@ -388,18 +384,11 @@ def batch_depth(
         z = queries[lo : lo + size]
         if len(z) == 1:
             return [riemannian_descent(z[0], X, params, cfg)]
-        results: list = [None] * len(z)
-        for group, stack in _stacks(X, z, params):
-            if stack is None:
-                results[group[0]] = riemannian_descent(z[group[0]], X, params, cfg)
-                continue
-            if cfg.init == "paper-mean":  # one start for every query
-                starts = [_initial_direction(z[group[0]], X, cfg.init)] * len(group)
-            else:
-                starts = [_initial_direction(z[q], X, cfg.init) for q in group]
-            for q, res in zip(group, _lockstep(stack, starts)):
-                results[q] = res
-        return results
+        if cfg.init == "paper-mean":  # one start for every query
+            starts = [_initial_direction(z[0], X, cfg.init)] * len(z)
+        else:
+            starts = [_initial_direction(q, X, cfg.init) for q in z]
+        return _lockstep(_Stack(X, z, params), starts)
 
     blocks = range(0, len(queries), size)
     if threads <= 1 or len(blocks) <= 1:
@@ -441,8 +430,8 @@ def _refill(stop: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
-    """:func:`riemannian_descent`'s loop (d >= 2) for queries whose
-    objectives keep the same number of rows, all advanced together.
+    """:func:`riemannian_descent`'s loop (d >= 2) for the queries of a
+    stack, all advanced together.
 
     Each query keeps its own iterate, angle and loss, and leaves the block
     when it stops.  The d-vector steps run column by column in the float

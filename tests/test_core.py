@@ -401,7 +401,14 @@ class TestCentredExpansion:
     """The solver's kernel computes ``-t/s`` from the sample's centred
     matrix.  Against ``x - z`` taken directly in ``np.longdouble``, each
     kept row's argument must lie within the bound fixed below, and no row
-    the keep mask drops may have a nonzero term in any direction."""
+    the keep mask drops may have a nonzero term in any direction.  The
+    kernel drops rows only for samples with ``n d`` above
+    ``_LOCKSTEP_ENTRIES``; the limit is set to 0 so that it drops them at
+    this test's ``n``."""
+
+    @pytest.fixture(autouse=True)
+    def row_cut_at_any_size(self, monkeypatch):
+        monkeypatch.setattr(core, "_LOCKSTEP_ENTRIES", 0)
 
     @staticmethod
     def bound(X, z, params, u):
@@ -480,6 +487,23 @@ class TestCentredExpansion:
             # rows within 1e-9 of it may go either way, and were checked
             # above when dropped.
             assert ring_kept[:2] == [True, True] and ring_kept[4:] == [False, False]
+
+
+class TestRowCutLimit:
+    """At the shipped ``_LOCKSTEP_ENTRIES`` the solver's kernel reads every
+    row of a sample with ``n d`` at the limit, and drops the rows beyond the
+    keep radius only above it."""
+
+    @pytest.mark.parametrize("above", [0, 1], ids=["at-limit", "above-limit"])
+    def test_far_query_drops_rows_only_above_the_limit(self, above):
+        d = 2
+        n = core._LOCKSTEP_ENTRIES // d + above  # n d = 4096 or 4098
+        X = SampleSet(np.random.default_rng(73).standard_normal((n, d)))
+        objective = core._Objective(np.array([4.0, 0.0]), X, DepthParams(r=1.0, s=0.01))
+        if above:
+            assert objective._kept is not None and 0 < objective.k < n
+        else:
+            assert objective._kept is None and objective.k == n
 
 
 class TestDroppedRows:
@@ -573,9 +597,9 @@ class TestOracleKernel:
 
     def test_leaves_centred_matrix_unbuilt(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("the oracle called _row_masks")
+            raise AssertionError("the oracle called _row_mask")
 
-        monkeypatch.setattr(core, "_row_masks", fail)
+        monkeypatch.setattr(core, "_row_mask", fail)
         rng = np.random.default_rng(72)
         X = SampleSet(np.vstack([rng.standard_normal((50, 2)), rng.uniform(-40, 40, (10, 2))]))
         grid = DirectionGrid.generate(256, 2)
@@ -666,6 +690,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("s", [1.0, 0.01])
     def test_blocked_objective_matches_one_block(self, s, monkeypatch):
+        monkeypatch.setattr(core, "_LOCKSTEP_ENTRIES", 0)  # rows are dropped at n d = 3000
         rng = np.random.default_rng(21)
         X = SampleSet(rng.standard_normal((1000, 3)))
         params = DepthParams(r=1.0, s=s)

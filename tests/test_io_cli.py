@@ -209,6 +209,22 @@ class TestDepthCommand:
         assert info.value.code == 2
         assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, delimiter",
+        [
+            (["anomaly", "--csv", "data.csv", "--label-column", "y"], ""),
+            (["anomaly", "--csv", "data.csv", "--label-column", "y"], ";;"),
+            (["depth", "--csv", "data.csv", "--query", "0,0"], ""),
+        ],
+        ids=["anomaly-empty", "anomaly-two", "depth-empty"],
+    )
+    def test_delimiter_must_be_one_character(self, capsys, args, delimiter):
+        with pytest.raises(SystemExit) as info:
+            main([*args, "--delimiter", delimiter])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--delimiter: must be exactly one character, got {delimiter!r}" in err
+
     def test_missing_csv_is_an_error_not_a_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         assert main(["depth", "--csv", str(missing), "--query", "0,0"]) == 2

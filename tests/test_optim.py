@@ -330,9 +330,11 @@ class TestRiemannianDescent:
         assert lower and inside, "expected the lower clamp to bind and the minimiser inside"
 
     @pytest.mark.parametrize("s", [1.0, 0.1, 0.01])
-    def test_current_iterate_is_best_visited(self, watched, s):
+    def test_current_iterate_is_best_visited(self, monkeypatch, watched, s):
         # Rejected steps leave the iterate in place and accepted ones never
-        # raise the loss, so the value is the least loss visited.
+        # raise the loss, so the value is the least loss visited.  The limit
+        # at 0 makes the kernel drop rows beyond the keep radius at n = 200.
+        monkeypatch.setattr(core, "_LOCKSTEP_ENTRIES", 0)
         params = DepthParams(r=1.0, s=s)
         rejected = dropped = 0
         for k in range(8):
@@ -351,9 +353,11 @@ class TestRiemannianDescent:
             assert dropped, "expected samples beyond the keep radius"
 
     @pytest.mark.parametrize("s", [1.0, 0.01])
-    def test_far_query_is_stationary_at_zero(self, s):
+    def test_far_query_is_stationary_at_zero(self, monkeypatch, s):
         # Every sample is beyond the keep radius: the kernel holds no rows,
-        # and the solve and the oracle stop as they did with all rows.
+        # and the solve and the oracle stop as they did with all rows.  The
+        # limit at 0 makes the kernel drop rows at n = 50.
+        monkeypatch.setattr(core, "_LOCKSTEP_ENTRIES", 0)
         rng = np.random.default_rng(14)
         X = SampleSet(rng.standard_normal((50, 2)))
         z, params = [1e3, -1e3], DepthParams(r=1.0, s=s)
@@ -524,17 +528,8 @@ class TestLockstepParity:
             np.full(d, 30.0), np.full(d, -30.0),  # far from the data
             sample[0], sample[0], X.data[1],  # duplicates of a query and of a sample
         ])
-        lockstep = optim._lockstep
-        blocks = []
-
-        def counting(stack, starts):
-            blocks.append((len(starts), stack.k))
-            return lockstep(stack, starts)
-
-        monkeypatch.setattr(optim, "_lockstep", counting)
-        kept_counts, lockstep_blocks = set(), 0
+        blocks = _counting_lockstep(monkeypatch)
         for s, init in itertools.product((1.0, 0.1, 0.01), optim.INIT_MODES):
-            blocks.clear()
             params, cfg = DepthParams(r=1.0, s=s), OptimizerConfig(init=init)
             expected = [riemannian_descent(z, X, params, cfg) for z in queries]
             for queries_per_block, threads in itertools.product((1, 3, len(queries)), (1, 2)):
@@ -545,12 +540,7 @@ class TestLockstepParity:
                     assert res.iterations == ref.iterations
                     assert res.converged == ref.converged
                     np.testing.assert_array_equal(res.direction, ref.direction)
-            lockstep_blocks += len(blocks)
-            if s == 0.01:
-                kept_counts |= {kept for _, kept in blocks}
-        if d > 1:
-            assert lockstep_blocks > 0
-            assert len(kept_counts) > 1  # s = 0.01 groups queries by kept rows
+        assert bool(blocks) == (d > 1)
 
     def test_dot_products_add_left_to_right(self):
         # The per-point loop's _dot and the lockstep loop's _rowdot must round
@@ -636,6 +626,18 @@ class TestShippedBlockRule:
         batch_depth(X.data, X, DepthParams(r=1.0, s=1.0))
         assert blocks == expected
 
+    def test_small_s_self_scores_are_one_block(self, monkeypatch, no_point_solves):
+        # At s = 0.01 rows lie beyond the keep radius of many queries, but
+        # in the lockstep range every solve reads every row: the batch is
+        # one stack, and still equals the per-point solver.
+        X = gen_mixture(bi_gaussian_spec(2), 200, seed=50)
+        params = DepthParams(r=1.0, s=0.01)
+        expected = [riemannian_descent(z, X, params) for z in X.data]
+        blocks = _counting_lockstep(monkeypatch)
+        got = batch_depth(X.data, X, params)
+        assert blocks == [200]
+        _assert_same_results(got, expected)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_htest_shape_matches_per_point_solver(self, monkeypatch, threads):
         blocks = _counting_lockstep(monkeypatch)
@@ -649,7 +651,7 @@ class TestShippedBlockRule:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_per_query_limit(self, monkeypatch, above, threads):
         d = 2
-        n = optim._LOCKSTEP_ENTRIES // d + above  # n * d at the limit, or just above it
+        n = core._LOCKSTEP_ENTRIES // d + above  # n * d at the limit, or just above it
         X = gen_mixture(bi_gaussian_spec(d), n, seed=45)
         rng = np.random.default_rng(46)
         queries = np.vstack([X.data[rng.choice(n, 30, replace=False)], rng.uniform(-4.0, 4.0, (10, d))])
@@ -668,21 +670,21 @@ class TestShippedBlockRule:
 
 class TestBlockMemoryBound:
     """Every ``core._Stack`` that ``batch_depth`` builds at the shipped block
-    rule holds ``(q, k)`` pass and weight buffers of at most
-    ``_BLOCK_ENTRIES`` entries, and, when it gathers kept rows, at most
-    ``(d + 2) _BLOCK_ENTRIES`` of them."""
+    rule holds ``(q, n)`` pass and weight buffers of at most
+    ``_BLOCK_ENTRIES`` entries, and reads the sample's centred matrix
+    without a copy."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_stacks_stay_within_the_block_entries(self, monkeypatch, d):
         built = []
 
         class Recording(core._Stack):
-            def __init__(self, *args):
-                super().__init__(*args)  # recorded as built: queries stop later
-                built.append((len(self.zt), self.k, self._args.size, self._weights.size,
-                              self._gathered, self._rowsT.size))
+            def __init__(self, X, *args):
+                super().__init__(X, *args)  # recorded as built: queries stop later
+                built.append((len(self.zt), self._args.size, self._weights.size,
+                              np.shares_memory(self._centred, X._centred)))
 
-        monkeypatch.setattr(core, "_Stack", Recording)
+        monkeypatch.setattr(optim, "_Stack", Recording)
         n = 300  # n d <= 2**12 up to d = 8; 400 queries make two blocks
         X = gen_mixture(bi_gaussian_spec(d), n, seed=(48, d))
         uniform = np.random.default_rng((49, d)).uniform(-4.0, 4.0, (n // 3, d))
@@ -691,14 +693,11 @@ class TestBlockMemoryBound:
         for s in (1.0, default.s, 0.01):
             built.clear()
             batch_depth(queries, X, DepthParams(r=default.r, s=s))
-            assert built
-            for q, k, args, weights, gathered, rows in built:
-                assert args == weights == q * k <= optim._BLOCK_ENTRIES
-                assert rows <= (d + 2) * optim._BLOCK_ENTRIES
-            if s == 1.0:  # every row kept: each block is one full stack
-                assert [q for q, *_ in built] == [218, 182]
-            if s == 0.01:
-                assert any(gathered for *_, gathered, _ in built)
+            # every s: each block is one stack over every row
+            assert [q for q, *_ in built] == [218, 182]
+            for q, args, weights, shared in built:
+                assert args == weights == q * n <= optim._BLOCK_ENTRIES
+                assert shared
 
 
 class TestParityWithArrayLoop:
