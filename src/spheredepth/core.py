@@ -62,13 +62,28 @@ covers rounding; ``hypot`` keeps ``R`` from underflowing to ``r`` for tiny
 drops rows only for samples with ``n d`` above ``_LOCKSTEP_ENTRIES``:
 at or below it, the range where ``optim.batch_depth`` solves in lockstep,
 both of its loops read every row of ``A``, so they read the same rows.
-Above it the radius also takes in the expansion's rounding, and a query
-whose every row lies within it (``max ||x~|| + ||z~|| <= R``) reads ``A``
-itself; only otherwise does one product give the rows' ``||x - z||**2``,
-and the kept rows are gathered.  Every mean still divides by the full
-``n``, so the loss, the gradient and the oracle are exact; at small ``s``
-most of the sample can lie beyond ``R``, and the oracle's block, and the
-solver's above the limit, shrink with it.
+
+Above the limit the solver also drops the rows whose terms cannot reach
+``eps/(2n)`` of the loss.  The nearest row, within ``near`` of ``z``, has a
+term of at least ``lam = sigmoid((r**2 - (near + r*rho)**2) / s)`` at every
+direction, so the loss is at least ``lam/n``; past the relative reach
+``r*rho + sqrt(r**2 + s * (log(2n/eps) + log(1/lam)))`` every term is at
+most ``eps*lam/(2n)``, and all of them together move the loss by less than
+``eps/2`` of itself (``_relative_reach``, whose reach the oracle's cell
+bounds use too).  The keep radius is the least of ``R`` and the reach, each
+widened by the expansion's rounding.  A query with a row that may lie
+beyond ``R`` (``max ||x~|| + ||z~|| > R``) makes one product for the rows'
+``||x - z||**2`` and ``near``, rounded up, and gathers the rows within the
+radius whenever any row goes.  Any other query reads ``A``
+itself unless a pass over ``A`` is long enough to pay for the product and
+the gather (``A`` has ``_REACH_ENTRIES`` entries or more) and more than
+``_DROP_SHARE`` of the rows go, first of a strided sample of
+``_SAMPLE_ROWS`` rows and then of all.  Every mean still divides by the
+full ``n``, so the oracle is exact, and the solver's loss is exact but for
+the terms below ``eps*lam/(2n)``.  At small ``s`` most of the sample can
+lie beyond the radius, and on multimodal data the far modes do at every
+``s``: a solve of the ``large-n`` benchmark (bi-Gaussian, n = 1e5, d = 3,
+r = s = 1) reads about half of ``A``.
 
 The sphere oracle is an exact grid minimum with cell bounds.  Each
 :class:`DirectionGrid` is split once, on first use, into cells of nearby
@@ -148,6 +163,27 @@ _LOCKSTEP_ENTRIES = 2**12
 _EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Above ``_LOCKSTEP_ENTRIES``, a query none of whose rows can overflow
+# ``exp`` drops the rows past the relative reach only when the centred matrix
+# has at least ``_REACH_ENTRIES`` entries and more than ``_DROP_SHARE`` of
+# the rows go, estimated first on every ``n // _SAMPLE_ROWS``-th row
+# (``_row_mask``).  The product that finds the rows costs about half a pass,
+# the gather one to two, and the estimate about 8 us; 256 rows put the
+# estimated share within about 0.03 (one standard error).  Per-query solve
+# time against the overflow radius alone (r = 1, 24 sample rows and 24
+# standard-normal points per shape, s in {1, 0.1, 0.01}, one BLAS thread,
+# interleaved medians of 5 on a 2-core x86-64 host): without the size rule,
+# the standard-normal points of bi-Gaussian samples at s = 1, which stop
+# after one to five iterations, read 1.14x (d = 2, n = 3,000), 1.24x (3,
+# 3,000) and 1.30x (5, 2,000); at 2**15 they read 1.04-1.06x, and the sample
+# rows of bi-Gaussian (2, 5,000) at s = 1 lost their 0.91x.  A share of 0.2
+# read as 0.3 and 0.4 did on the shapes at and above the size; the 1.13-1.14x
+# of the standard-normal points of bi-Gaussian (5, 10,000) at s = 1, most of
+# which drop nothing, is the estimate's cost on a solve of 0.15 ms.
+_DROP_SHARE = 0.2
+_SAMPLE_ROWS = 256
+_REACH_ENTRIES = 2**15
 
 
 def _cell_size(d: int) -> int:
@@ -269,6 +305,13 @@ class SampleSet:
         A[:, d + 1] = 1.0
         A.flags.writeable = False
         return A
+
+    @functools.cached_property
+    def _sample(self) -> np.ndarray:
+        """Every ``n // _SAMPLE_ROWS``-th row of ``A``, row-major: the rows on
+        which the solver estimates how much of a large sample a query drops
+        (``_row_mask``)."""
+        return np.ascontiguousarray(self._centred[:: self.n // _SAMPLE_ROWS])
 
     @functools.cached_property
     def _spread(self) -> float:
@@ -489,23 +532,72 @@ def sigmoid_derivative(t, s: float):
     return out
 
 
-def _keep_radius(params: DepthParams, u_norm: float, spread: float = 0.0, tol: float = 0.0):
-    """Distance from the query beyond which a sample's term is exactly 0 for
-    every direction of norm at most ``rho = max(u_norm, 1 + 1e-9)``.
+def _past(r: float, rho: float, h: float, spread: float, tol: float) -> float:
+    """``r rho + h sqrt(1 + tol (a**2 + b**2))`` with ``a = (spread + r rho) / h``
+    and ``b = r / h``: past this distance from the query a row's ``-t/s``
+    is at least ``(h**2 - r**2) / s`` at every direction of norm ``rho``,
+    as ``-t >= (||w|| - r rho)**2 - r**2``.
 
-    For ``s > 0`` the kernel's argument comes from the sample's centred
+    For ``s > 0`` the solver's argument comes from the sample's centred
     matrix and is off by less than ``tol ((||x~|| + ||c~||)**2 + r**2) / s``
     (:class:`_Objective`), where ``||x~|| + ||c~|| <= spread + r rho`` for
-    ``spread`` at least ``||x~|| + ||z~||``.  The radius takes that error in
-    as if it were part of ``s log(DBL_MAX)``, so a row beyond it still has
-    a computed ``-t/s`` above ``log(DBL_MAX)``.  With the defaults (the grid
-    oracle's kernel, computed from ``w = x - z``) it is
+    ``spread`` at least ``||x~|| + ||z~||``.  The distance takes that error
+    in as if it were part of ``h**2``, so the computed ``-t/s`` of a row past
+    it, as well as the exact one, is at least ``(h**2 - r**2) / s``.  With
+    ``tol = 0`` (the grid oracle's kernel, computed from ``w = x - z``) it
+    is ``r rho + h``."""
+    a, b = (spread + r * rho) / h, r / h
+    return r * rho + h * math.sqrt(1.0 + tol * (a * a + b * b))
+
+
+def _keep_radius(params: DepthParams, u_norm: float, spread: float = 0.0, tol: float = 0.0):
+    """Distance from the query beyond which a sample's term is exactly 0 for
+    every direction of norm at most ``rho = max(u_norm, 1 + 1e-9)``: 1.01
+    times the distance (:func:`_past`) past which ``-t/s``, computed from the
+    centred matrix when ``tol > 0``, exceeds ``log(DBL_MAX)``.  With the
+    defaults (the grid oracle's kernel) it is
     ``1.01 (r rho + hypot(r, sqrt(s log(DBL_MAX))))``."""
     rho = max(u_norm, 1.0 + 1e-9)
-    r = params.r
-    h = math.hypot(r, math.sqrt(params.s * _EXP_OVERFLOW))
-    a, b = (spread + r * rho) / h, r / h
-    return 1.01 * (r * rho + h * math.sqrt(1.0 + tol * (a * a + b * b)))
+    h = math.hypot(params.r, math.sqrt(params.s * _EXP_OVERFLOW))
+    return 1.01 * _past(params.r, rho, h, spread, tol)
+
+
+def _relative_reach(
+    r: float, rho: float, s: float, n: int, least: float, spread: float = 0.0, tol: float = 0.0
+) -> float:
+    """Distance from the query past which every term at a direction of norm
+    ``rho`` is below ``eps / (2n)`` times ``exp((r**2 - least) / s)``, where
+    ``least`` is a squared length: the distance of :func:`_past` for
+    ``h = sqrt(least + s log(2n / eps))``, with the centred matrix's rounding
+    folded in as there when ``tol > 0``.
+
+    A caller passes the ``least`` whose ``exp((r**2 - least) / s)`` is at
+    most the nearest row's least term: then the rows past the reach, at most
+    ``n`` of them, move any mean of the terms over ``n`` by less than
+    ``eps / 2`` of itself."""
+    h = math.sqrt(least + s * math.log(2 * n / _EPS))
+    return _past(r, rho, h, spread, tol)
+
+
+def _softplus(x: float) -> float:
+    """``log(1 + exp(x))`` without overflow: ``log(1 / sigmoid(-x))``."""
+    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+
+
+def _solver_reach(
+    params: DepthParams, rho: float, n: int, near: float, spread: float, tol: float
+) -> float:
+    """The solver's relative reach (:func:`_relative_reach`) for a query whose
+    nearest row lies within ``near``: at any direction of norm ``rho`` that
+    row's term is at least ``lam = sigmoid((r**2 - (near + r rho)**2) / s)``,
+    and ``least = r**2 + s log(1 / lam)``, with ``log(1 / lam)`` a softplus,
+    so that ``lam`` does not underflow.  The centred matrix's rounding is
+    folded in with ``tol``, whose share of ``(spread + r rho)**2`` also
+    covers the few ulps that ``least`` rounds by."""
+    r, s = params.r, params.s
+    far = near + r * rho
+    least = r * r + s * _softplus((far * far - r * r) / s)
+    return _relative_reach(r, rho, s, n, least, spread, tol)
 
 
 def _row_blocks(k: int, width: int) -> list[slice]:
@@ -535,29 +627,64 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_mask(X: SampleSet, zt: np.ndarray, zz: float, spread: float, radius: float):
-    """The rows that the query ``z~ = z - mean`` keeps, ``None`` for all of
-    them or a mask, given ``||z~||**2``, the bound
-    ``spread = max ||x~|| + ||z~||`` and its keep radius.
+def _row_mask(X: SampleSet, zt: np.ndarray, zz: float, params: DepthParams, u_norm: float):
+    """The rows that the solver keeps for the query ``z~ = z - mean``, given
+    ``||z~||**2``, at directions of norm at most ``u_norm``: ``None`` for
+    all of them, or a mask.
 
-    One product of the centred matrix with ``[-2 z~, 1, ||z~||**2]`` gives
-    each row's ``||x - z||**2``, off by less than ``tol * spread**2``; a row
-    is dropped only when that value exceeds the squared radius by more.
-    The product runs in row blocks (``_ROW_BLOCK_ENTRIES``)."""
-    d = X.d
-    b = np.empty((d + 2, 1))
-    np.multiply(zt, -2.0, out=b[:d, 0])
+    The keep radius is the least of the overflow radius
+    (:func:`_keep_radius`) and the relative reach (:func:`_solver_reach`),
+    which grows with the nearest row's distance.  One product of the
+    centred matrix with ``[-2 z~, 1, ||z~||**2]`` gives each row's
+    ``||x - z||**2``, off by less than ``tol * spread**2`` with
+    ``spread = max ||x~|| + ||z~||``, which bounds every row's distance from
+    the query: the nearest row's distance is taken from it rounded up, and a
+    row is dropped only when its value exceeds the squared radius by more.
+    The product runs in row blocks (``_ROW_BLOCK_ENTRIES``).
+
+    When ``spread`` exceeds the overflow radius the product is made, and
+    every row beyond the radius goes.  Otherwise rows can go only by the
+    reach, and the rows are kept all the same unless the centred matrix has
+    at least ``_REACH_ENTRIES`` entries, ``spread`` exceeds the reach of a
+    nearest row at distance 0, and more than ``_DROP_SHARE`` of the rows go:
+    first, for ``n`` of ``2 * _SAMPLE_ROWS`` or more, of every
+    ``n // _SAMPLE_ROWS``-th row (``SampleSet._sample``), by the same rule,
+    and then of all of them."""
+    n, d = X.n, X.d
+    tol = _rounding_tol(d)
+    rho = max(u_norm, 1.0 + 1e-9)
+    spread = math.sqrt(zz) + X._spread
+    overflow = _keep_radius(params, rho, spread, tol)
+    reach_only = spread <= overflow
+    if reach_only and (
+        n * (d + 2) < _REACH_ENTRIES
+        or spread <= _solver_reach(params, rho, n, 0.0, spread, tol)
+    ):
+        return None
+    slack = tol * spread * spread
+    b = np.empty(d + 2)
+    np.multiply(zt, -2.0, out=b[:d])
     b[d], b[d + 1] = 1.0, zz
-    w2 = np.empty(X.n)
-    for block in _row_blocks(X.n, d + 2):
-        w2[block] = np.matmul(X._centred[None, block], b)[0, :, 0]
-    mask = w2 <= radius * radius + _rounding_tol(d) * spread * spread
-    if mask.sum() == 1 < X.n:
+
+    def kept(w2: np.ndarray) -> np.ndarray | None:
+        near = math.sqrt(max(float(w2.min()) + slack, 0.0))
+        radius = min(overflow, _solver_reach(params, rho, n, near, spread, tol))
+        mask = w2 <= radius * radius + slack
+        enough = _DROP_SHARE * len(w2) if reach_only else 0
+        return mask if len(w2) - np.count_nonzero(mask) > enough else None
+
+    if reach_only and n >= 2 * _SAMPLE_ROWS and kept(X._sample @ b) is None:
+        return None
+    w2 = np.empty(n)
+    for block in _row_blocks(n, d + 2):
+        np.matmul(X._centred[block], b, out=w2[block])
+    mask = kept(w2)
+    if mask is not None and np.count_nonzero(mask) == 1:
         # numpy hands a one-row product to a matrix-vector routine, whose
         # bits can differ from that row's in a product of all rows; a second
         # row, whose terms are 0, keeps it a matrix product.
         mask[np.argmin(mask)] = True
-    return None if mask.all() else mask
+    return mask
 
 
 class _Objective:
@@ -574,14 +701,19 @@ class _Objective:
     one matrix-vector product per direction, with coefficients built from
     d floats.  For a sample with ``n d <= _LOCKSTEP_ENTRIES`` it reads every
     row of ``A``, as :class:`_Stack` does.  Above that a query copies
-    nothing of the data unless rows lie beyond the keep radius
-    (:func:`_keep_radius`); then it gathers the kept rows of ``A`` once,
-    column-major (:func:`_row_mask`), and every term it drops is exactly 0.
-    Every mean sums the kept rows and divides by the full sample size
-    ``n``.  The expansion rounds to within ``tol ((||x~|| + ||c~||)**2 +
-    r**2) / s`` of ``-t/s`` (``tol = 8 (d + 8) eps``): centring keeps that
-    independent of where the data sit, but not of how far a row or the
-    ball lie from the sample mean.
+    nothing of the data unless rows lie beyond the keep radius, the least
+    of the overflow radius (:func:`_keep_radius`) and the relative reach
+    (:func:`_solver_reach`) of the directions of norm at most ``u_norm``,
+    and :func:`_row_mask` finds that dropping them pays; then it gathers
+    the kept rows of ``A`` once, column-major.  Every term it drops is
+    exactly 0, or, within the overflow radius, at most ``eps lam / (2n)``
+    with ``lam`` the nearest row's least term, so the loss it leaves out is
+    less than ``eps / 2`` of the loss.  Every mean sums the kept rows and
+    divides by the full sample size ``n``.  The expansion rounds to within
+    ``tol ((||x~|| + ||c~||)**2 + r**2) / s`` of ``-t/s``
+    (``tol = 8 (d + 8) eps``): centring keeps that independent of where the
+    data sit, but not of how far a row or the ball lie from the sample
+    mean.
 
     The objective owns two kept-row vectors, allocated once: the sigmoid
     pass of one direction writes into the first, and the gradient's weights
@@ -598,11 +730,7 @@ class _Objective:
         self.zt = zt.tolist()
         self._kept = None
         if X.n * X.d > _LOCKSTEP_ENTRIES:
-            zz = _dot(self.zt, self.zt)
-            spread = math.sqrt(zz) + X._spread
-            radius = _keep_radius(params, u_norm, spread, _rounding_tol(X.d))
-            if spread > radius:
-                self._kept = _row_mask(X, zt, zz, spread, radius)
+            self._kept = _row_mask(X, zt, _dot(self.zt, self.zt), params, u_norm)
         rows = X._centred.T
         if self._kept is not None:
             rows = rows.compress(self._kept, axis=1)
@@ -740,7 +868,11 @@ def sphere_loss(u, z, X: SampleSet, params: DepthParams) -> float:
 
     ``(1/n) * sum_i sigmoid_s(r**2 - ||x_i - z - r*u||**2)``.  The formula
     is defined for any ambient vector ``u``; the depth solver and oracles
-    evaluate it on unit vectors only.
+    evaluate it on unit vectors only.  For a sample with ``n d`` above
+    ``core._LOCKSTEP_ENTRIES`` it leaves out the rows the solver leaves out
+    for a direction of ``u``'s norm (``_Objective``), whose terms add up to
+    less than ``eps/2`` of the loss; so the loss at a solver's returned
+    direction is the solver's ``value``, bit for bit.
     """
     if params.s <= 0:
         raise ValueError("sphere_loss requires s > 0; use the grid oracle for s = 0")
@@ -757,6 +889,9 @@ def sphere_loss_gradient(u, z, X: SampleSet, params: DepthParams) -> np.ndarray:
     With ``w_i = x_i - z - r*u``:
     ``grad = (1/n) * sum_i sig_s'(r**2 - ||w_i||**2) * 2r * w_i``.
     Tangent projection onto the sphere is applied separately by the solver.
+    It sums the rows that :func:`sphere_loss` sums; a row left out has a
+    term of at most ``eps lam / (2n)``, so it would move the gradient by at
+    most that times ``2r ||w_i|| / (s n)``.
     """
     if params.s <= 0:
         raise ValueError("sphere_loss_gradient requires s > 0")
@@ -842,12 +977,13 @@ class _Differences:
         np.multiply(cells.chords[chunk] + tol, -2.0 * self.r, out=coef[d + 1])
         if self.s == 0:
             return (rows @ coef >= 0.0).sum(axis=0) / self.n
-        # Every value is at least 1/n of the nearest row's least term, and a
-        # row beyond this reach has terms below eps/n of that: leaving it out
-        # lowers the bound by less than eps times any value.
+        # Every value is at least 1/n of the nearest row's least term, which
+        # is at least exp((r**2 - near**2) / s) / 2, and a row beyond this
+        # reach has terms below eps/n of that: leaving it out lowers the
+        # bound by less than eps times any value.
         nw = rows[:, d + 1]
         near = self.r + float(nw.min(initial=math.inf))
-        reach = self.r + math.sqrt(near * near + self.s * math.log(2 * self.n / _EPS))
+        reach = _relative_reach(self.r, 1.0, self.s, self.n, near * near)
         reachable = nw <= reach
         if not reachable.all():
             rows = rows[reachable]

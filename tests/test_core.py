@@ -15,6 +15,7 @@ from spheredepth import (
     SampleSet,
     grid_oracle_halfspace_depth,
     grid_oracle_sphere_depth,
+    riemannian_descent,
     sigmoid,
     sigmoid_derivative,
     sphere_loss,
@@ -400,15 +401,21 @@ def _all_rows_block(z, X, params, U):
 class TestCentredExpansion:
     """The solver's kernel computes ``-t/s`` from the sample's centred
     matrix.  Against ``x - z`` taken directly in ``np.longdouble``, each
-    kept row's argument must lie within the bound fixed below, and no row
-    the keep mask drops may have a nonzero term in any direction.  The
-    kernel drops rows only for samples with ``n d`` above
-    ``_LOCKSTEP_ENTRIES``; the limit is set to 0 so that it drops them at
+    kept row's argument must lie within the bound fixed below.  A row that
+    the keep mask drops beyond the overflow radius may have no nonzero term
+    in any direction; one dropped within it, by the relative reach, may have
+    no term above ``eps lam / (2n)``, with ``lam`` the nearest row's least
+    term.  The kernel drops rows only for samples with ``n d`` above
+    ``_LOCKSTEP_ENTRIES``, and within the overflow radius only for a large
+    enough sample and when enough of them go; the limit, that size and that
+    share are set to 0 so that it drops every row beyond the keep radius at
     this test's ``n``."""
 
     @pytest.fixture(autouse=True)
     def row_cut_at_any_size(self, monkeypatch):
         monkeypatch.setattr(core, "_LOCKSTEP_ENTRIES", 0)
+        monkeypatch.setattr(core, "_DROP_SHARE", 0.0)
+        monkeypatch.setattr(core, "_REACH_ENTRIES", 0)
 
     @staticmethod
     def bound(X, z, params, u):
@@ -427,6 +434,17 @@ class TestCentredExpansion:
         w = X.data.astype(np.longdouble) - np.asarray(z, np.longdouble) - r * u
         return ((w * w).sum(axis=1) - r * r) / np.longdouble(params.s)
 
+    @staticmethod
+    def radii(X, z, params):
+        """The overflow radius of the query ``z`` and its keep radius, the
+        least of that and the relative reach, for the nearest row's computed
+        ``||x - z||**2`` taken as 0: the query is a sample row."""
+        tol, rho = core._rounding_tol(X.d), 1.0 + 1e-9
+        spread = X._spread + float(np.linalg.norm(z - X._mean))
+        overflow = core._keep_radius(params, 1.0, spread, tol)
+        near = math.sqrt(tol) * spread
+        return overflow, min(overflow, core._solver_reach(params, rho, X.n, near, spread, tol))
+
     @pytest.mark.parametrize("s", [1.0, 1e-3])
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     @pytest.mark.parametrize("sigma", [1.0, 1e3])
@@ -442,14 +460,14 @@ class TestCentredExpansion:
             mean + 30.0 * sigma * e,  # far from the data
             mean - 1e4 * sigma * e,
         ]
-        # Rows at the keep radius from the first query, on either side of it.
+        # Rows at the keep radius from the first query, on either side of it;
+        # the reach grows with n, so six copies of the query stand in for them.
         z0 = queries[0]
-        X0 = SampleSet(data)
-        spread = X0._spread + float(np.linalg.norm(z0 - X0._mean))
-        radius = core._keep_radius(params, 1.0, spread, core._rounding_tol(d))
+        _, radius = self.radii(SampleSet(np.vstack([data, np.tile(z0, (6, 1))])), z0, params)
         ring = [z0 + radius * (1.0 + k) * unit_direction(rng.standard_normal(d))
                 for k in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05)]
         X = SampleSet(np.vstack([data, ring]))
+        eps = np.finfo(np.float64).eps
         dropped_rows = worst_checked = 0
         with np.errstate(over="ignore"):
             for z in queries:
@@ -457,14 +475,26 @@ class TestCentredExpansion:
                 kept = np.arange(X.n) if objective._kept is None else np.flatnonzero(objective._kept)
                 dropped = np.setdiff1d(np.arange(X.n), kept)
                 dropped_rows += dropped.size
-                # Each dropped row at its worst direction, toward the row: the
-                # kernel's term over all rows must be exactly 0 there.
+                overflow, _ = self.radii(X, z, params)
+                # The nearest row's least term at a unit direction is lam =
+                # sigmoid((r**2 - (near + r)**2) / s); its log is -log1p(exp(-a)).
+                w = X.data.astype(np.longdouble) - np.asarray(z, np.longdouble)
+                near, r = np.sqrt((w * w).sum(axis=1).min()), np.longdouble(params.r)
+                a = (r * r - (near + r) ** 2) / np.longdouble(s)
+                # Each dropped row at its worst direction, toward the row.
                 toward = X.data[dropped] - z
                 toward /= np.linalg.norm(toward, axis=1)[:, None]
                 for i, u in zip(dropped, toward):
-                    arg = _centred_args(z, X, params, u[None])[i, 0]
-                    assert core._logistic_of_negated(np.array([arg]))[0] == 0.0
-                    assert self.reference(X, z, params, u.astype(np.longdouble))[i] > 700
+                    ref = self.reference(X, z, params, u.astype(np.longdouble))[i]
+                    if np.linalg.norm(X.data[i] - z) > overflow:
+                        # The kernel's term over all rows is exactly 0 there.
+                        arg = _centred_args(z, X, params, u[None])[i, 0]
+                        assert core._logistic_of_negated(np.array([arg]))[0] == 0.0
+                        assert ref > 700
+                    else:
+                        # The term 1 / (1 + exp(ref)) is at most eps lam / (2n),
+                        # compared in logs, as lam can underflow.
+                        assert np.logaddexp(0, ref) >= np.log(2 * X.n / eps) + np.logaddexp(0, -a)
                     worst_checked += 1
                 for u in [unit_direction(rng.standard_normal(d)) for _ in range(3)] + [e, -e]:
                     got = objective.folded_args(u).astype(np.longdouble)
@@ -472,13 +502,13 @@ class TestCentredExpansion:
                     ref, allowed = self.reference(X, z, params, ul), self.bound(X, z, params, ul)
                     assert np.all(np.abs(got - ref[kept]) <= allowed[kept])
                     # The loss: the logistic's slope is at most 1/4, and the
-                    # dropped rows' terms are below 1e-300.
+                    # dropped rows' terms move the loss by less than eps/2 of
+                    # itself.
                     loss = sphere_loss(u, z, X, params)
                     exact = float(np.sum(1.0 / (1.0 + np.exp(ref))) / X.n)
-                    eps = np.finfo(np.float64).eps
                     assert abs(loss - exact) <= float(allowed.mean()) / 4 + 8 * (X.n + 8) * eps
         assert dropped_rows > 0 and worst_checked == dropped_rows
-        if s == 1e-3:  # the ring straddles the radius of the first query
+        if s == 1e-3:  # the ring straddles the keep radius of the first query
             first = core._Objective(z0, X, params)
             assert first._kept is not None
             ring_kept = first._kept[len(data):].tolist()
@@ -504,6 +534,75 @@ class TestRowCutLimit:
             assert objective._kept is not None and 0 < objective.k < n
         else:
             assert objective._kept is None and objective.k == n
+
+
+class TestRelativeReach:
+    """Above ``_LOCKSTEP_ENTRIES`` the solver's kernel also drops the rows
+    whose terms cannot reach ``eps/(2n)`` of the loss (``_solver_reach``),
+    at the shipped constants."""
+
+    @staticmethod
+    def bi_gaussian(n):
+        return datagen.gen_mixture(datagen.bi_gaussian_spec(2), n, 74)
+
+    @pytest.mark.parametrize("n", [8191, 8192], ids=["below-reach-size", "reach-size"])
+    def test_far_mode_is_dropped(self, n):
+        # n (d + 2) = 32764 or 32768: the far mode goes only from 2**15 on.
+        X = self.bi_gaussian(n)
+        z = X.data[np.argmin(np.linalg.norm(X.data - 3.5, axis=1))]  # at a mode's centre
+        objective = core._Objective(z, X, DepthParams(r=1.0, s=1.0))
+        if n * (X.d + 2) < core._REACH_ENTRIES:
+            assert objective._kept is None and objective.k == n
+        else:
+            assert objective._kept is not None and objective.k <= 0.6 * n
+
+    def test_every_row_is_kept_at_the_limit(self):
+        X = self.bi_gaussian(core._LOCKSTEP_ENTRIES // 2)  # n d = 4096
+        objective = core._Objective(X.data[0], X, DepthParams(r=1.0, s=1.0))
+        assert objective._kept is None and objective.k == X.n
+
+    def test_far_query_is_stationary_at_zero(self):
+        X = self.bi_gaussian(3000)  # n d = 6000
+        z, params = np.array([1e3, -1e3]), DepthParams(r=1.0, s=1.0)
+        assert core._Objective(z, X, params).k == 0
+        res = riemannian_descent(z, X, params)
+        assert (res.value, res.iterations, res.converged) == (0.0, 0, True)
+
+    @pytest.mark.parametrize("s", [1.0, 0.1])
+    def test_value_is_the_loss_at_the_direction(self, s):
+        X, params = self.bi_gaussian(8192), DepthParams(r=1.0, s=s)
+        for z in X.data[:4]:
+            assert core._Objective(z, X, params).k < X.n
+            res = riemannian_descent(z, X, params)
+            assert res.value == sphere_loss(res.direction, z, X, params)
+
+    def test_rows_either_side_of_the_reach(self):
+        # The query is a sample row at the sample mean, and every row the
+        # reach turns on has an exact ||x - z||**2: its coordinates have few
+        # bits, and the last row puts the mean at exactly 0.  So the nearest
+        # row's computed value is exactly 0, and rounded up by the product's
+        # allowance it moves the reach by about 1%.  Two far rows make that
+        # allowance large (a spread of about 2**18), but not so large that
+        # it keeps a row 1e-3 beyond the reach.
+        params, d, n = DepthParams(r=1.0, s=0.01), 2, 4096
+        grid = np.random.default_rng(75).integers(-12, 13, (n - 4, d)).astype(float)
+        e = np.array([0.6, 0.8])
+        radius = 2.0
+        for _ in range(3):
+            probes = np.round(radius * np.outer([1 - 1e-3, 1 + 1e-3], e) * 4096) / 4096
+            rows = np.vstack([[[0.0, 0.0], [2.0**18, 0.0]], grid, probes])
+            data = np.vstack([rows, -rows.sum(axis=0)])
+            X = SampleSet(data)
+            assert not X._mean.any()
+            tol = core._rounding_tol(d)
+            spread = X._spread
+            near = math.sqrt(tol * spread * spread)
+            overflow = core._keep_radius(params, 1.0, spread, tol)
+            radius = min(overflow, core._solver_reach(params, 1.0 + 1e-9, n, near, spread, tol))
+        assert radius < overflow
+        objective = core._Objective(np.zeros(d), X, params)
+        assert objective._kept is not None
+        assert objective._kept[-3:-1].tolist() == [True, False]
 
 
 class TestDroppedRows:
