@@ -71,19 +71,27 @@ direction, so the loss is at least ``lam/n``; past the relative reach
 most ``eps*lam/(2n)``, and all of them together move the loss by less than
 ``eps/2`` of itself (``_relative_reach``, whose reach the oracle's cell
 bounds use too).  The keep radius is the least of ``R`` and the reach, each
-widened by the expansion's rounding.  A query with a row that may lie
-beyond ``R`` (``max ||x~|| + ||z~|| > R``) makes one product for the rows'
+widened by the expansion's rounding.  While ``A`` has fewer than
+``_REACH_ENTRIES`` entries, a query with a row that may lie beyond ``R``
+(``max ||x~|| + ||z~|| > R``) makes one product for the rows'
 ``||x - z||**2`` and ``near``, rounded up, and gathers the rows within the
-radius whenever any row goes.  Any other query reads ``A``
-itself unless a pass over ``A`` is long enough to pay for the product and
-the gather (``A`` has ``_REACH_ENTRIES`` entries or more) and more than
-``_DROP_SHARE`` of the rows go, first of a strided sample of
-``_SAMPLE_ROWS`` rows and then of all.  Every mean still divides by the
+radius whenever any row goes, and any other query reads ``A`` itself.
+From that size on ``A`` holds its rows in the order of their projection on
+one axis, the top eigenvector of the centred rows' scatter, and a query
+keeps at most the slab of rows whose projection lies within the keep
+radius of its own, widened by the rounding: two binary searches, after one
+product with a strided sample of ``_SAMPLE_ROWS`` rows that bounds ``near``
+from above.  It reads the slab as a slice, which copies nothing, when no
+row can lie beyond ``R`` and at most ``_DROP_SHARE`` of the sampled rows in
+the slab lie beyond the radius.  Otherwise it makes the product over the
+slab's rows and gathers the rows that the product over all rows would
+keep, unless only rows past the reach go and at most ``_DROP_SHARE`` of the
+slab's rows do; then it reads the slab.  Every mean still divides by the
 full ``n``, so the oracle is exact, and the solver's loss is exact but for
 the terms below ``eps*lam/(2n)``.  At small ``s`` most of the sample can
 lie beyond the radius, and on multimodal data the far modes do at every
 ``s``: a solve of the ``large-n`` benchmark (bi-Gaussian, n = 1e5, d = 3,
-r = s = 1) reads about half of ``A``.
+r = s = 1) reads a slice of about half of ``A``, the mode around its query.
 
 The sphere oracle is an exact grid minimum with cell bounds.  Each
 :class:`DirectionGrid` is split once, on first use, into cells of nearby
@@ -165,9 +173,10 @@ _EXP_OVERFLOW = math.log(np.finfo(np.float64).max)
 _EPS = float(np.finfo(np.float64).eps)
 
 # Above ``_LOCKSTEP_ENTRIES``, a query none of whose rows can overflow
-# ``exp`` drops the rows past the relative reach only when the centred matrix
-# has at least ``_REACH_ENTRIES`` entries and more than ``_DROP_SHARE`` of
-# the rows go, estimated first on every ``n // _SAMPLE_ROWS``-th row
+# ``exp`` drops the rows past the relative reach only when the centred
+# matrix has at least ``_REACH_ENTRIES`` entries and more than
+# ``_DROP_SHARE`` of the rows of its slab go, estimated first on the rows
+# among every ``n // _SAMPLE_ROWS``-th row that lie in the slab
 # (``_row_mask``).  The product that finds the rows costs about half a pass,
 # the gather one to two, and the estimate about 8 us; 256 rows put the
 # estimated share within about 0.03 (one standard error).  Per-query solve
@@ -178,9 +187,14 @@ _EPS = float(np.finfo(np.float64).eps)
 # after one to five iterations, read 1.14x (d = 2, n = 3,000), 1.24x (3,
 # 3,000) and 1.30x (5, 2,000); at 2**15 they read 1.04-1.06x, and the sample
 # rows of bi-Gaussian (2, 5,000) at s = 1 lost their 0.91x.  A share of 0.2
-# read as 0.3 and 0.4 did on the shapes at and above the size; the 1.13-1.14x
-# of the standard-normal points of bi-Gaussian (5, 10,000) at s = 1, most of
-# which drop nothing, is the estimate's cost on a solve of 0.15 ms.
+# read as 0.3 and 0.4 did on the shapes at and above the size.  Only from
+# that size on are the rows sorted and a query's slab found: below it the
+# slab's product with the sampled rows, its two searches and its estimate,
+# about 5 us a query, cost more than they save (with a slab at every size
+# above the lockstep limit, the standard-normal points of bi-Gaussian (5,
+# 2,000) at s = 0.1 read 1.23x and those of (3, 3,000) at s = 0.01 1.14x of
+# the time without one; both mask rows beyond the overflow radius in solves
+# of about 0.05 ms).
 _DROP_SHARE = 0.2
 _SAMPLE_ROWS = 256
 _REACH_ENTRIES = 2**15
@@ -292,13 +306,61 @@ class SampleSet:
         return unit
 
     @functools.cached_property
+    def _axis(self) -> np.ndarray:
+        """The unit axis whose keys order the rows of a large sample's
+        centred matrix (``_order``): the top eigenvector of the centred
+        rows' scatter, its largest entry positive; read-only.  Each entry of
+        the scatter is the pairwise sum of one product of two columns
+        (``np.add.reduce``), so the axis does not depend on BLAS threading;
+        the columns are divided by their largest entry first, so that the
+        scatter neither overflows nor underflows."""
+        centred = self.data - self._mean
+        scale = float(np.abs(centred).max())
+        if scale > 0.0:
+            centred /= scale
+        d = self.d
+        scatter = np.empty((d, d))
+        for j in range(d):
+            for k in range(j + 1):
+                scatter[j, k] = scatter[k, j] = np.add.reduce(centred[:, j] * centred[:, k])
+        axis = np.linalg.eigh(scatter)[1][:, -1]
+        axis /= math.sqrt(_dot(axis.tolist(), axis.tolist()))
+        if axis[np.argmax(np.abs(axis))] < 0.0:
+            axis = -axis
+        axis.flags.writeable = False
+        return axis
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray | None:
+        """The data row of each row of ``A`` (``_centred``), read-only.
+        ``None`` when ``A`` keeps the data's order: for ``n d`` at or below
+        ``_LOCKSTEP_ENTRIES``, where the lockstep solver reads every row,
+        and when ``A`` has fewer than ``_REACH_ENTRIES`` entries, where a
+        query's product with every row costs about as little as finding a
+        slab.  Otherwise the rows ascend in key (:func:`_projection` on
+        ``_axis``), equal keys in data order, so that a query reads the rows
+        near it as one slice (``_row_mask``)."""
+        n, d = self.data.shape
+        if n * d <= _LOCKSTEP_ENTRIES or n * (d + 2) < _REACH_ENTRIES:
+            return None
+        order = np.argsort(_projection(self.data - self._mean, self._axis), kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @functools.cached_property
     def _centred(self) -> np.ndarray:
         """``A = [X - mean | ||x - mean||**2 | 1]``, ``(n, d + 2)``,
-        column-major and read-only: what the solver's objective reads
-        (``_Objective``).  The squared norms add the columns left to right."""
+        column-major and read-only, its rows in the order ``_order``: what
+        the solver's objective reads (``_Objective``).  The squared norms add
+        the columns left to right.  No other copy of it is kept."""
         n, d = self.data.shape
         A = np.empty((n, d + 2), order="F")
-        np.subtract(self.data, self._mean, out=A[:, :d])
+        if self._order is None:
+            np.subtract(self.data, self._mean, out=A[:, :d])
+        else:
+            for j in range(d):
+                np.take(self.data[:, j], self._order, out=A[:, j])
+            A[:, :d] -= self._mean
         norms = np.multiply(A[:, 0], A[:, 0], out=A[:, d])
         for j in range(1, d):
             norms += A[:, j] * A[:, j]
@@ -307,16 +369,39 @@ class SampleSet:
         return A
 
     @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """The key of each row of ``A`` (:func:`_projection` on ``_axis``),
+        read-only; they ascend when ``_order`` sorts the rows."""
+        keys = _projection(self._centred[:, : self.d], self._axis)
+        keys.flags.writeable = False
+        return keys
+
+    @functools.cached_property
     def _sample(self) -> np.ndarray:
-        """Every ``n // _SAMPLE_ROWS``-th row of ``A``, row-major: the rows on
-        which the solver estimates how much of a large sample a query drops
-        (``_row_mask``)."""
-        return np.ascontiguousarray(self._centred[:: self.n // _SAMPLE_ROWS])
+        """Every ``n // _SAMPLE_ROWS``-th row of ``A`` (every row for ``n``
+        below ``2 * _SAMPLE_ROWS``), row-major: the rows on which the solver
+        bounds the nearest row's distance and estimates how many of a slab's
+        rows a query drops (``_row_mask``)."""
+        return np.ascontiguousarray(self._centred[:: _sample_step(self.n)])
 
     @functools.cached_property
     def _spread(self) -> float:
         """The largest ``||x - mean||``, from the squared norms of ``A``."""
         return math.sqrt(float(self._centred[:, self.d].max()))
+
+
+def _sample_step(n: int) -> int:
+    """The stride of ``SampleSet._sample`` in the rows of ``A``."""
+    return max(1, n // _SAMPLE_ROWS)
+
+
+def _projection(centred: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """``centred @ axis`` for an ``(n, d)`` array, each row's terms added
+    left to right from 0 as :func:`_dot` adds them, with no BLAS call."""
+    keys = centred[:, 0] * axis[0]
+    for j in range(1, len(axis)):
+        keys += centred[:, j] * axis[j]
+    return keys
 
 
 def _pooled_std(X: SampleSet) -> float:
@@ -628,62 +713,102 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _row_mask(X: SampleSet, zt: np.ndarray, zz: float, params: DepthParams, u_norm: float):
-    """The rows that the solver keeps for the query ``z~ = z - mean``, given
-    ``||z~||**2``, at directions of norm at most ``u_norm``: ``None`` for
-    all of them, or a mask.
+    """The rows of the centred matrix ``A`` (:attr:`SampleSet._centred`)
+    that the solver keeps for the query ``z~ = z - mean``, given
+    ``||z~||**2``, at directions of norm at most ``u_norm``: a slice of
+    them, or a mask over all of them.
 
     The keep radius is the least of the overflow radius
     (:func:`_keep_radius`) and the relative reach (:func:`_solver_reach`),
-    which grows with the nearest row's distance.  One product of the
-    centred matrix with ``[-2 z~, 1, ||z~||**2]`` gives each row's
-    ``||x - z||**2``, off by less than ``tol * spread**2`` with
+    which grows with the nearest row's distance.  A product of rows of
+    ``A`` with ``[-2 z~, 1, ||z~||**2]`` gives their ``||x - z||**2``, off
+    by less than ``slack = tol * spread**2`` with
     ``spread = max ||x~|| + ||z~||``, which bounds every row's distance from
     the query: the nearest row's distance is taken from it rounded up, and a
     row is dropped only when its value exceeds the squared radius by more.
-    The product runs in row blocks (``_ROW_BLOCK_ENTRIES``).
+    The products run in row blocks (``_ROW_BLOCK_ENTRIES``).
 
-    When ``spread`` exceeds the overflow radius the product is made, and
-    every row beyond the radius goes.  Otherwise rows can go only by the
-    reach, and the rows are kept all the same unless the centred matrix has
-    at least ``_REACH_ENTRIES`` entries, ``spread`` exceeds the reach of a
-    nearest row at distance 0, and more than ``_DROP_SHARE`` of the rows go:
-    first, for ``n`` of ``2 * _SAMPLE_ROWS`` or more, of every
-    ``n // _SAMPLE_ROWS``-th row (``SampleSet._sample``), by the same rule,
-    and then of all of them."""
+    A query keeps every row when no row can lie beyond the overflow radius
+    (``spread`` is at most that) and either ``A`` has fewer than
+    ``_REACH_ENTRIES`` entries or ``spread`` is within the reach of a
+    nearest row at distance 0.  Below that size any other query makes the
+    product with every row and drops the rows beyond the keep radius.
+
+    From that size on the rows of ``A`` ascend in key (``SampleSet._keys``,
+    their projection on ``SampleSet._axis``).  A query first makes the
+    product with the rows of ``SampleSet._sample``, whose least value gives
+    a radius no less than the keep radius, and two binary searches find the
+    slab of rows whose key lies within
+    ``h = sqrt(radius**2 + 2 slack) (1 + tol) + tol * spread`` of the
+    query's.  A row outside the slab lies farther than
+    ``sqrt(radius**2 + 2 slack)`` from the query, so its computed
+    ``||x - z||**2`` exceeds ``radius**2 + slack``: the difference of two
+    keys is at most ``||x~ - z~||`` times the axis's norm, which is within
+    ``(d + 2) eps`` of 1, and the keys and ``h`` round by less than
+    ``tol * spread`` and ``tol h``.  When rows can go only by the reach and
+    at most ``_DROP_SHARE`` of the sampled rows within the slab lie beyond
+    the radius, the query keeps the slab.  Otherwise the product runs over
+    the slab's rows, whose least value gives the keep radius, and the rows
+    beyond it go; but when rows can go only by the reach and at most
+    ``_DROP_SHARE`` of the slab's rows do, the query keeps the slab.  The
+    nearest row lies in the slab whenever a product with every row of ``A``
+    would keep any row, so the mask keeps the rows that that product
+    would."""
     n, d = X.n, X.d
     tol = _rounding_tol(d)
     rho = max(u_norm, 1.0 + 1e-9)
     spread = math.sqrt(zz) + X._spread
     overflow = _keep_radius(params, rho, spread, tol)
     reach_only = spread <= overflow
+    sorted_rows = X._order is not None  # A has _REACH_ENTRIES entries or more
     if reach_only and (
-        n * (d + 2) < _REACH_ENTRIES
-        or spread <= _solver_reach(params, rho, n, 0.0, spread, tol)
+        not sorted_rows or spread <= _solver_reach(params, rho, n, 0.0, spread, tol)
     ):
-        return None
+        return slice(0, n)
     slack = tol * spread * spread
     b = np.empty(d + 2)
     np.multiply(zt, -2.0, out=b[:d])
     b[d], b[d + 1] = 1.0, zz
 
-    def kept(w2: np.ndarray) -> np.ndarray | None:
-        near = math.sqrt(max(float(w2.min()) + slack, 0.0))
-        radius = min(overflow, _solver_reach(params, rho, n, near, spread, tol))
+    def keep_radius(w2: np.ndarray) -> float:
+        near = math.sqrt(max(float(w2.min(initial=math.inf)) + slack, 0.0))
+        return min(overflow, _solver_reach(params, rho, n, near, spread, tol))
+
+    def kept(w2: np.ndarray, radius: float) -> np.ndarray | None:
         mask = w2 <= radius * radius + slack
         enough = _DROP_SHARE * len(w2) if reach_only else 0
         return mask if len(w2) - np.count_nonzero(mask) > enough else None
 
-    if reach_only and n >= 2 * _SAMPLE_ROWS and kept(X._sample @ b) is None:
-        return None
-    w2 = np.empty(n)
-    for block in _row_blocks(n, d + 2):
-        np.matmul(X._centred[block], b, out=w2[block])
-    mask = kept(w2)
-    if mask is not None and np.count_nonzero(mask) == 1:
-        # numpy hands a one-row product to a matrix-vector routine, whose
-        # bits can differ from that row's in a product of all rows; a second
-        # row, whose terms are 0, keeps it a matrix product.
-        mask[np.argmin(mask)] = True
+    lo, hi, slab_kept = 0, n, False
+    if sorted_rows:
+        sampled = X._sample @ b
+        radius = keep_radius(sampled)
+        half = math.sqrt(radius * radius + 2.0 * slack) * (1.0 + tol) + tol * spread
+        key = _dot(zt.tolist(), X._axis.tolist())
+        lo = int(X._keys.searchsorted(key - half, "left"))
+        hi = int(X._keys.searchsorted(key + half, "right"))
+        step = _sample_step(n)
+        slab_kept = reach_only and kept(sampled[-(-lo // step) : -(-hi // step)], radius) is None
+    inside = None
+    if not slab_kept:
+        w2 = np.empty(hi - lo)
+        rows = X._centred[lo:hi]
+        for block in _row_blocks(hi - lo, d + 2):
+            np.matmul(rows[block], b, out=w2[block])
+        inside = kept(w2, keep_radius(w2))
+    # numpy hands a one-row product to a matrix-vector routine, whose bits
+    # can differ from that row's in a product of more rows; a second row,
+    # whose terms are negligible, keeps it a matrix product.
+    if inside is None:
+        if hi - lo == 1 < n:
+            lo, hi = (lo, hi + 1) if hi < n else (lo - 1, hi)
+        return slice(lo, hi)
+    if np.count_nonzero(inside) == 1:
+        inside[np.argmin(inside)] = True
+    if hi - lo == n:
+        return inside
+    mask = np.zeros(n, dtype=bool)
+    mask[lo:hi] = inside
     return mask
 
 
@@ -700,20 +825,20 @@ class _Objective:
 
     one matrix-vector product per direction, with coefficients built from
     d floats.  For a sample with ``n d <= _LOCKSTEP_ENTRIES`` it reads every
-    row of ``A``, as :class:`_Stack` does.  Above that a query copies
-    nothing of the data unless rows lie beyond the keep radius, the least
-    of the overflow radius (:func:`_keep_radius`) and the relative reach
-    (:func:`_solver_reach`) of the directions of norm at most ``u_norm``,
-    and :func:`_row_mask` finds that dropping them pays; then it gathers
-    the kept rows of ``A`` once, column-major.  Every term it drops is
-    exactly 0, or, within the overflow radius, at most ``eps lam / (2n)``
-    with ``lam`` the nearest row's least term, so the loss it leaves out is
-    less than ``eps / 2`` of the loss.  Every mean sums the kept rows and
-    divides by the full sample size ``n``.  The expansion rounds to within
-    ``tol ((||x~|| + ||c~||)**2 + r**2) / s`` of ``-t/s``
-    (``tol = 8 (d + 8) eps``): centring keeps that independent of where the
-    data sit, but not of how far a row or the ball lie from the sample
-    mean.
+    row of ``A``, as :class:`_Stack` does.  Above that it drops the rows
+    beyond the keep radius, the least of the overflow radius
+    (:func:`_keep_radius`) and the relative reach (:func:`_solver_reach`) of
+    the directions of norm at most ``u_norm``, as far as :func:`_row_mask`
+    finds that dropping them pays: it reads a slice of the rows of ``A``,
+    which copies nothing, or gathers the rows of a mask once, column-major.
+    Every term it drops is exactly 0, or, within the overflow radius, at
+    most ``eps lam / (2n)`` with ``lam`` the nearest row's least term, so
+    the loss it leaves out is less than ``eps / 2`` of the loss.  Every mean
+    sums the kept rows and divides by the full sample size ``n``.  The
+    expansion rounds to within ``tol ((||x~|| + ||c~||)**2 + r**2) / s`` of
+    ``-t/s`` (``tol = 8 (d + 8) eps``): centring keeps that independent of
+    where the data sit, but not of how far a row or the ball lie from the
+    sample mean.
 
     The objective owns two kept-row vectors, allocated once: the sigmoid
     pass of one direction writes into the first, and the gradient's weights
@@ -728,13 +853,13 @@ class _Objective:
         self.n, self.r, self.s = X.n, params.r, params.s
         zt = z - X._mean
         self.zt = zt.tolist()
-        self._kept = None
+        self._kept = slice(0, X.n)
         if X.n * X.d > _LOCKSTEP_ENTRIES:
             self._kept = _row_mask(X, zt, _dot(self.zt, self.zt), params, u_norm)
-        rows = X._centred.T
-        if self._kept is not None:
-            rows = rows.compress(self._kept, axis=1)
-        self.rows = rows.T  # the kept rows of A, column-major
+        if isinstance(self._kept, slice):
+            self.rows = X._centred[self._kept]  # the kept rows of A, column by column
+        else:
+            self.rows = X._centred.T.compress(self._kept, axis=1).T
         self.k = len(self.rows)
         self._data = self.rows[:, : X.d]
         self._fold, self._inv_s, self._rr = -2.0 / self.s, 1.0 / self.s, self.r * self.r

@@ -374,7 +374,20 @@ def _centred_args(z, X, params, U):
     for row in centre:
         cc += row * row
     coef = np.vstack([centre * (-2.0 / s), np.full((1, len(U)), 1.0 / s), ((cc - r * r) / s)[None]])
-    return X._centred @ coef
+    args = X._centred @ coef
+    if X._order is None:
+        return args
+    out = np.empty_like(args)  # rows of the centred matrix back in data order
+    out[X._order] = args
+    return out
+
+
+def _read_rows(objective, X):
+    """The data rows that the solver's objective reads, in the order it
+    reads them: its rows of the centred matrix mapped through the sample's
+    row order."""
+    rows = np.arange(X.n)[objective._kept]
+    return rows if X._order is None else X._order[rows]
 
 
 def _all_rows_block(z, X, params, U):
@@ -472,7 +485,7 @@ class TestCentredExpansion:
         with np.errstate(over="ignore"):
             for z in queries:
                 objective = core._Objective(z, X, params)
-                kept = np.arange(X.n) if objective._kept is None else np.flatnonzero(objective._kept)
+                kept = _read_rows(objective, X)
                 dropped = np.setdiff1d(np.arange(X.n), kept)
                 dropped_rows += dropped.size
                 overflow, _ = self.radii(X, z, params)
@@ -510,8 +523,8 @@ class TestCentredExpansion:
         assert dropped_rows > 0 and worst_checked == dropped_rows
         if s == 1e-3:  # the ring straddles the keep radius of the first query
             first = core._Objective(z0, X, params)
-            assert first._kept is not None
-            ring_kept = first._kept[len(data):].tolist()
+            assert first.k < X.n
+            ring_kept = np.isin(np.arange(len(data), X.n), _read_rows(first, X)).tolist()
             # Within the radius: kept.  At 1e-3 and 5% beyond it: dropped,
             # as the rounding allowance on ||x - z||**2 is far smaller.  The
             # rows within 1e-9 of it may go either way, and were checked
@@ -531,9 +544,9 @@ class TestRowCutLimit:
         X = SampleSet(np.random.default_rng(73).standard_normal((n, d)))
         objective = core._Objective(np.array([4.0, 0.0]), X, DepthParams(r=1.0, s=0.01))
         if above:
-            assert objective._kept is not None and 0 < objective.k < n
+            assert isinstance(objective._kept, np.ndarray) and 0 < objective.k < n
         else:
-            assert objective._kept is None and objective.k == n
+            assert objective._kept == slice(0, n) and objective.k == n
 
 
 class TestRelativeReach:
@@ -552,14 +565,14 @@ class TestRelativeReach:
         z = X.data[np.argmin(np.linalg.norm(X.data - 3.5, axis=1))]  # at a mode's centre
         objective = core._Objective(z, X, DepthParams(r=1.0, s=1.0))
         if n * (X.d + 2) < core._REACH_ENTRIES:
-            assert objective._kept is None and objective.k == n
+            assert objective._kept == slice(0, n) and objective.k == n
         else:
-            assert objective._kept is not None and objective.k <= 0.6 * n
+            assert objective.k <= 0.6 * n
 
     def test_every_row_is_kept_at_the_limit(self):
         X = self.bi_gaussian(core._LOCKSTEP_ENTRIES // 2)  # n d = 4096
         objective = core._Objective(X.data[0], X, DepthParams(r=1.0, s=1.0))
-        assert objective._kept is None and objective.k == X.n
+        assert objective._kept == slice(0, X.n) and objective.k == X.n
 
     def test_far_query_is_stationary_at_zero(self):
         X = self.bi_gaussian(3000)  # n d = 6000
@@ -601,8 +614,231 @@ class TestRelativeReach:
             radius = min(overflow, core._solver_reach(params, 1.0 + 1e-9, n, near, spread, tol))
         assert radius < overflow
         objective = core._Objective(np.zeros(d), X, params)
-        assert objective._kept is not None
-        assert objective._kept[-3:-1].tolist() == [True, False]
+        assert isinstance(objective._kept, np.ndarray)
+        assert np.isin([X.n - 3, X.n - 2], _read_rows(objective, X)).tolist() == [True, False]
+
+
+def _least_slab_size(d):
+    """The least n whose centred matrix has ``_REACH_ENTRIES`` entries."""
+    return -(-core._REACH_ENTRIES // (d + 2))
+
+
+class TestSlab:
+    """From ``_REACH_ENTRIES`` entries on, the rows of the centred matrix
+    ascend in their projection on one axis, and the solver keeps a slice of
+    them around the query's projection, or a mask over that slice
+    (``core._row_mask``), at the shipped constants."""
+
+    @staticmethod
+    def sample(kind, d, n):
+        if kind == "bi-gaussian":
+            return datagen.gen_mixture(datagen.bi_gaussian_spec(d), n, (76, d)).data
+        return np.random.default_rng((77, d)).standard_normal((n, d))
+
+    @staticmethod
+    def check(X, z, params):
+        """Every row whose exact ``||x - z||`` is within the keep radius of
+        the exact nearest distance is read, a mask keeps the rows that a
+        mask made from the product with every row keeps, and the loss at a
+        few directions is within ``TestCentredExpansion``'s allowance of the
+        exact loss over every row.  Returns the objective."""
+        z = np.asarray(z, dtype=float)
+        objective = core._Objective(z, X, params)
+        read = _read_rows(objective, X)
+        assert len(np.unique(read)) == len(read) == objective.k
+        d, n = X.d, X.n
+        tol, rho = core._rounding_tol(d), 1.0 + 1e-9
+        zt = (z - X._mean).tolist()
+        zz = core._dot(zt, zt)
+        spread = X._spread + math.sqrt(zz)
+        w = X.data.astype(np.longdouble) - z.astype(np.longdouble)
+        dist = np.sqrt((w * w).sum(axis=1))
+        overflow = core._keep_radius(params, 1.0, spread, tol)
+        radius = min(overflow, core._solver_reach(params, rho, n, float(dist.min()), spread, tol))
+        assert np.isin(np.flatnonzero(dist <= radius), read).all()
+        if isinstance(objective._kept, np.ndarray):
+            # The product with every row, in the row blocks of the kernel.
+            b = np.array([*(-2.0 * np.array(zt)), 1.0, zz])
+            w2 = np.concatenate([X._centred[blk] @ b for blk in core._row_blocks(n, d + 2)])
+            slack = tol * spread * spread
+            near = math.sqrt(float(w2.min()) + slack)
+            radius = min(overflow, core._solver_reach(params, rho, n, near, spread, tol))
+            every = w2 <= radius * radius + slack
+            if np.count_nonzero(every) > 1:
+                assert np.array_equal(objective._kept, every)
+        rng = np.random.default_rng(78)
+        eps = np.finfo(np.float64).eps
+        for u in [unit_direction(v) for v in rng.standard_normal((3, d))]:
+            ul = u.astype(np.longdouble)
+            ref = TestCentredExpansion.reference(X, z, params, ul)
+            allowed = TestCentredExpansion.bound(X, z, params, ul)
+            with np.errstate(over="ignore"):
+                exact = float(np.sum(1.0 / (1.0 + np.exp(ref))) / n)
+                loss = sphere_loss(u, z, X, params)
+            assert abs(loss - exact) <= float(allowed.mean()) / 4 + 8 * (n + 8) * eps
+        return objective
+
+    @pytest.mark.parametrize("s", [1.0, 0.1, 0.01])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["gaussian", "bi-gaussian"])
+    def test_every_row_within_the_keep_radius_is_read(self, kind, d, s):
+        n = _least_slab_size(d)
+        X, params = SampleSet(self.sample(kind, d, n)), DepthParams(r=1.0, s=s)
+        assert X._order is not None
+        between = np.zeros(d) if kind == "bi-gaussian" else np.full(d, 1.5)
+        far = 30.0 * X._axis
+        queries = [*X.data[:3], between, between + 0.5, far]
+        if d > 1:  # far from the data, with a projection inside theirs
+            queries.append(np.linalg.svd(X._axis[None])[2][-1] * 30.0)
+        for z in queries:
+            self.check(X, z, params)
+
+    def test_mode_query_reads_a_slice_and_small_s_a_mask(self):
+        d = 3
+        X = SampleSet(self.sample("bi-gaussian", d, _least_slab_size(d)))
+        z = X.data[np.argmin(np.linalg.norm(X.data - 3.5, axis=1))]  # at a mode's centre
+        at_one = self.check(X, z, DepthParams(r=1.0, s=1.0))
+        assert isinstance(at_one._kept, slice) and at_one.k <= 0.6 * X.n
+        small = self.check(X, z, DepthParams(r=1.0, s=0.01))
+        assert isinstance(small._kept, np.ndarray) and small.k < at_one.k
+
+    def test_rows_ascend_in_their_keys(self):
+        X = SampleSet(self.sample("bi-gaussian", 3, _least_slab_size(3)))
+        order, keys = X._order, X._keys
+        assert np.array_equal(np.sort(order), np.arange(X.n))
+        assert np.all(np.diff(keys) >= 0.0)
+        np.testing.assert_array_equal(X._centred[:, :3], X.data[order] - X._mean)
+        np.testing.assert_array_equal(keys, core._projection(X.data[order] - X._mean, X._axis))
+        assert abs(float(np.linalg.norm(X._axis)) - 1.0) <= 4 * np.finfo(float).eps
+        # The order is a function of the data alone.
+        again = SampleSet(X.data.copy())
+        assert np.array_equal(again._order, order) and np.array_equal(again._axis, X._axis)
+
+    @pytest.mark.parametrize(
+        "d, n, sorted_rows",
+        [
+            (2, core._LOCKSTEP_ENTRIES // 2, False),  # n d = 4096
+            (2, core._LOCKSTEP_ENTRIES // 2 + 1, False),  # n d = 4098, n (d + 2) = 8196
+            (3, _least_slab_size(3) - 1, False),  # n (d + 2) = 32765
+            (3, _least_slab_size(3), True),  # n (d + 2) = 32770
+        ],
+        ids=["at-lockstep-limit", "above-lockstep-limit", "below-slab-size", "slab-size"],
+    )
+    def test_rows_are_sorted_from_the_slab_size(self, d, n, sorted_rows):
+        X = SampleSet(self.sample("bi-gaussian", d, n))
+        assert (X._order is not None) == sorted_rows
+        rows = X.data if X._order is None else X.data[X._order]
+        np.testing.assert_array_equal(X._centred[:, :d], rows - X._mean)
+        z = X.data[np.argmin(np.linalg.norm(X.data - 3.5, axis=1))]
+        for s in (1.0, 0.01):
+            self.check(X, z, DepthParams(r=1.0, s=s))
+
+    def test_duplicate_rows_tie_in_data_order(self):
+        base = self.sample("bi-gaussian", 2, _least_slab_size(2) // 4)
+        X = SampleSet(np.repeat(base, 4, axis=0))
+        assert X._order is not None
+        ties = np.diff(X._keys) == 0.0
+        assert np.count_nonzero(ties) >= 3 * len(base) - 3
+        assert np.all(np.diff(X._order)[ties] > 0)  # equal keys keep data order
+        for s in (1.0, 0.1, 0.01):
+            for z in [*base[:3], np.zeros(2)]:
+                self.check(X, z, DepthParams(r=1.0, s=s))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_all_rows_equal(self, d):
+        X = SampleSet(np.full((_least_slab_size(d), d), 3.0))
+        assert np.all(X._keys == 0.0) and np.array_equal(X._order, np.arange(X.n))
+        params = DepthParams(r=1.0, s=0.01)
+        assert self.check(X, X.data[0], params).k == X.n
+        for direction in np.eye(d):
+            assert self.check(X, X.data[0] + 30.0 * direction, params).k == 0
+        res = riemannian_descent(X.data[0], X, params)
+        assert res.value == sphere_loss(res.direction, X.data[0], X, params)
+
+    def test_far_query_with_an_empty_slab_is_stationary_at_zero(self):
+        d = 3
+        X = SampleSet(self.sample("bi-gaussian", d, _least_slab_size(d)))
+        z, params = X._mean + 1e3 * X._axis, DepthParams(r=1.0, s=1.0)
+        objective = core._Objective(z, X, params)
+        assert isinstance(objective._kept, slice)
+        assert objective._kept.start == objective._kept.stop and objective.k == 0
+        res = riemannian_descent(z, X, params)
+        assert (res.value, res.iterations, res.converged) == (0.0, 0, True)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scaled_data(self, scale):
+        d = 3
+        data = self.sample("bi-gaussian", d, _least_slab_size(d))
+        X, unit = SampleSet(scale * data), SampleSet(data)
+        for s in (1.0, 0.01):
+            scaled, params = DepthParams(r=scale, s=s * scale * scale), DepthParams(r=1.0, s=s)
+            for z in [*data[:2], np.zeros(d)]:
+                objective = self.check(X, scale * z, scaled)
+                assert objective.k == core._Objective(z, unit, params).k
+                res = riemannian_descent(scale * z, X, scaled)
+                expected = riemannian_descent(z, unit, params).value
+                assert res.value == pytest.approx(expected, abs=1e-12)
+
+    def test_slab_with_row_blocks_matches_one_block(self, monkeypatch):
+        d = 3
+        X = SampleSet(self.sample("bi-gaussian", d, _least_slab_size(d)))
+        queries = [X.data[0], X.data[1], np.zeros(d)]
+        u = unit_direction(np.ones(d))
+
+        def evaluate():
+            out = []
+            for s in (1.0, 0.01):
+                for z in queries:
+                    objective = core._Objective(z, X, DepthParams(r=1.0, s=s))
+                    with np.errstate(over="ignore"):
+                        p = objective.sigmoids(u).copy()
+                    gradient = objective.gradient(p, u.tolist())
+                    out.append((np.arange(X.n)[objective._kept], p, gradient))
+            return out
+
+        whole = evaluate()
+        monkeypatch.setattr(core, "_ROW_BLOCK_ENTRIES", 64 * 5)
+        for (kept, p, g), (kept_b, p_b, g_b) in zip(whole, evaluate()):
+            assert np.array_equal(kept, kept_b)
+            np.testing.assert_allclose(p_b, p, rtol=1e-13, atol=1e-300)
+            np.testing.assert_allclose(g_b, g, rtol=1e-12, atol=1e-15)
+
+    def test_rows_either_side_of_the_slab_edge(self):
+        # In d = 1 the axis is 1 and each key is the row's centred value, so
+        # the slab is the keep radius widened by the rounding allowance.  The
+        # rows are dyadic and symmetric, 64 of them at the query, which the
+        # sample therefore holds: the nearest sampled row's computed
+        # ||x - z||**2 is 0 up to the mean's rounding.  Two rows on each side
+        # lie 16 ulps within and beyond the widened edge, far closer to it
+        # than any of the allowance's three terms.
+        params, z = DepthParams(r=1.0, s=1.0), np.zeros(1)
+        base = np.concatenate([np.repeat(np.arange(-80, 81) / 4.0, 68), np.zeros(64)])
+
+        def edge(X):
+            tol = core._rounding_tol(1)
+            spread = X._spread + abs(float(z[0] - X._mean[0]))
+            slack = tol * spread * spread
+            overflow = core._keep_radius(params, 1.0, spread, tol)
+            reach = core._solver_reach(params, 1.0 + 1e-9, X.n, math.sqrt(slack), spread, tol)
+            radius = min(overflow, reach)
+            assert spread <= overflow  # no row can overflow: rows go only by the reach
+            allowance = [slack / radius, tol * radius, tol * spread]
+            return math.sqrt(radius * radius + 2.0 * slack) * (1.0 + tol) + tol * spread, allowance
+
+        half, _ = edge(SampleSet(np.concatenate([base, np.zeros(4)])[:, None]))
+        ulps = 16 * np.spacing(half)
+        probes = np.array([half - ulps, half + ulps])
+        X = SampleSet(np.concatenate([base, probes, -probes])[:, None])
+        half, allowance = edge(X)
+        assert ulps < min(allowance) / 4
+        key = float(z[0] - X._mean[0])
+        inside, outside = X.n - 4 + np.array([0, 2]), X.n - 4 + np.array([1, 3])
+        offsets = np.abs(X.data[:, 0] - X._mean[0] - key)
+        assert np.all(offsets[inside] < half) and np.all(offsets[outside] > half)
+        objective = core._Objective(z, X, params)
+        assert isinstance(objective._kept, slice)
+        read = _read_rows(objective, X)
+        assert np.isin(inside, read).all() and not np.isin(outside, read).any()
 
 
 class TestDroppedRows:
@@ -800,7 +1036,7 @@ class TestRowBlocks:
             out = []
             for z in queries:
                 objective = core._Objective(np.asarray(z), X, params)
-                kept = None if objective._kept is None else objective._kept.copy()
+                kept = np.arange(X.n)[objective._kept]
                 for u in directions:
                     with np.errstate(over="ignore"):
                         p = objective.sigmoids(u).copy()
@@ -811,10 +1047,10 @@ class TestRowBlocks:
         assert X.n * (X.d + 2) <= core._ROW_BLOCK_ENTRIES  # one block by default
         monkeypatch.setattr(core, "_ROW_BLOCK_ENTRIES", 64 * 5)  # 16 blocks of all rows
         blocked = evaluate()
-        assert any(kept is not None for kept, *_ in whole), "expected a query with dropped rows"
+        assert any(k < X.n for _, k, *_ in whole), "expected a query with dropped rows"
         for (kept, k, p, g), (kept_b, k_b, p_b, g_b) in zip(whole, blocked):
             assert k_b == k
-            assert (kept is None and kept_b is None) or np.array_equal(kept, kept_b)
+            assert np.array_equal(kept, kept_b)
             np.testing.assert_allclose(p_b, p, rtol=1e-13, atol=1e-300)
             np.testing.assert_allclose(g_b, g, rtol=1e-12, atol=1e-15)
 
