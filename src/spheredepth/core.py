@@ -306,75 +306,75 @@ class SampleSet:
         return unit
 
     @functools.cached_property
-    def _axis(self) -> np.ndarray:
-        """The unit axis whose keys order the rows of a large sample's
-        centred matrix (``_order``): the top eigenvector of the centred
-        rows' scatter, its largest entry positive; read-only.  Each entry of
-        the scatter is the pairwise sum of one product of two columns
-        (``np.add.reduce``), so the axis does not depend on BLAS threading;
-        the columns are divided by their largest entry first, so that the
-        scatter neither overflows nor underflows."""
-        centred = self.data - self._mean
-        scale = float(np.abs(centred).max())
-        if scale > 0.0:
-            centred /= scale
-        d = self.d
-        scatter = np.empty((d, d))
-        for j in range(d):
-            for k in range(j + 1):
-                scatter[j, k] = scatter[k, j] = np.add.reduce(centred[:, j] * centred[:, k])
-        axis = np.linalg.eigh(scatter)[1][:, -1]
-        axis /= math.sqrt(_dot(axis.tolist(), axis.tolist()))
-        if axis[np.argmax(np.abs(axis))] < 0.0:
-            axis = -axis
-        axis.flags.writeable = False
-        return axis
+    def _layout(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """``(A, keys, axis)``, built together on first use: the centred
+        matrix, and for a sample whose rows are sorted its rows' keys and
+        the axis that gives them (``_centred``, ``_keys``, ``_axis``).
 
-    @functools.cached_property
-    def _order(self) -> np.ndarray | None:
-        """The data row of each row of ``A`` (``_centred``), read-only.
-        ``None`` when ``A`` keeps the data's order: for ``n d`` at or below
-        ``_LOCKSTEP_ENTRIES``, where the lockstep solver reads every row,
-        and when ``A`` has fewer than ``_REACH_ENTRIES`` entries, where a
+        The rows keep the data's order for ``n d`` at or below
+        ``_LOCKSTEP_ENTRIES``, where the lockstep solver reads every row, and
+        while ``A`` has fewer than ``_REACH_ENTRIES`` entries, where a
         query's product with every row costs about as little as finding a
-        slab.  Otherwise the rows ascend in key (:func:`_projection` on
-        ``_axis``), equal keys in data order, so that a query reads the rows
-        near it as one slice (``_row_mask``)."""
+        slab; then ``keys`` and ``axis`` are ``None``.  Otherwise the rows
+        ascend in key (:func:`_sorted_keys`), equal keys in data order, so
+        that a query reads the rows near it as one slice (``_row_mask``).
+        The keys are one more column of the array that holds ``A``, and the
+        order is not kept, so a sorted sample holds no long-lived array of
+        ``n`` entries of its own: on glibc such an array takes a free heap
+        block that a caller's temporaries of ``n`` entries would reuse, and
+        those then grow the top of the heap on every call, to be trimmed
+        and faulted in again."""
         n, d = self.data.shape
         if n * d <= _LOCKSTEP_ENTRIES or n * (d + 2) < _REACH_ENTRIES:
-            return None
-        order = np.argsort(_projection(self.data - self._mean, self._axis), kind="stable")
-        order.flags.writeable = False
-        return order
+            A = np.empty((n, d + 2), order="F")
+            np.subtract(self.data, self._mean, out=A[:, :d])
+            _fill_norms(A, d)
+            A.flags.writeable = False
+            return A, None, None
+        block = np.empty((n, d + 3), order="F")
+        centred = self.data - self._mean
+        axis = _top_axis(centred)
+        keys, order = _sorted_keys(centred, axis)
+        for j in range(d):
+            np.take(centred[:, j], order, out=block[:, j])
+        np.take(keys, order, out=block[:, d + 2])
+        del centred, keys, order
+        _fill_norms(block, d)
+        block.flags.writeable = False
+        return block[:, : d + 2], block[:, d + 2], axis
 
     @functools.cached_property
     def _centred(self) -> np.ndarray:
         """``A = [X - mean | ||x - mean||**2 | 1]``, ``(n, d + 2)``,
-        column-major and read-only, its rows in the order ``_order``: what
-        the solver's objective reads (``_Objective``).  The squared norms add
-        the columns left to right.  No other copy of it is kept."""
-        n, d = self.data.shape
-        A = np.empty((n, d + 2), order="F")
-        if self._order is None:
-            np.subtract(self.data, self._mean, out=A[:, :d])
-        else:
-            for j in range(d):
-                np.take(self.data[:, j], self._order, out=A[:, j])
-            A[:, :d] -= self._mean
-        norms = np.multiply(A[:, 0], A[:, 0], out=A[:, d])
-        for j in range(1, d):
-            norms += A[:, j] * A[:, j]
-        A[:, d + 1] = 1.0
-        A.flags.writeable = False
-        return A
+        column-major and read-only, its rows sorted by key when ``_keys`` is
+        not ``None``: what the solver's objective reads (``_Objective``).
+        The squared norms add the columns left to right.  No other copy of
+        it is kept."""
+        return self._layout[0]
 
     @functools.cached_property
-    def _keys(self) -> np.ndarray:
-        """The key of each row of ``A`` (:func:`_projection` on ``_axis``),
-        read-only; they ascend when ``_order`` sorts the rows."""
-        keys = _projection(self._centred[:, : self.d], self._axis)
-        keys.flags.writeable = False
-        return keys
+    def _keys(self) -> np.ndarray | None:
+        """The key of each row of ``A``, ascending, read-only; ``None`` when
+        ``A`` keeps the data's order (``_layout``)."""
+        return self._layout[1]
+
+    @functools.cached_property
+    def _axis(self) -> np.ndarray | None:
+        """The unit axis that gives ``_keys`` (:func:`_top_axis`), read-only;
+        ``None`` when ``A`` keeps the data's order."""
+        return self._layout[2]
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray | None:
+        """The data row of each row of ``A``, read-only; ``None`` when ``A``
+        keeps the data's order.  The solver never reads it, so it is not
+        kept from the build but computed again, by the same rule, on first
+        use."""
+        if self._axis is None:
+            return None
+        order = _sorted_keys(self.data - self._mean, self._axis)[1]
+        order.flags.writeable = False
+        return order
 
     @functools.cached_property
     def _sample(self) -> np.ndarray:
@@ -393,6 +393,45 @@ class SampleSet:
 def _sample_step(n: int) -> int:
     """The stride of ``SampleSet._sample`` in the rows of ``A``."""
     return max(1, n // _SAMPLE_ROWS)
+
+
+def _fill_norms(A: np.ndarray, d: int) -> None:
+    """Write ``||x - mean||**2``, its terms added left to right, and the
+    ones into columns ``d`` and ``d + 1`` of ``A``, whose first ``d``
+    columns hold the centred rows."""
+    norms = np.multiply(A[:, 0], A[:, 0], out=A[:, d])
+    for j in range(1, d):
+        norms += A[:, j] * A[:, j]
+    A[:, d + 1] = 1.0
+
+
+def _top_axis(centred: np.ndarray) -> np.ndarray:
+    """The top eigenvector of the scatter of the centred ``(n, d)`` rows,
+    its largest entry positive, read-only.  Each entry of the scatter is
+    the pairwise sum of one product of two columns (``np.add.reduce``), so
+    the axis does not depend on BLAS threading; the columns are divided by
+    their largest entry first, so that the scatter neither overflows nor
+    underflows."""
+    scale = float(np.abs(centred).max())
+    scaled = centred / scale if scale > 0.0 else centred
+    d = centred.shape[1]
+    scatter = np.empty((d, d))
+    for j in range(d):
+        for k in range(j + 1):
+            scatter[j, k] = scatter[k, j] = np.add.reduce(scaled[:, j] * scaled[:, k])
+    axis = np.linalg.eigh(scatter)[1][:, -1]
+    axis /= math.sqrt(_dot(axis.tolist(), axis.tolist()))
+    if axis[np.argmax(np.abs(axis))] < 0.0:
+        axis = -axis
+    axis.flags.writeable = False
+    return axis
+
+
+def _sorted_keys(centred: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key of each centred row (:func:`_projection` on ``axis``), in the
+    rows' order, and the order that sorts them, equal keys in row order."""
+    keys = _projection(centred, axis)
+    return keys, np.argsort(keys, kind="stable")
 
 
 def _projection(centred: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -760,7 +799,7 @@ def _row_mask(X: SampleSet, zt: np.ndarray, zz: float, params: DepthParams, u_no
     spread = math.sqrt(zz) + X._spread
     overflow = _keep_radius(params, rho, spread, tol)
     reach_only = spread <= overflow
-    sorted_rows = X._order is not None  # A has _REACH_ENTRIES entries or more
+    sorted_rows = X._keys is not None  # A has _REACH_ENTRIES entries or more
     if reach_only and (
         not sorted_rows or spread <= _solver_reach(params, rho, n, 0.0, spread, tol)
     ):
