@@ -541,8 +541,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for sphere scoring (other methods ignore it)")
     common.add_argument("--output", type=str, default=None, help="write the report/artifact here")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format (csv = per-point score table where applicable)")
+
+    # Only depth and anomaly reports have a per-point score table, so any
+    # other command refuses --format before it runs.
+    report_format = argparse.ArgumentParser(add_help=False)
+    report_format.add_argument("--format", choices=("json", "csv"), default="json",
+                               help="report format (csv = per-point score table)")
 
     data_src = argparse.ArgumentParser(add_help=False)
     data_src.add_argument("--csv", type=str, default=None, help="numeric CSV data source")
@@ -571,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("depth", parents=[common, data_src, depth_opts],
+    p = sub.add_parser("depth", parents=[common, report_format, data_src, depth_opts],
                        help="score query points or the sample itself")
     p.add_argument("--query", action="append", default=None,
                    help="comma-separated point, repeatable")
@@ -616,7 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--both-orderings", action="store_true")
     p.set_defaults(runner=run_htest)
 
-    p = sub.add_parser("anomaly", parents=[common, depth_opts],
+    p = sub.add_parser("anomaly", parents=[common, report_format, depth_opts],
                        help="AUROC anomaly scoring on a labeled CSV")
     p.add_argument("--csv", type=str, required=True)
     p.add_argument("--label-column", type=str, required=True)
@@ -645,15 +649,13 @@ def _scores_csv(report: ExperimentReport) -> str:
         lines.append("index,depth")
         for i, v in enumerate(report.metrics["depths"]):
             lines.append(f"{i},{float(v)!r}")
-    elif report.command == "anomaly":
+    else:  # anomaly
         methods = [m for m in report.parameters["methods"]]
         lines.append("index," + ",".join(f"score_{m}" for m in methods))
         count = report.metrics["n"]
         for i in range(count):
             row = [str(i)] + [repr(float(report.metrics[m]["scores"][i])) for m in methods]
             lines.append(",".join(row))
-    else:
-        raise ValueError(f"--format csv is not available for {report.command!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -676,7 +678,7 @@ def main(argv=None) -> int:
         result = args.runner(args)
         if isinstance(result, tuple):  # contour: (report, csv text)
             text = result[1]
-        elif args.format == "csv":
+        elif getattr(args, "format", "json") == "csv":  # depth and anomaly only
             text = _scores_csv(result)
         else:
             text = result.to_json()

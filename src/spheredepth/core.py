@@ -311,13 +311,15 @@ class SampleSet:
         matrix, and for a sample whose rows are sorted its rows' keys and
         the axis that gives them (``_centred``, ``_keys``, ``_axis``).
 
-        The rows keep the data's order for ``n d`` at or below
-        ``_LOCKSTEP_ENTRIES``, where the lockstep solver reads every row, and
-        while ``A`` has fewer than ``_REACH_ENTRIES`` entries, where a
-        query's product with every row costs about as little as finding a
-        slab; then ``keys`` and ``axis`` are ``None``.  Otherwise the rows
-        ascend in key (:func:`_sorted_keys`), equal keys in data order, so
-        that a query reads the rows near it as one slice (``_row_mask``).
+        The rows keep the data's order while ``A`` has fewer than
+        ``_REACH_ENTRIES`` entries, where a query's product with every row
+        costs about as little as finding a slab; then ``keys`` and ``axis``
+        are ``None``.  That covers every sample that the lockstep solver
+        reads whole: for any ``d >= 1``, ``n d <= _LOCKSTEP_ENTRIES`` gives
+        ``n (d + 2) <= 3 * _LOCKSTEP_ENTRIES``, below ``_REACH_ENTRIES``.
+        Otherwise the rows ascend in key (:func:`_projection` on the axis,
+        sorted stably), equal keys in data order, so that a query reads the
+        rows near it as one slice (``_row_mask``).
         The keys are one more column of the array that holds ``A``, and the
         order is not kept, so a sorted sample holds no long-lived array of
         ``n`` entries of its own: on glibc such an array takes a free heap
@@ -325,7 +327,7 @@ class SampleSet:
         those then grow the top of the heap on every call, to be trimmed
         and faulted in again."""
         n, d = self.data.shape
-        if n * d <= _LOCKSTEP_ENTRIES or n * (d + 2) < _REACH_ENTRIES:
+        if n * (d + 2) < _REACH_ENTRIES:
             A = np.empty((n, d + 2), order="F")
             np.subtract(self.data, self._mean, out=A[:, :d])
             _fill_norms(A, d)
@@ -334,7 +336,8 @@ class SampleSet:
         block = np.empty((n, d + 3), order="F")
         centred = self.data - self._mean
         axis = _top_axis(centred)
-        keys, order = _sorted_keys(centred, axis)
+        keys = _projection(centred, axis)
+        order = np.argsort(keys, kind="stable")
         for j in range(d):
             np.take(centred[:, j], order, out=block[:, j])
         np.take(keys, order, out=block[:, d + 2])
@@ -363,18 +366,6 @@ class SampleSet:
         """The unit axis that gives ``_keys`` (:func:`_top_axis`), read-only;
         ``None`` when ``A`` keeps the data's order."""
         return self._layout[2]
-
-    @functools.cached_property
-    def _order(self) -> np.ndarray | None:
-        """The data row of each row of ``A``, read-only; ``None`` when ``A``
-        keeps the data's order.  The solver never reads it, so it is not
-        kept from the build but computed again, by the same rule, on first
-        use."""
-        if self._axis is None:
-            return None
-        order = _sorted_keys(self.data - self._mean, self._axis)[1]
-        order.flags.writeable = False
-        return order
 
     @functools.cached_property
     def _sample(self) -> np.ndarray:
@@ -425,13 +416,6 @@ def _top_axis(centred: np.ndarray) -> np.ndarray:
         axis = -axis
     axis.flags.writeable = False
     return axis
-
-
-def _sorted_keys(centred: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The key of each centred row (:func:`_projection` on ``axis``), in the
-    rows' order, and the order that sorts them, equal keys in row order."""
-    keys = _projection(centred, axis)
-    return keys, np.argsort(keys, kind="stable")
 
 
 def _projection(centred: np.ndarray, axis: np.ndarray) -> np.ndarray:
@@ -965,15 +949,16 @@ class _Stack:
     Like each query's :class:`_Objective` in that range, the stack reads
     every row of the sample's centred matrix ``A``, through a broadcast
     ``(1, n, d + 2)`` view, and copies no data.  Per query it keeps
-    ``z~ = z - mean``, which moves when queries stop.  A stacked
-    ``np.matmul`` makes, item by item, the BLAS call of the one query's
-    product, the coefficients are built column by column in the float
-    loop's order, and each row sum of a contiguous ``(q, n)`` block is the
-    query's pairwise ``np.add.reduce(p)``; so each method returns, row by
-    row, the bits of the :class:`_Objective` method of its name.
+    ``z~ = z - mean``, one row of ``zt``.  A stacked ``np.matmul`` makes,
+    item by item, the BLAS call of the one query's product, the
+    coefficients are built column by column in the float loop's order, and
+    each row sum of a contiguous ``(q, n)`` block is the query's pairwise
+    ``np.add.reduce(p)``; so each method returns, row by row, the bits of
+    the :class:`_Objective` method of its name, whatever the row's place.
 
-    The methods take the active queries' iterates as a ``(q, d)`` array, and
-    :meth:`keep` drops the queries that stopped."""
+    The methods take the live queries' iterates as a ``(q, d)`` array, row
+    by row in the order of ``zt``, whose rows the lockstep loop narrows to
+    those of the live queries when some stop."""
 
     def __init__(self, X: SampleSet, z: np.ndarray, params: DepthParams):
         self.n, self.r, self.s = X.n, params.r, params.s
@@ -986,13 +971,6 @@ class _Stack:
         self._coef[:, d] = 1.0 / self.s
         self._args = np.empty((q, self.n))
         self._weights = np.empty((q, self.n))
-
-    def keep(self, count: int, holes: np.ndarray, fill: np.ndarray) -> None:
-        """Keep the first ``count`` queries, with the queries at ``fill``
-        (each at or above ``count``) moved into the places ``holes`` of
-        queries that stopped."""
-        self.zt[holes] = self.zt[fill]
-        self.zt = self.zt[:count]
 
     def _centres(self, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """``c~ = z~ + r u`` for each query (those at ``rows``, if given)."""

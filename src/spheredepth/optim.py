@@ -60,12 +60,14 @@ centred matrix, broadcast, with a ``(q, d + 2)`` block of coefficients.
 Each iteration makes one stacked product for all the trial directions,
 one logistic in place, one row sum, and one stacked ``c @ X~`` for the
 gradients of the queries that move.  Every query keeps
-its own iterate, angle, loss and stop, and leaves the block when it stops;
-its descent direction, and the ``cos`` and ``sin`` of its angle, are
-recomputed only when they change.  The lockstep steps are chosen to round
-as the per-point loop does: a stacked ``np.matmul`` makes, item by item,
-the BLAS call of one query's product, and the coefficients and the
-d-vector steps run column by column in the float loop's order.  So a
+its own iterate, angle, loss and stop, and leaves the block when it stops:
+one boolean index keeps the others, in order.  Its descent direction, and
+the ``cos`` and ``sin`` of its angle, are recomputed only when they
+change.  The lockstep steps are chosen to round as the per-point loop
+does: a stacked ``np.matmul`` makes, item by item, the BLAS call of one
+query's product, every sum is taken over one query's row, and the
+coefficients and the d-vector steps run column by column in the float
+loop's order.  So no query's bits depend on its place in the block, and a
 batch equals a loop of :func:`riemannian_descent` bit for bit.
 
 The per-point loop stays for single queries, where one block of one query
@@ -99,7 +101,6 @@ reach.
 
 from __future__ import annotations
 
-import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -421,38 +422,27 @@ def _query_rows(points, d: int) -> np.ndarray:
     return np.array(rows).reshape(len(rows), d)
 
 
-def _refill(stop: np.ndarray, size: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """For the positions ``stop`` (ascending) of the queries that stop
-    among ``size`` active ones: the new count, the stopped places below it,
-    and the live positions at or above it that fill them, in order.  So
-    only the queries that fill a gap move."""
-    count = size - len(stop)
-    gone = stop.tolist()
-    holes = bisect.bisect_left(gone, count)
-    tail = set(gone[holes:])
-    fill = [i for i in range(count, size) if i not in tail]
-    return count, stop[:holes], np.array(fill, dtype=np.intp)
-
-
 def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
     """:func:`riemannian_descent`'s loop (d >= 2) for the queries of a
     stack, all advanced together.
 
     Each query keeps its own iterate, angle and loss, and leaves the block
-    when it stops.  The d-vector steps run column by column in the float
-    loop's order, the angles' ``cos`` and ``sin`` come from ``math``, and
-    the passes over the data are those of :class:`_Stack`, so every query
-    takes the path and the values of its own solve.  A query's descent
-    direction, and the ``cos`` and ``sin`` of its angle, are computed when
-    they change: after a move, and after a rejected step.  Returns one
-    :class:`DepthResult` per query, built when the query stops."""
+    when it stops; the live queries keep their order.  The d-vector steps
+    run column by column in the float loop's order, the angles' ``cos`` and
+    ``sin`` come from ``math``, and the passes over the data are those of
+    :class:`_Stack`, so every query takes the path and the values of its
+    own solve.  A query's descent direction, and the ``cos`` and ``sin`` of
+    its angle, are computed when they change: after a move, and after a
+    rejected step.  Returns one :class:`DepthResult` per query, built when
+    the query stops."""
     n, d = stack.n, len(starts[0])
     out: list = [None] * len(starts)
-    # One row per active query: its iterate, its descent direction (the
-    # tangent over minus its norm), the tangent's norm, its loss, its angle
-    # and the angle's cos and sin.  When queries stop, rows move, not arrays.
+    # One row per live query, in the order of ``starts``: its iterate, its
+    # descent direction (the tangent over minus its norm), the tangent's
+    # norm, its loss, its angle and the angle's cos and sin.  When queries
+    # stop, the rows of the others are kept, in order, by one boolean index.
     state = np.empty((len(starts), 2 * d + 5))
-    rows = np.arange(len(starts))  # each active query's place in ``starts``
+    rows = np.arange(len(starts))  # each live query's place in ``starts``
 
     def columns():
         return state[:, :d], state[:, d : 2 * d], *state[:, 2 * d :].T
@@ -462,25 +452,23 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
     def aim(where, at: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Set the descent direction and tangent norm of the queries at
         ``where`` from their gradients at their iterates ``at``; return the
-        positions, among them, of those that are stationary."""
+        mask, over them, of those that are stationary."""
         tangent = grad - _rowdot(grad, at)[:, None] * at
         norm = np.sqrt(_rowdot(tangent, tangent))
         tnorm[where] = norm
-        flat = (norm < _STATIONARY_NORM).nonzero()[0]
-        if len(flat):  # a stationary query stops before its direction is used
-            norm[flat] = 1.0
+        flat = norm < _STATIONARY_NORM
+        norm[flat] = 1.0  # a stationary query stops before its direction is used
         v[where] = tangent / -norm[:, None]
         return flat
 
     def finish(stop: np.ndarray, steps: int, converged: bool) -> None:
-        """Record the queries at the positions ``stop`` and drop them."""
+        """Record the queries that the mask ``stop`` selects and keep the
+        others."""
         nonlocal state, rows, u, v, tnorm, loss, alpha, cos, sin
         for i, value, direction in zip(rows[stop].tolist(), loss[stop].tolist(), u[stop]):
             out[i] = DepthResult(value, direction, steps, converged)
-        count, holes, fill = _refill(stop, len(rows))
-        stack.keep(count, holes, fill)
-        state[holes], rows[holes] = state[fill], rows[fill]
-        state, rows = state[:count], rows[:count]
+        live = ~stop
+        state, rows, stack.zt = state[live], rows[live], stack.zt[live]
         u, v, tnorm, loss, alpha, cos, sin = columns()
 
     with np.errstate(over="ignore"):
@@ -489,7 +477,7 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
         u[:], loss[:], alpha[:] = first, p.sum(axis=1) / n, _ALPHA0
         cos[:], sin[:] = math.cos(_ALPHA0), math.sin(_ALPHA0)
         flat = aim(slice(None), first, stack.gradient(p, first))
-        if len(flat):
+        if flat.any():
             finish(flat, 0, True)
         for it in range(1, _MAX_ITER + 1):
             if not len(rows):
@@ -526,12 +514,10 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
             if len(move) and it < _MAX_ITER:
                 at = trial.take(move, axis=0)
                 flat = aim(move, at, stack.gradient(p, at, move))
-                if len(flat):  # riemannian_descent stops at its next iteration
-                    done[move[flat]] = True
-            stop = done.nonzero()[0]
-            if len(stop):
-                finish(stop, it, True)
+                done[move[flat]] = True  # riemannian_descent stops at its next iteration
+            if done.any():
+                finish(done, it, True)
         else:
             if len(rows):
-                finish(np.arange(len(rows)), _MAX_ITER, False)
+                finish(np.ones(len(rows), dtype=bool), _MAX_ITER, False)
     return out

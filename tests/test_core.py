@@ -363,6 +363,14 @@ class TestGridOracleSphereDepth:
             grid_oracle_sphere_depth([0.0, 0.0, 0.0], X, DepthParams(r=1.0), grid)
 
 
+def _row_order(X):
+    """The data row of each row of the sample's centred matrix, or ``None``
+    when it keeps the data's order: the stable sort of the rows' keys."""
+    if X._axis is None:
+        return None
+    return np.argsort(core._projection(X.data - X._mean, X._axis), kind="stable")
+
+
 def _centred_args(z, X, params, U):
     """``-t/s`` of every sample for the ``(m, d)`` directions ``U``, as
     ``(n, m)``, with the kernel's arithmetic (``s > 0``): the centred matrix
@@ -375,10 +383,11 @@ def _centred_args(z, X, params, U):
         cc += row * row
     coef = np.vstack([centre * (-2.0 / s), np.full((1, len(U)), 1.0 / s), ((cc - r * r) / s)[None]])
     args = X._centred @ coef
-    if X._order is None:
+    order = _row_order(X)
+    if order is None:
         return args
     out = np.empty_like(args)  # rows of the centred matrix back in data order
-    out[X._order] = args
+    out[order] = args
     return out
 
 
@@ -387,7 +396,8 @@ def _read_rows(objective, X):
     reads them: its rows of the centred matrix mapped through the sample's
     row order."""
     rows = np.arange(X.n)[objective._kept]
-    return rows if X._order is None else X._order[rows]
+    order = _row_order(X)
+    return rows if order is None else order[rows]
 
 
 def _all_rows_block(z, X, params, U):
@@ -684,7 +694,7 @@ class TestSlab:
     def test_every_row_within_the_keep_radius_is_read(self, kind, d, s):
         n = _least_slab_size(d)
         X, params = SampleSet(self.sample(kind, d, n)), DepthParams(r=1.0, s=s)
-        assert X._order is not None
+        assert X._axis is not None
         between = np.zeros(d) if kind == "bi-gaussian" else np.full(d, 1.5)
         far = 30.0 * X._axis
         queries = [*X.data[:3], between, between + 0.5, far]
@@ -704,7 +714,7 @@ class TestSlab:
 
     def test_rows_ascend_in_their_keys(self):
         X = SampleSet(self.sample("bi-gaussian", 3, _least_slab_size(3)))
-        order, keys = X._order, X._keys
+        order, keys = _row_order(X), X._keys
         assert np.array_equal(np.sort(order), np.arange(X.n))
         assert np.all(np.diff(keys) >= 0.0)
         np.testing.assert_array_equal(X._centred[:, :3], X.data[order] - X._mean)
@@ -712,7 +722,7 @@ class TestSlab:
         assert abs(float(np.linalg.norm(X._axis)) - 1.0) <= 4 * np.finfo(float).eps
         # The order is a function of the data alone.
         again = SampleSet(X.data.copy())
-        assert np.array_equal(again._order, order) and np.array_equal(again._axis, X._axis)
+        assert np.array_equal(_row_order(again), order) and np.array_equal(again._axis, X._axis)
 
     @pytest.mark.parametrize(
         "d, n, sorted_rows",
@@ -726,20 +736,26 @@ class TestSlab:
     )
     def test_rows_are_sorted_from_the_slab_size(self, d, n, sorted_rows):
         X = SampleSet(self.sample("bi-gaussian", d, n))
-        assert (X._order is not None) == sorted_rows
-        rows = X.data if X._order is None else X.data[X._order]
+        order = _row_order(X)
+        assert (order is not None) == sorted_rows
+        rows = X.data if order is None else X.data[order]
         np.testing.assert_array_equal(X._centred[:, :d], rows - X._mean)
         z = X.data[np.argmin(np.linalg.norm(X.data - 3.5, axis=1))]
         for s in (1.0, 0.01):
             self.check(X, z, DepthParams(r=1.0, s=s))
 
+    def test_lockstep_samples_keep_the_data_order(self):
+        # n d <= _LOCKSTEP_ENTRIES gives n (d + 2) <= 3 _LOCKSTEP_ENTRIES for d >= 1.
+        assert 3 * core._LOCKSTEP_ENTRIES < core._REACH_ENTRIES
+
     def test_duplicate_rows_tie_in_data_order(self):
         base = self.sample("bi-gaussian", 2, _least_slab_size(2) // 4)
         X = SampleSet(np.repeat(base, 4, axis=0))
-        assert X._order is not None
+        order = _row_order(X)
+        assert order is not None
         ties = np.diff(X._keys) == 0.0
         assert np.count_nonzero(ties) >= 3 * len(base) - 3
-        assert np.all(np.diff(X._order)[ties] > 0)  # equal keys keep data order
+        assert np.all(np.diff(order)[ties] > 0)  # equal keys keep data order
         for s in (1.0, 0.1, 0.01):
             for z in [*base[:3], np.zeros(2)]:
                 self.check(X, z, DepthParams(r=1.0, s=s))
@@ -747,7 +763,7 @@ class TestSlab:
     @pytest.mark.parametrize("d", [1, 3])
     def test_all_rows_equal(self, d):
         X = SampleSet(np.full((_least_slab_size(d), d), 3.0))
-        assert np.all(X._keys == 0.0) and np.array_equal(X._order, np.arange(X.n))
+        assert np.all(X._keys == 0.0) and np.array_equal(_row_order(X), np.arange(X.n))
         params = DepthParams(r=1.0, s=0.01)
         assert self.check(X, X.data[0], params).k == X.n
         for direction in np.eye(d):

@@ -431,6 +431,21 @@ class TestHtestCommand:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["htest", "--reps", "1000"], ["rankbench"], ["speedbench"],
+         ["contour", "--bounds", "0", "1", "0", "1"]],
+        ids=["htest", "rankbench", "speedbench", "contour"],
+    )
+    def test_format_is_refused_before_any_work(self, capsys, monkeypatch, argv):
+        # Only depth and anomaly reports have a per-point score table.
+        runner = f"spheredepth.cli.run_{argv[0]}"
+        monkeypatch.setattr(runner, lambda args: pytest.fail("runner ran"))
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--format", "csv"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
 
 class TestAnomalyCommand:
     @pytest.fixture

@@ -562,6 +562,28 @@ class TestLockstepParity:
                 ref.value, ref.iterations, ref.converged)
             np.testing.assert_array_equal(res.direction, ref.direction)
 
+    def test_whole_block_stationary_at_the_start(self, monkeypatch):
+        # Far from the data every query's gradient vanishes: the block's
+        # live set empties before its first iteration.
+        X = gen_mixture(bi_gaussian_spec(2), 120, seed=35)
+        params = DepthParams(r=1.0, s=0.1)
+        queries = [[30.0, 30.0], [30.0, -30.0], [-30.0, 30.0], [-30.0, -30.0]]
+        expected = [riemannian_descent(z, X, params) for z in queries]
+        assert all((res.iterations, res.converged) == (0, True) for res in expected)
+        blocks = _counting_lockstep(monkeypatch)
+        _assert_same_results(batch_depth(queries, X, params), expected)
+        assert blocks == [len(queries)]
+
+    def test_whole_block_at_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(optim, "_MAX_ITER", 1)
+        X = gen_mixture(bi_gaussian_spec(2), 120, seed=35)
+        params = DepthParams(r=1.0, s=0.1)
+        expected = [riemannian_descent(z, X, params) for z in X.data[:20]]
+        assert all((res.iterations, res.converged) == (1, False) for res in expected)
+        blocks = _counting_lockstep(monkeypatch)
+        _assert_same_results(batch_depth(X.data[:20], X, params), expected)
+        assert blocks == [20]
+
 
 def _counting_lockstep(monkeypatch) -> list[int]:
     """Patch ``optim._lockstep`` to record the number of queries of each
