@@ -208,8 +208,6 @@ def run_contour(args) -> tuple[ExperimentReport, str]:
         raise ValueError(f"contour requires 2-D data, got d={X.d}")
     xmin, xmax, ymin, ymax = args.bounds
     nx, ny = args.resolution
-    if nx < 1 or ny < 1:
-        raise ValueError("resolution must be >= 1 in both axes")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     pts = np.array([[x, y] for y in ys for x in xs])
@@ -358,8 +356,6 @@ def _htest_depth_fn(
 
 
 def run_htest(args) -> ExperimentReport:
-    if args.reps < 1:
-        raise ValueError("repetitions must be >= 1")
     exclude_self = args.self_terms == "exclude"
     depth_fn = _htest_depth_fn(
         args.method, args.r, args.s, args.seed, args.threads, exclude_self=exclude_self
@@ -563,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     depth_opts.add_argument("--r", type=float, default=None, help="ball radius (default: pooled std)")
     depth_opts.add_argument("--s", type=float, default=None,
                             help="smoothing scale (default: pooled std squared * d)")
-    depth_opts.add_argument("--grid-size", type=int, default=4096)
+    depth_opts.add_argument("--grid-size", type=_positive_int, default=4096)
     depth_opts.add_argument("--bandwidth", type=float, default=1.0, help="kspatial kernel bandwidth")
     depth_opts.add_argument("--regularization", type=float, default=0.0,
                             help="mahalanobis covariance ridge")
@@ -580,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", action="append", default=None,
                    help="comma-separated point, repeatable")
     p.add_argument("--self-score", action="store_true")
-    p.add_argument("--oracle-check", type=int, default=None,
+    p.add_argument("--oracle-check", type=_positive_int, default=None,
                    help="also run a grid oracle of this size and report the gap")
     p.set_defaults(runner=run_depth)
 
@@ -588,7 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="2-D depth field as CSV")
     p.add_argument("--bounds", type=float, nargs=4, required=True,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
-    p.add_argument("--resolution", type=int, nargs=2, default=(50, 50), metavar=("NX", "NY"))
+    p.add_argument("--resolution", type=_positive_int, nargs=2, default=(50, 50),
+                   metavar=("NX", "NY"))
     p.set_defaults(runner=run_contour)
 
     p = sub.add_parser("rankbench", parents=[common],
@@ -609,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-g", choices=HTEST_SOURCES, default="gauss")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--m", type=int, default=200)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", type=_positive_int, default=100)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--method", choices=("sphere", "mahalanobis"), default="sphere")
     p.add_argument("--r", type=float, default=1.0)
@@ -625,8 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, required=True)
     p.add_argument("--label-column", type=str, required=True)
     p.add_argument("--delimiter", type=_delimiter, default=",")
-    p.add_argument("--methods", nargs="+", default=("sphere", "mahalanobis"),
-                   choices=("sphere", "halfspace", "mahalanobis", "kspatial", "oracle-grid"))
+    p.add_argument("--methods", nargs="+", default=("sphere", "mahalanobis"), choices=DEPTH_METHODS)
     p.add_argument("--standardize", action="store_true",
                    help="center/scale features before scoring")
     p.set_defaults(runner=run_anomaly)

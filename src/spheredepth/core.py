@@ -93,29 +93,35 @@ lie beyond the radius, and on multimodal data the far modes do at every
 ``s``: a solve of the ``large-n`` benchmark (bi-Gaussian, n = 1e5, d = 3,
 r = s = 1) reads a slice of about half of ``A``, the mode around its query.
 
-The sphere oracle is an exact grid minimum with cell bounds.  Each
+Both grid oracles, the sphere's and the halfspace's, are exact grid
+minima with cell bounds, and run one loop (``_grid_minimum``).  Each
 :class:`DirectionGrid` is split once, on first use, into cells of nearby
 directions (at most 32 in d <= 2, 16 in d = 3 and 8 in d >= 4), each with a
 unit center ``c`` and a chord ``h``, the largest ``||u - c||`` over its
-members.  As ``<w, u> >= <w, c> - h ||w||`` for every member, one product of
-the kept rows' ``[w | ||w||**2 | ||w||]`` with ``d + 2`` coefficients per
-cell bounds every cell's values from below.  The oracle bounds every cell
-before it evaluates any, then evaluates the members of the three cells of
-least bound, and then only the cells whose bound could still beat the best
-of those: it opens cells in ascending bound, the order of a
-branch-and-bound.  Its value and index are bit for bit those of
-evaluating every direction.  On a bi-Gaussian sample (n = 200, 4096
-directions, 20 sample queries; interleaved medians of 7 on a 2-core x86-64
-host, one BLAS thread) the oracle evaluates 6-10% of the directions in
-d = 2 for ``s`` in {0.01, 0.1, 1} and 2.5% at ``s = 0``, and a query costs
+members.  As ``<w, u> >= <w, c> - h ||w||`` for every member, one product
+per block of cells bounds every cell's values from below: of the sphere
+kernel's kept rows ``[w | ||w||**2 | ||w||]`` with ``d + 2`` coefficients
+per cell, and of the halfspace's ``w`` with the cells' centers.  The oracle
+bounds every cell before it evaluates any, then evaluates the members of
+the three cells of least bound, and then only the cells whose bound could
+still beat the best of those: it opens cells in ascending bound, the order
+of a branch-and-bound.  Its value and index are those of one block that
+holds every direction.  On a bi-Gaussian sample (n = 200, 4096 directions,
+20 sample queries; interleaved medians of 7 on a 2-core x86-64 host, one
+BLAS thread) the sphere oracle evaluates 6-10% of the directions in d = 2
+for ``s`` in {0.01, 0.1, 1} and 2.5% at ``s = 0``, and a query costs
 4.8-6.6x less than a full scan for ``s > 0`` and 4.9x less at ``s = 0``;
 in d = 3 it evaluates 7-25% and costs 2.3-5.3x less, and 2.1x less at
 n = 1e5 with 1024 directions.  In d = 5 it costs 2.0-2.4x less at ``s >= 0.1``,
 and 1.1x less at ``s = 0.01``, where it still evaluates 83%, and at
-``s = 0``.  Two costs remain.  At n = 60 in d = 5 a query at ``s = 0.01``
-or ``s = 0`` costs 1.2x the full scan.  And the split costs 2-4 ms for
-4096 directions, paid on a grid's first oracle call, so a caller that
-builds a grid per query can pay more than a full scan.
+``s = 0``.  A halfspace query on bi-Gaussian samples (n = 100 to 1e4, 4096
+directions, 10 sample queries, same host) costs 0.11-0.26x a full scan in
+d <= 3 and 0.44-0.74x in d = 5.  Two costs remain.  At n = 60 in d = 5 a
+sphere query at ``s = 0.01`` or ``s = 0`` costs 1.2x the full scan.  And
+the split costs 2-4 ms for 4096 directions, paid by either oracle on a
+grid's first call, so a caller that builds a grid per query can pay more
+than a full scan: five halfspace queries per fresh grid cost 0.2-1.7x
+the full scan's.
 
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.  A grid's cells are a deterministic function of its
@@ -206,8 +212,8 @@ def _cell_size(d: int) -> int:
     return 32 if d <= 2 else 16 if d == 3 else 8
 
 
-# The sphere oracle first evaluates every member of this many cells, those
-# of least bound, to find the value that prunes the others (``_grid_minimum``).
+# The grid oracles first evaluate every member of this many cells, those of
+# least bound, to find the value that prunes the others (``_grid_minimum``).
 # On 60 sample queries of a bi-Gaussian sample at each s in {1, 0.1, 0.01}
 # (n = 200, d = 2, 4096 directions), 1, 3 and 8 cells sent 40,832, 42,016 and
 # 57,024 directions to the kernel in 332, 294 and 223 calls, against 62,379
@@ -548,7 +554,7 @@ class DirectionGrid:
     @functools.cached_property
     def _cells(self) -> _Cells:
         """The directions split into cells of nearby directions for the
-        sphere oracle's cell bounds; built on first use, kept with the grid."""
+        grid oracles' cell bounds; built on first use, kept with the grid."""
         return _partition(self.directions)
 
     @classmethod
@@ -576,13 +582,7 @@ class DirectionGrid:
             return cls(dirs, generation="fibonacci-sphere", seed=seed)
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((m, d))
-        norms = np.linalg.norm(dirs, axis=1)
-        bad = norms < 1e-12
-        if np.any(bad):
-            dirs[bad] = 0.0
-            dirs[bad, 0] = 1.0
-            norms[bad] = 1.0
-        dirs /= norms[:, None]
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         return cls(dirs, generation="random-uniform", seed=seed)
 
 
@@ -1084,7 +1084,8 @@ class _Differences:
             keep[np.argmin(keep)] = True
         if not keep.all():
             rows = rows.compress(keep, axis=1)
-        np.sqrt(rows[d], out=rows[d + 1])
+        # hypot, not sqrt of the column above: ||w||**2 can underflow where ||w|| does not
+        np.hypot.reduce(rows[:d], axis=0, out=rows[d + 1], initial=0.0)
         self.rows = rows.T
 
     def values(self, directions: np.ndarray) -> np.ndarray:
@@ -1141,66 +1142,45 @@ class _Differences:
         return np.maximum(lower, 0.0, out=lower)
 
 
-def _scan_values(grid: DirectionGrid, idx: np.ndarray, block: int, block_values) -> np.ndarray:
-    """Values at the ascending grid indices ``idx``, bit for bit as the full
-    scan of the grid in blocks of ``block`` directions computes them.
-
-    ``block_values`` gives a direction the same value in every block of two
-    or more, but a block of one takes other numpy and BLAS paths (a
-    matrix-vector product and a pairwise sum).  So each index is evaluated
-    with the others from its block of the full scan, and an index alone
-    among several is evaluated twice over."""
-    out = np.empty(idx.size)
-    cuts = np.searchsorted(idx, np.arange(block, grid.m, block)).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, idx.size]):
-        if lo == hi:
-            continue
-        cols = idx[lo:hi]
-        start = cols[0] - cols[0] % block
-        if cols.size == 1 and min(grid.m, start + block) - start > 1:
-            cols = cols.repeat(2)
-        out[lo:hi] = block_values(grid.directions.take(cols, axis=0))[: hi - lo]
-    return out
-
-
-def _grid_minimum(grid: DirectionGrid, n: int, block_values, cell_bounds=None) -> OracleResult:
+def _grid_minimum(grid: DirectionGrid, n: int, block_values, cell_bounds) -> OracleResult:
     """Minimum over the grid of ``block_values``, which maps an ``(m, d)``
-    block of directions to its ``m`` values; blocks hold about
-    ``_ORACLE_BLOCK_ENTRIES`` n-by-m entries.  Ties break to the lowest index.
+    block of directions to its ``m`` values.  Ties break to the lowest index.
 
-    ``cell_bounds(cells, chunk)``, when given, returns for the grid's cells
-    ``cells`` in the slice ``chunk`` values that no member's value is below.
-    Then every cell is bounded first, and the members of the
-    ``_FIRST_CELLS`` cells of least bound (ties to the lower cell) are
-    evaluated; the least value among them, at the lowest index, is the best
-    so far.  A cell whose bound exceeds that value, or equals it while its
-    members all have higher indices, cannot hold the answer; only the other
-    cells are evaluated, in a second round.  Both rounds go through
-    :func:`_scan_values`, so every value has the bits of the full scan, and
-    the value and the index are those of the full scan.
+    ``cell_bounds(cells, chunk)`` returns for the grid's cells ``cells`` in
+    the slice ``chunk`` values that no member's value is below.  Every cell
+    is bounded first, and the members of the ``_FIRST_CELLS`` cells of least
+    bound (ties to the lower cell) are evaluated; the least value among
+    them, at the lowest index, is the best so far.  A cell whose bound
+    exceeds that value, or equals it while its members all have higher
+    indices, cannot hold the answer; only the other cells are evaluated, in
+    a second round.  Each round evaluates its directions in blocks of about
+    ``_ORACLE_BLOCK_ENTRIES`` n-by-m entries.  ``block_values`` gives a
+    direction the same value in every block of two or more, but numpy sends
+    a one-direction product down its matrix-vector path and sums its column
+    pairwise, so a lone direction is evaluated beside another one.  The
+    value and the index are then those of one block holding every direction.
     """
     block = max(1, _ORACLE_BLOCK_ENTRIES // n)
-    if cell_bounds is None:  # the full scan
-        values = np.concatenate(
-            [block_values(grid.directions[k : k + block]) for k in range(0, grid.m, block)]
-        )
-    else:
-        cells = grid._cells
-        lower = np.concatenate(
-            [cell_bounds(cells, slice(k, k + block)) for k in range(0, cells.firsts.size, block)]
-        )
-        values = np.full(grid.m, np.inf)  # a skipped direction cannot be the minimum
+    cells = grid._cells
+    lower = np.concatenate(
+        [cell_bounds(cells, slice(k, k + block)) for k in range(0, cells.firsts.size, block)]
+    )
+    values = np.full(grid.m, np.inf)  # a skipped direction cannot be the minimum
 
-        def scan(opened: np.ndarray) -> None:
-            idx = np.flatnonzero(opened[cells.cell_of])
-            values[idx] = _scan_values(grid, idx, block, block_values)
+    def scan(opened: np.ndarray) -> None:
+        idx = np.flatnonzero(opened[cells.cell_of])
+        for k in range(0, idx.size, block):
+            cols = idx[k : k + block]
+            # A lone direction goes beside the one before it (index 0 beside the last).
+            taken = np.append(cols, cols - 1) if cols.size == 1 < grid.m else cols
+            values[cols] = block_values(grid.directions.take(taken, axis=0))[: cols.size]
 
-        first = np.zeros(lower.size, dtype=bool)
-        first[np.argsort(lower, kind="stable")[:_FIRST_CELLS]] = True
-        scan(first)
-        j = int(np.argmin(values))
-        best = values[j]
-        scan(((lower < best) | ((lower == best) & (cells.firsts <= j))) & ~first)
+    first = np.zeros(lower.size, dtype=bool)
+    first[np.argsort(lower, kind="stable")[:_FIRST_CELLS]] = True
+    scan(first)
+    j = int(np.argmin(values))
+    best = values[j]
+    scan(((lower < best) | ((lower == best) & (cells.firsts <= j))) & ~first)
     index = int(np.argmin(values))
     return OracleResult(float(values[index]), grid.directions[index].copy(), index)
 
@@ -1214,7 +1194,7 @@ def grid_oracle_sphere_depth(
     For ``s = 0`` each term is the indicator ``1{r**2 - ||x - c||**2 >= 0}``
     (boundary samples count as inside), so the value is a multiple of
     ``1/n``.  Ties are broken by the lowest grid index.  The value and the
-    index are bit for bit those of evaluating every direction.
+    index are those of one block that holds every direction.
 
     Every term increases with the ball argument ``t = 2r <w, u> - ||w||**2``
     (``w = x - z``).  A cell of the grid has a unit center ``c`` and a chord
@@ -1240,8 +1220,8 @@ def grid_oracle_sphere_depth(
     ``(d + 1) eps`` of their magnitudes, and each operation around it, the
     coefficients' included, one ``eps``.  The bound's product of ``d + 2``
     terms, whose magnitudes add to at most ``6.02 r ||w|| + 1.01 ||w||**2``
-    (``h <= 2.01``), its coefficients, and the square root in ``||w||``
-    round by less than ``(5d + 20) eps (2r ||w|| + ||w||**2)``; chords are
+    (``h <= 2.01``), its coefficients, and the ``d - 1`` hypots in ``||w||``
+    round by less than ``(7d + 20) eps (2r ||w|| + ||w||**2)``; chords are
     rounded outward.  With ``tol = 8 (d + 8) eps`` the bound's ``t`` is
     lowered by ``tol (2r ||w|| + ||w||**2)``, which covers both, folded into
     its coefficients as ``h + tol`` and ``1 + tol``.  A sample at the query
@@ -1272,20 +1252,41 @@ def grid_oracle_sphere_depth(
 
 
 def grid_oracle_halfspace_depth(z, X: SampleSet, grid: DirectionGrid) -> OracleResult:
-    """Brute-force halfspace (Tukey) depth over a direction grid.
+    """Exact halfspace (Tukey) depth over a direction grid, skipping the
+    grid's cells that provably cannot hold it.
 
     ``min_u (1/n) * #{i : <u, x_i - z> >= 0}`` with the non-strict
     inequality, so a query equal to a sample counts itself on every side:
     its row of ``X - z`` is exactly 0.  Comparing ``<u, x_i>`` with
     ``<u, z>`` instead would not, as the two products round differently.
     Value is a multiple of ``1/n``; ties break to the lowest grid index.
+    The value and the index are those of one block of every direction.
+
+    The cells and the search are the sphere oracle's (``_grid_minimum``):
+    as ``<w, u> >= <w, c> - h ||w||`` for every member ``u`` of a cell of
+    center ``c`` and chord ``h`` (``w = x - z``), a cell's bound counts the
+    rows with ``<w, c> - (h + tol) ||w|| >= 0``.  The member's dot product
+    and the bound's, with its ``||w||`` (``hypot``, which neither underflows
+    nor overflows where ``||w||**2`` would), product and difference, round
+    by less than ``(5d + 10) eps ||w||`` in all, which ``tol = 8 (d + 8) eps``
+    covers as long as no product underflows, that is for ``||w||`` above
+    about 1e-290.  So a row that the bound counts has a computed
+    ``<w, u>`` above 0 at every member, or exactly 0 at ``w = 0``, and
+    counts there too.
     """
     z = _as_vector(z, X.d, name="query point")
     if grid.d != X.d:
         raise ValueError(f"grid dimension {grid.d} does not match data dimension {X.d}")
     w = X.data - z
+    norms = np.hypot.reduce(w, axis=1, initial=0.0)
+    tol = _rounding_tol(X.d)
 
     def block_values(chunk: np.ndarray) -> np.ndarray:
         return np.mean(w @ chunk.T >= 0.0, axis=0)
 
-    return _grid_minimum(grid, X.n, block_values)
+    def cell_bounds(cells: _Cells, chunk: slice) -> np.ndarray:
+        t = w @ cells.centers[chunk].T
+        t -= np.multiply.outer(norms, cells.chords[chunk] + tol)
+        return np.mean(t >= 0.0, axis=0)
+
+    return _grid_minimum(grid, X.n, block_values, cell_bounds)

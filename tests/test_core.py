@@ -1094,9 +1094,29 @@ def _recursive_cells(directions):
     return sorted(cells, key=lambda c: c[0])
 
 
+def _check_bounds(monkeypatch):
+    """Make each oracle call assert that every cell bound it hands to
+    ``_grid_minimum`` is at most the value of each of the cell's members in
+    one block of every direction."""
+    grid_minimum = core._grid_minimum
+
+    def checking(grid, n, block_values, cell_bounds):
+        cells = grid._cells
+        with np.errstate(over="ignore"):
+            values = block_values(grid.directions)
+            lower = cell_bounds(cells, slice(None))
+        least = np.full(cells.firsts.size, np.inf)
+        np.minimum.at(least, cells.cell_of, values)
+        assert np.all(lower <= least)
+        return grid_minimum(grid, n, block_values, cell_bounds)
+
+    monkeypatch.setattr(core, "_grid_minimum", checking)
+
+
 class TestCellBounds:
     """Skipping the cells whose lower bound exceeds the best value found
-    leaves the oracle's value and index bit for bit those of a full scan."""
+    leaves the oracle's value and index bit for bit those of one block of
+    every direction."""
 
     @pytest.mark.parametrize("d, m", [(2, 4096), (3, 4096), (5, 1024), (5, 64)])
     def test_partition(self, d, m):
@@ -1138,21 +1158,52 @@ class TestCellBounds:
         assert all(np.array_equal(a, b) for a, b in zip(members, expected))
 
     @pytest.mark.parametrize("block", [1, 2, 8, 100])
-    def test_scan_values_match_full_scan(self, block):
-        # 65 directions in blocks of 8 leave the last one alone, where numpy
-        # and BLAS take other paths; every subset must see the full scan's
-        # values bit for bit.
+    def test_opened_subsets_match_one_block(self, block, monkeypatch):
+        # Each direction is a cell of its own, and the bounds open exactly
+        # one subset of them.  65 directions in blocks of 8 leave the last
+        # one alone, where numpy and BLAS take other paths; through either
+        # oracle, every evaluated block must hold two directions or more and
+        # give each the value of one block of all 65, and the minimum over
+        # the subset must be the one-block minimum at its lowest index.
         rng = np.random.default_rng(64)
         X = SampleSet(rng.standard_normal((500, 3)))
-        block_values = core._Differences(np.zeros(3), X, DepthParams(r=1.0, s=0.1)).values
+        z = np.zeros(3)
         grid = DirectionGrid.generate(65, 3)
-        full = np.concatenate(
-            [block_values(grid.directions[k : k + block]) for k in range(0, grid.m, block)]
-        )
-        subsets = [[64], [3], [0, 64], [7, 8], [63, 64], list(range(0, 65, 3))]
+        U = grid.directions
+        grid.__dict__["_cells"] = core._Cells(np.arange(65), np.arange(65), U, np.zeros(65))
+        index_of = {u.tobytes(): i for i, u in enumerate(U)}
+        monkeypatch.setattr(core, "_ORACLE_BLOCK_ENTRIES", block * X.n)
+        monkeypatch.setattr(core, "_FIRST_CELLS", 1)  # open no cell outside the subset
+        grid_minimum = core._grid_minimum
+        subsets = [[64], [3], [0], [0, 64], [7, 8], [63, 64], list(range(0, 65, 3))]
         subsets += [sorted(rng.choice(65, k, replace=False)) for k in (2, 5, 30)]
-        for idx in map(np.array, subsets):
-            assert np.array_equal(core._scan_values(grid, idx, block, block_values), full[idx])
+        for kind in (0.1, "halfspace"):
+            if kind == "halfspace":
+                whole = np.mean((X.data - z) @ U.T >= 0.0, axis=0)
+            else:
+                whole = _all_rows_block(z, X, DepthParams(r=1.0, s=kind), U)
+            for subset in subsets:
+                blocks = []
+
+                def opening(grid, n, block_values, cell_bounds):
+                    def recording(directions):
+                        values = block_values(directions)
+                        blocks.append(([index_of[u.tobytes()] for u in directions], values))
+                        return values
+
+                    def bounds(cells, chunk):
+                        return np.where(np.isin(np.arange(65)[chunk], subset), -1.0, np.inf)
+
+                    return grid_minimum(grid, n, recording, bounds)
+
+                monkeypatch.setattr(core, "_grid_minimum", opening)
+                res = _oracle(kind, z, X, grid)
+                assert sorted(set().union(*(idx for idx, _ in blocks)) & set(subset)) == subset
+                for idx, values in blocks:
+                    assert 2 <= len(idx) <= max(block, 2)
+                    assert np.array_equal(values, whole[idx])
+                best = subset[int(np.argmin(whole[subset]))]
+                assert (res.index, res.value) == (best, whole[best])
 
     @pytest.mark.parametrize("s", [0.0, 1e-3, 0.01, 0.1, 1.0])
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -1365,6 +1416,73 @@ class TestCellBounds:
                 assert np.all(lower <= least)
                 positive += int(np.sum(lower > 0.0))
         assert positive > 0
+
+    @pytest.mark.parametrize("case", ["r-1e170", "data-1e-170"])
+    def test_bounds_where_the_squared_norm_underflows(self, case, monkeypatch):
+        # At s = 0 the kernel works in units of the power of two at or below
+        # r.  With r = 1e170 over unit-scale data (the halfspace limit of
+        # the ball depth), or r = 1 over data of scale 1e-170, ||w|| is
+        # about 1e-170 there and ||w||**2 underflows to 0; a ||w|| taken as
+        # the square root of that loses the bound's chord term, and the
+        # bound can exceed a member's value.
+        _check_bounds(monkeypatch)
+        for seed in range(40):
+            rng = np.random.default_rng((76, seed))
+            d, n = 2 + seed % 2, 1 + seed % 13
+            if case == "r-1e170":
+                X, params = SampleSet(rng.standard_normal((n, d))), DepthParams(r=1e170, s=0.0)
+                z = 0.5 * rng.standard_normal(d)
+            else:
+                X = SampleSet(1e-170 * rng.standard_normal((n, d)))
+                params, z = DepthParams(r=1.0, s=0.0), 5e-171 * rng.standard_normal(d)
+            _assert_full_scan(z, X, params, DirectionGrid.generate(256, d, seed=seed))
+
+
+class TestHalfspaceCellBounds:
+    """The halfspace oracle bounds its cells as the sphere oracle does, and
+    gives the value and index of one block of every direction."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-8, 1.0, 1e8, 1e150])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_equals_one_block(self, d, scale, monkeypatch):
+        _check_bounds(monkeypatch)
+        rng = np.random.default_rng((77, d))
+        if d == 1:  # the 0-sphere repeated, so that there are several cells
+            generated = np.tile([[1.0], [-1.0]], (40, 1))
+        else:
+            generated = DirectionGrid.generate(512, d, seed=4).directions
+        grids = [
+            DirectionGrid(generated),
+            DirectionGrid(generated[:1]),
+            DirectionGrid(np.repeat(generated[:30], 3, axis=0)),
+            DirectionGrid(generated * (1.0 + 8e-13)),  # within 1e-12 of unit: kept as given
+        ]
+        for n in (1, 2, 5, 40, 300):
+            base = rng.standard_normal((n, d))
+            X = SampleSet(scale * np.vstack([base, base[: n // 3]]))  # with duplicate rows
+            queries = [*base[:2], *rng.uniform(-2.0, 2.0, (2, d)), np.full(d, 30.0)]
+            for grid, z in itertools.product(grids, queries):
+                values = np.mean((X.data - scale * z) @ grid.directions.T >= 0.0, axis=0)
+                res = grid_oracle_halfspace_depth(scale * z, X, grid)
+                assert (res.index, res.value) == (int(np.argmin(values)), values.min())
+
+    def test_most_directions_are_skipped(self, monkeypatch):
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(2), 200, (78, 1))
+        grid = DirectionGrid.generate(4096, 2)
+        evaluated = [0]
+        grid_minimum = core._grid_minimum
+
+        def counting(grid, n, block_values, cell_bounds):
+            def values(directions):
+                evaluated[0] += len(directions)
+                return block_values(directions)
+
+            return grid_minimum(grid, n, values, cell_bounds)
+
+        monkeypatch.setattr(core, "_grid_minimum", counting)
+        for z in X.data[:20]:
+            grid_oracle_halfspace_depth(z, X, grid)
+        assert 0 < evaluated[0] / (20 * grid.m) <= 0.2
 
 
 class TestObjectiveProperties:

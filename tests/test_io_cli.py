@@ -210,6 +210,44 @@ class TestDepthCommand:
         assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["depth", "--self-score", "--n", "3000", "--oracle-check", "0"], "--oracle-check", "0"),
+            (["depth", "--query", "0,0", "--grid-size", "0"], "--grid-size", "0"),
+            (["contour", "--bounds", "0", "1", "0", "1", "--resolution", "3", "0"],
+             "--resolution", "0"),
+            (["contour", "--bounds", "0", "1", "0", "1", "--resolution", "-1", "3"],
+             "--resolution", "-1"),
+            (["anomaly", "--csv", "data.csv", "--label-column", "y", "--grid-size", "-4"],
+             "--grid-size", "-4"),
+            (["htest", "--reps", "0"], "--reps", "0"),
+        ],
+        ids=["oracle-check", "grid-size", "resolution-y", "resolution-x", "anomaly-grid", "reps"],
+    )
+    def test_counts_below_one_are_refused_before_any_work(
+        self, capsys, monkeypatch, argv, flag, value
+    ):
+        monkeypatch.setattr(f"spheredepth.cli.run_{argv[0]}", lambda args: pytest.fail("runner ran"))
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+    def test_label_column_is_left_out(self, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((40, 2)).tolist()
+        labels = rng.integers(0, 2, 40).tolist()
+        labelled, plain = tmp_path / "labelled.csv", tmp_path / "plain.csv"
+        labelled.write_text("a,y,b\n" + "".join(f"{a!r},{y},{b!r}\n"
+                                                 for (a, b), y in zip(data, labels)))
+        plain.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in data))
+        depths = []
+        for extra in (["--csv", str(labelled), "--label-column", "y"], ["--csv", str(plain)]):
+            assert main(["depth", *extra, "--self-score"]) == 0
+            depths.append(json.loads(capsys.readouterr().out)["metrics"]["depths"])
+        assert len(depths[0]) == 40 and depths[0] == depths[1]
+
+    @pytest.mark.parametrize(
         "args, delimiter",
         [
             (["anomaly", "--csv", "data.csv", "--label-column", "y"], ""),
@@ -430,6 +468,17 @@ class TestHtestCommand:
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bigauss_source_reruns_byte_identical(self, tmp_path):
+        args = [
+            "htest", "--source-f", "bigauss", "--source-g", "gauss",
+            "--n", "30", "--m", "30", "--reps", "2", "--seed", "5",
+        ]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--output", str(a)]) == 0
+        assert main(args + ["--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["parameters"]["source_f"] == "bigauss"
 
     @pytest.mark.parametrize(
         "argv",

@@ -387,6 +387,18 @@ class TestInitialization:
         res = riemannian_descent([3.0, 0.0], X, DepthParams(r=1.0, s=1.0))
         assert res.converged
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mean_minus_z_at_the_mean_starts_at_the_first_axis(self, d):
+        # At the sample mean the anchor mean - z is 0, so the start is e_1.
+        X = SampleSet(np.random.default_rng((15, d)).standard_normal((200, d)))
+        z = X._mean.copy()
+        assert np.array_equal(optim._initial_direction(z, X, "mean-minus-z"), np.eye(d)[0])
+        params = DepthParams(r=1.0, s=1.0)
+        res = riemannian_descent(z, X, params, OptimizerConfig(init="mean-minus-z"))
+        oracle = grid_oracle_sphere_depth(z, X, params, DirectionGrid.generate(4096, d))
+        assert res.converged and res.iterations > 1
+        assert abs(res.value - oracle.value) <= 5e-3
+
     def test_mean_minus_z_translation_equivariant(self):
         rng = np.random.default_rng(14)
         X = SampleSet(rng.standard_normal((120, 2)) + [5.0, -2.0])
@@ -462,6 +474,14 @@ class TestSphereDepthWrapper:
 
 
 class TestBatchDepth:
+    def test_default_params(self):
+        X = gen_mixture(bi_gaussian_spec(2), 150, seed=22)
+        points = np.vstack([X.data[:10], [[0.0, 0.0], [4.0, -3.0]]])
+        default = batch_depth(points, X)
+        for a, b in zip(default, batch_depth(points, X, default_params(X)), strict=True):
+            assert (a.value, a.iterations, a.converged) == (b.value, b.iterations, b.converged)
+            assert np.array_equal(a.direction, b.direction)
+
     def test_matches_sequential_exactly(self):
         rng = np.random.default_rng(20)
         X = SampleSet(rng.standard_normal((100, 2)))
