@@ -656,8 +656,10 @@ def _scores_csv(report: ExperimentReport) -> str:
 
 
 def _check_output_directory(path: str) -> None:
-    """Reject ``--output`` before any work when its directory is missing or
-    is not a directory; nothing is created."""
+    """Reject ``--output`` before any work when it names a directory, or when
+    its directory is missing or is not a directory; nothing is created."""
+    if Path(path).is_dir():
+        raise ValueError(f"--output: {path!r} is a directory")
     parent = Path(path).parent
     if not parent.exists():
         raise ValueError(f"--output: directory {str(parent)!r} does not exist")

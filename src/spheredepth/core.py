@@ -96,13 +96,16 @@ r = s = 1) reads a slice of about half of ``A``, the mode around its query.
 Both grid oracles, the sphere's and the halfspace's, are exact grid
 minima with cell bounds, and run one loop (``_grid_minimum``).  Each
 :class:`DirectionGrid` is split once, on first use, into cells of nearby
-directions (at most 32 in d <= 2, 16 in d = 3 and 8 in d >= 4), each with a
-unit center ``c`` and a chord ``h``, the largest ``||u - c||`` over its
-members.  As ``<w, u> >= <w, c> - h ||w||`` for every member, one product
-per block of cells bounds every cell's values from below: of the sphere
-kernel's kept rows ``[w | ||w||**2 | ||w||]`` with ``d + 2`` coefficients
-per cell, and of the halfspace's ``w`` with the cells' centers.  The oracle
-bounds every cell before it evaluates any, then evaluates the members of
+directions (at most 32 in d <= 2, 16 in d = 3 and 8 in d >= 4): the leaves
+of scipy's balanced k-d tree, which sends the directions tied with a
+median to one side, and a leaf of more copies of one direction cut into
+equal runs (``_partition``).  Each cell has a unit center ``c`` and a
+chord ``h``, the largest ``||u - c||`` over its members.  As
+``<w, u> >= <w, c> - h ||w||`` for every member, one product per block of
+cells bounds every cell's values from below: of the sphere kernel's kept
+rows ``[w | ||w||**2 | ||w||]`` with ``d + 2`` coefficients per cell, and
+of the halfspace's ``w`` with the cells' centers.  The oracle bounds every
+cell before it evaluates any, then evaluates the members of
 the three cells of least bound, and then only the cells whose bound could
 still beat the best of those: it opens cells in ascending bound, the order
 of a branch-and-bound.  Its value and index are those of one block that
@@ -118,10 +121,11 @@ and 1.1x less at ``s = 0.01``, where it still evaluates 83%, and at
 directions, 10 sample queries, same host) costs 0.11-0.26x a full scan in
 d <= 3 and 0.44-0.74x in d = 5.  Two costs remain.  At n = 60 in d = 5 a
 sphere query at ``s = 0.01`` or ``s = 0`` costs 1.2x the full scan.  And
-the split costs 2-4 ms for 4096 directions, paid by either oracle on a
-grid's first call, so a caller that builds a grid per query can pay more
-than a full scan: five halfspace queries per fresh grid cost 0.2-1.7x
-the full scan's.
+the split costs 0.9-2.3 ms for 4096 directions in d = 2 to 5, paid by
+either oracle on a grid's first call, so a caller that builds a grid per
+query can pay more than a full scan: five halfspace queries per fresh grid
+cost 0.13-1.35x the full scan's (interleaved medians of 7, one BLAS
+thread).
 
 All functions are pure and operate on immutable inputs; they are safe to
 call concurrently.  A grid's cells are a deterministic function of its
@@ -474,35 +478,31 @@ class _Cells(NamedTuple):
 
 
 def _partition(directions: np.ndarray) -> _Cells:
-    """Split ``directions`` into cells of at most ``_cell_size(d)`` by recursive
-    median splits on the coordinate with the widest range, equal coordinates
-    ordered by grid index, so that the partition is a function of the
-    directions alone.  The splits are made a level at a time over all cells,
-    each level one sort of keys that are all distinct."""
+    """Split ``directions`` into cells of at most ``_cell_size(d)``: the leaves
+    of scipy's balanced k-d tree, which halves each node at the median of
+    the coordinate with the widest range.  The directions equal to the
+    median go to the upper half, or to the lower one when no direction lies
+    below it, so the partition is a function of the directions alone.  A
+    leaf holds more only when it holds copies of one direction; it is cut
+    into the fewest equal runs of grid indices."""
+    from scipy.spatial import cKDTree  # deferred: it adds about 0.2 s to the CLI's import
+
     unit = directions / np.linalg.norm(directions, axis=1)[:, None]
-    m, size = len(unit), _cell_size(unit.shape[1])
-    # Each direction's rank along each coordinate.
-    rank = np.empty(unit.shape, dtype=np.intp)
-    for j, col in enumerate(unit.T):
-        # a stable sort keeps equal values in order of grid index
-        rank[np.argsort(col, kind="stable"), j] = np.arange(m)
-    # The cells are the runs of ``order`` between consecutive ``edges``.
-    order, edges = np.arange(m), np.array([0, m])
-    while True:
-        starts, sizes = edges[:-1], edges[1:] - edges[:-1]
-        cell = np.repeat(np.arange(starts.size), sizes)
-        split = sizes > size
-        if not split.any():
-            break
-        pts = unit[order]
-        spread = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
-        along = rank[order, np.argmax(spread, axis=1)[cell]]
-        order = order[np.argsort(cell * m + along)]
-        edges = np.sort(np.concatenate([edges, starts[split] + sizes[split] // 2]))
+    size = _cell_size(unit.shape[1])
+    cells, nodes = [], [cKDTree(unit, leafsize=size, balanced_tree=True).tree]
+    while nodes:
+        node = nodes.pop()
+        if node.split_dim >= 0:
+            nodes += [node.lesser, node.greater]
+        else:
+            leaf = np.sort(node.indices)
+            runs = -(-leaf.size // size)
+            # array_split costs as much as all the rest of a leaf's work
+            cells += np.array_split(leaf, runs) if runs > 1 else [leaf]
     # Members ascend within each cell, and the cells by their first member.
-    by_first = np.argsort(np.minimum.reduceat(order, starts))
-    order = order[np.argsort(np.argsort(by_first)[cell] * m + order)]
-    sizes = sizes[by_first]
+    cells.sort(key=lambda cell: cell[0])
+    order = np.concatenate(cells)
+    sizes = np.array([cell.size for cell in cells])
     starts = np.cumsum(sizes) - sizes
     members = unit[order]
     sums = np.add.reduceat(members, starts, axis=0)
@@ -523,14 +523,11 @@ def _partition(directions: np.ndarray) -> _Cells:
 class DirectionGrid:
     """Deterministic finite set of unit directions used by the grid oracles.
 
-    Generation is deterministic given ``(generation, seed)``: equiangular
-    angles for d = 2, a Fibonacci spiral for d = 3, and seeded normalized
-    Gaussians for d > 3.
+    :meth:`generate` builds equiangular angles for d = 2, a Fibonacci spiral
+    for d = 3, and seeded normalized Gaussians for d > 3.
     """
 
     directions: np.ndarray
-    generation: str = "custom"
-    seed: int = 0
 
     def __post_init__(self):
         arr = _as_matrix(self.directions, name="directions").copy()
@@ -567,11 +564,11 @@ class DirectionGrid:
         if d == 1:
             # The 0-sphere has two points; more are redundant.
             dirs = np.array([[1.0], [-1.0]])[: min(m, 2)]
-            return cls(dirs, generation="signs", seed=seed)
+            return cls(dirs)
         if d == 2:
             theta = 2.0 * np.pi * np.arange(m) / m
             dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-            return cls(dirs, generation="equiangular", seed=seed)
+            return cls(dirs)
         if d == 3:
             k = np.arange(m)
             zcoord = 1.0 - 2.0 * (k + 0.5) / m
@@ -579,11 +576,11 @@ class DirectionGrid:
             golden = np.pi * (3.0 - np.sqrt(5.0))
             theta = golden * k
             dirs = np.column_stack([rho * np.cos(theta), rho * np.sin(theta), zcoord])
-            return cls(dirs, generation="fibonacci-sphere", seed=seed)
+            return cls(dirs)
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((m, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return cls(dirs, generation="random-uniform", seed=seed)
+        return cls(dirs)
 
 
 class OracleResult(NamedTuple):
@@ -890,12 +887,9 @@ class _Objective:
         self._coef = np.empty(X.d + 2)
         self._args = np.empty(self.k)
         self._weights = np.empty(self.k)
-        self._passes = [(self.rows, self._args)]
-        self._sums = [(self._weights, self._data)]
-        if self.k * (X.d + 2) > _ROW_BLOCK_ENTRIES:
-            blocks = _row_blocks(self.k, X.d + 2)
-            self._passes = [(self.rows[block], self._args[block]) for block in blocks]
-            self._sums = [(self._weights[block], self._data[block]) for block in blocks]
+        blocks = _row_blocks(self.k, X.d + 2)
+        self._passes = [(self.rows[block], self._args[block]) for block in blocks]
+        self._sums = [(self._weights[block], self._data[block]) for block in blocks]
 
     def folded_args(self, u) -> np.ndarray:
         """``-t/s`` at one ambient direction, ``d`` floats or a ``(d,)``

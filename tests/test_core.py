@@ -72,10 +72,9 @@ class TestDepthParams:
 
 
 class TestDirectionGrid:
-    @pytest.mark.parametrize("d,tag", [(2, "equiangular"), (3, "fibonacci-sphere"), (5, "random-uniform")])
-    def test_generation_modes(self, d, tag):
+    @pytest.mark.parametrize("d", [2, 3, 5], ids=["2-equiangular", "3-fibonacci-sphere", "5-random-uniform"])
+    def test_generation_modes(self, d):
         grid = DirectionGrid.generate(64, d, seed=3)
-        assert grid.generation == tag
         assert grid.directions.shape == (64, d)
         np.testing.assert_allclose(np.linalg.norm(grid.directions, axis=1), 1.0, atol=1e-12)
 
@@ -1078,9 +1077,22 @@ def _assert_full_scan(z, X, params, grid):
     assert (res.index, res.value) == (int(np.argmin(values)), values[np.argmin(values)])
 
 
+def _lattice(d):
+    """The directions of {-1, 0, 1}^d without 0, a grid whose distinct
+    directions tie in their coordinates."""
+    points = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+    return points[np.abs(points).sum(axis=1) > 0]
+
+
 def _recursive_cells(directions):
-    """The cells of ``core._partition`` split one cell at a time: a median
-    split on the widest coordinate, equal coordinates by grid index."""
+    """Cells of at most ``core._cell_size(d)``, split one cell at a time: a
+    median split on the widest coordinate, equal coordinates by grid index.
+    On grids whose only ties are copies of one direction, these are the
+    cells of ``core._partition`` wherever no median falls inside a run of
+    copies (the k-d tree sends every direction equal to a median to one
+    side) and each run of more copies than a cell holds halves into the
+    runs that ``np.array_split`` makes, as on the tiled and repeated grids
+    of ``test_partition_matches_recursive_splits``."""
     unit = directions / np.linalg.norm(directions, axis=1)[:, None]
     cells, todo = [], [np.arange(len(unit))]
     while todo:
@@ -1118,9 +1130,20 @@ class TestCellBounds:
     leaves the oracle's value and index bit for bit those of one block of
     every direction."""
 
-    @pytest.mark.parametrize("d, m", [(2, 4096), (3, 4096), (5, 1024), (5, 64)])
-    def test_partition(self, d, m):
-        grid = DirectionGrid.generate(m, d)
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            DirectionGrid.generate(4096, 2).directions,
+            DirectionGrid.generate(4096, 3).directions,
+            DirectionGrid.generate(1024, 5).directions,
+            DirectionGrid.generate(64, 5).directions,
+            _lattice(3),
+            _lattice(5),
+        ],
+        ids=["2-4096", "3-4096", "5-1024", "5-64", "3-lattice", "5-lattice"],
+    )
+    def test_partition(self, directions):
+        grid, d = DirectionGrid(directions), directions.shape[1]
         cells = grid._cells
         sizes = np.bincount(cells.cell_of)
         assert sizes.min() >= 1 and sizes.max() <= core._cell_size(d)
@@ -1280,6 +1303,7 @@ class TestCellBounds:
             DirectionGrid(base[:20]),
             DirectionGrid(np.repeat(base[:40], 3, axis=0)),
             DirectionGrid(np.tile(base[:10], (12, 1))),
+            DirectionGrid(_lattice(3)),
             DirectionGrid(base * (1.0 + 8e-13)),  # within 1e-12 of unit: kept as given
         ]
         assert np.abs(np.linalg.norm(grids[-1].directions, axis=1) - 1.0).max() > 5e-13
@@ -1455,6 +1479,7 @@ class TestHalfspaceCellBounds:
             DirectionGrid(generated),
             DirectionGrid(generated[:1]),
             DirectionGrid(np.repeat(generated[:30], 3, axis=0)),
+            DirectionGrid(_lattice(d)),
             DirectionGrid(generated * (1.0 + 8e-13)),  # within 1e-12 of unit: kept as given
         ]
         for n in (1, 2, 5, 40, 300):

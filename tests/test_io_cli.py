@@ -161,6 +161,13 @@ class TestExperimentReport:
         assert target.read_text() == "hello\n"
         leftovers = [p for p in target.parent.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+        # A failed replace removes its temp file.
+        blocked = tmp_path / "a-directory"
+        blocked.mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(blocked, "hello\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "nested"]
+        assert not list(blocked.iterdir())
 
 
 class TestDepthCommand:
@@ -269,13 +276,17 @@ class TestDepthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
-    @pytest.mark.parametrize("where", ["under-a-file", "missing-directories"])
+    @pytest.mark.parametrize("where", ["under-a-file", "missing-directories", "a-directory"])
     def test_unusable_output_directory_is_an_error_before_any_work(
         self, tmp_path, capsys, monkeypatch, where
     ):
         blocker = tmp_path / "a-file"
         blocker.write_text("")
-        target = blocker / "x.json" if where == "under-a-file" else tmp_path / "no" / "sub" / "x.json"
+        target = {
+            "under-a-file": blocker / "x.json",
+            "missing-directories": tmp_path / "no" / "sub" / "x.json",
+            "a-directory": tmp_path,
+        }[where]
         monkeypatch.setattr("spheredepth.cli.run_depth", lambda args: pytest.fail("runner ran"))
         assert main(["depth", "--n", "20", "--query", "0,0", "--output", str(target)]) == 2
         captured = capsys.readouterr()
@@ -284,13 +295,16 @@ class TestDepthCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]  # nothing created
         assert blocker.read_text() == ""
 
-    def test_failed_final_write_is_an_error(self, tmp_path, capsys):
-        target = tmp_path / "a-directory"
-        target.mkdir()
+    def test_failed_final_write_is_an_error(self, tmp_path, capsys, monkeypatch):
+        def fail(path, text):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr("spheredepth.cli.write_text_atomic", fail)
+        target = tmp_path / "x.json"
         assert main(["depth", "--n", "20", "--query", "0,0", "--output", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
+        assert not list(tmp_path.iterdir())
 
     def test_oracle_check_gap(self, capsys):
         code = main([
