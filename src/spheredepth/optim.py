@@ -24,9 +24,13 @@ dot products add left to right on every Python version (the builtin
 last bit.  Only the passes over the data stay in numpy: each is one
 product with the sample's centred matrix (``core._Objective``), whose
 ``d + 2`` coefficients are built on the floats, and it writes into one of
-two kept-row vectors that the query's objective owns.  A trial direction
-costs the geodesic on floats, one pass over the ``d`` floats of the ball's
-centre for its coefficients and squared norm, that product, the logistic
+two kept-row vectors that the query's objective owns.  For ``n d`` at or
+below the lockstep limit of ``2**12`` (below) the last coefficient, the
+constant, multiplies the matrix's column of ones, as in the lockstep
+stack; above it the product takes the first ``d + 1`` coefficients and
+the pass adds the constant after it.  A trial direction costs the
+geodesic on floats, one pass over the ``d`` floats of the ball's centre
+for its coefficients and squared norm, that product, the logistic
 in place and the loss sum, taken by ``np.add.reduce``: the pairwise sum of
 ``ndarray.sum`` without its Python wrapper.  No step of a trial builds a
 list that it then throws away, and one pass gives the tangent and its
@@ -75,28 +79,29 @@ costs about four times as much, and for samples with ``n d > 2**12``.
 Per query, in ms, with lockstep blocks of ``2**16 // n`` queries
 (r = s = 1; 48 sample rows and 48 standard-normal points of a bi-Gaussian
 sample; both run interleaved in one process, medians of 11, on a 2-core
-x86-64 host with OpenBLAS 0.3.31)::
+x86-64 host with OpenBLAS 0.3.31; each the median of three processes).
+Above ``2**12`` the per-point pass reads ``d + 1`` columns of the centred
+matrix and adds the constant after the product (``core._Objective``)::
 
     d x n       n d      block   lockstep   per-point loop
-    2 x 1000    2,000    65      0.10       0.22
-    2 x 2048    4,096    32      0.15       0.26
-    2 x 3000    6,000    21      0.20       0.29
-    2 x 4000    8,000    16      0.29       0.35
-    2 x 8000    16,000   8       0.61       0.53
-    5 x 800     4,000    81      0.06       0.16
-    5 x 1200    6,000    54      0.08       0.18
-    5 x 6000    30,000   10      0.37       0.34
+    2 x 1000    2,000    65      0.06       0.17
+    2 x 2048    4,096    32      0.11       0.18
+    2 x 3000    6,000    21      0.16       0.24
+    2 x 4000    8,000    16      0.20       0.26
+    2 x 8000    16,000   8       0.41       0.41
+    5 x 800     4,000    81      0.04       0.11
+    5 x 1200    6,000    54      0.05       0.12
+    5 x 6000    30,000   10      0.25       0.21
 
 So lockstep still pays somewhat above the limit of ``2**12``, up to about
-``n d = 8,000`` in d = 2, and the two loops draw level between that and
-16,000 (in d = 5 near 30,000); the limit was set when each block stacked
-its own copies of ``X - z``, which no longer fit the caches above about
-6,000.  Of the rows above the limit only 5 x 6000, whose centred matrix
-has ``2**15`` entries or more, drops the rows past the relative reach at
-s = 1 (``core._row_mask``): there the sample rows drop the far mode, and
-the standard-normal points, which stop after a few iterations, pay for
-the estimate, so the per-point loop read 0.34 ms as it did without the
-reach.
+``n d = 8,000`` in d = 2, and the two loops draw level near 16,000 (in
+d = 5 the per-point loop is ahead at 30,000); the limit was set when each
+block stacked its own copies of ``X - z``, which no longer fit the caches
+above about 6,000.  Of the rows above the limit only 5 x 6000, whose
+centred matrix has ``2**15`` entries or more, drops the rows past the
+relative reach at s = 1 (``core._row_mask``): there the sample rows drop
+the far mode, and the standard-normal points, which stop after a few
+iterations, pay for the estimate.
 """
 
 from __future__ import annotations

@@ -557,6 +557,66 @@ class TestRowCutLimit:
         else:
             assert objective._kept == slice(0, n) and objective.k == n
 
+    @pytest.mark.parametrize("above", [0, 1], ids=["at-limit", "above-limit"])
+    def test_pass_reads_the_ones_only_at_or_below_the_limit(self, above):
+        # At n d = 4096 the pass reads A's column of ones, as _Stack does; at
+        # 4098 it reads d + 1 columns and adds the constant coefficient.
+        d = 2
+        n = core._LOCKSTEP_ENTRIES // d + above
+        X = SampleSet(np.random.default_rng(73).standard_normal((n, d)))
+        objective = core._Objective(X.data[0], X, DepthParams(r=1.0, s=1.0))
+        assert objective._kept == slice(0, n)
+        assert [rows.shape for rows, _ in objective._passes] == [(n, d + 2 - above)]
+
+
+class TestConstantAfterProduct:
+    """Above ``_LOCKSTEP_ENTRIES`` the pass takes its product over the first
+    ``d + 1`` columns of the centred matrix and adds the constant coefficient
+    ``(||c~||**2 - r**2) / s`` after it, in each of the solver's row regimes:
+    every row kept, a slice of a sorted sample, and a gathered mask."""
+
+    @staticmethod
+    def case(d, regime):
+        """A sample with ``n d`` above the limit, a query and ``s`` whose
+        objective reads in ``regime``."""
+        if regime == "every-row":
+            n = core._LOCKSTEP_ENTRIES // d + 1
+            X = SampleSet(np.random.default_rng((79, d)).standard_normal((n, d)))
+            return X, X.data[0], DepthParams(r=1.0, s=1.0)
+        X = SampleSet(TestSlab.sample("bi-gaussian", d, _least_slab_size(d)))
+        z = X.data[np.argmin(np.linalg.norm(X.data - 3.5, axis=1))]  # at a mode's centre
+        return X, z, DepthParams(r=1.0, s=1.0 if regime == "slice" else 0.01)
+
+    @pytest.mark.parametrize("regime", ["every-row", "slice", "mask"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_arguments_within_the_expansion_bound(self, d, regime):
+        X, z, params = self.case(d, regime)
+        assert X.n * d > core._LOCKSTEP_ENTRIES
+        assert (X._keys is None) == (regime == "every-row")
+        objective = core._Objective(z, X, params)
+        if regime == "every-row":
+            assert objective._kept == slice(0, X.n)
+        elif regime == "slice":
+            assert isinstance(objective._kept, slice) and objective.k < X.n
+        else:
+            assert isinstance(objective._kept, np.ndarray)
+        assert all(rows.shape[1] == d + 1 for rows, _ in objective._passes)
+        kept = _read_rows(objective, X)
+        rng = np.random.default_rng((80, d))
+        for u in [unit_direction(v) for v in rng.standard_normal((4, d))]:
+            ul = u.astype(np.longdouble)
+            got = objective.folded_args(u).astype(np.longdouble)
+            ref = TestCentredExpansion.reference(X, z, params, ul)[kept]
+            allowed = TestCentredExpansion.bound(X, z, params, ul)[kept]
+            assert np.all(np.abs(got - ref) <= allowed)
+
+    @pytest.mark.parametrize("regime", ["every-row", "slice", "mask"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_loss_at_a_solve_is_its_value(self, d, regime):
+        X, z, params = self.case(d, regime)
+        res = riemannian_descent(z, X, params)
+        assert sphere_loss(res.direction, z, X, params) == res.value
+
 
 class TestRelativeReach:
     """Above ``_LOCKSTEP_ENTRIES`` the solver's kernel also drops the rows

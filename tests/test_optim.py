@@ -354,14 +354,14 @@ class TestRiemannianDescent:
 
     @pytest.mark.parametrize("s", [1.0, 0.01])
     def test_far_query_is_stationary_at_zero(self, monkeypatch, s):
-        # Every sample is beyond the keep radius: the kernel holds no rows,
-        # and the solve and the oracle stop as they did with all rows.  The
-        # limit at 0 makes the kernel drop rows at n = 50.
+        # Every sample is beyond the keep radius: the kernel holds no rows of
+        # its d + 1 columns, and the solve and the oracle stop as they did
+        # with all rows.  The limit at 0 makes the kernel drop rows at n = 50.
         monkeypatch.setattr(core, "_LOCKSTEP_ENTRIES", 0)
         rng = np.random.default_rng(14)
         X = SampleSet(rng.standard_normal((50, 2)))
         z, params = [1e3, -1e3], DepthParams(r=1.0, s=s)
-        assert core._Objective(np.array(z), X, params).rows.shape == (0, 4)
+        assert core._Objective(np.array(z), X, params).rows.shape == (0, 3)
         res = riemannian_descent(z, X, params)
         assert (res.value, res.iterations, res.converged) == (0.0, 0, True)
         oracle = grid_oracle_sphere_depth(z, X, params, DirectionGrid.generate(64, 2))
