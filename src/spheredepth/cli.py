@@ -36,7 +36,7 @@ from .baselines import (
     kernelized_spatial_depth,
     mahalanobis_depth,
 )
-from .core import DepthParams, DirectionGrid, SampleSet, grid_oracle_sphere_depth
+from .core import DepthParams, DirectionGrid, SampleSet, _as_vector, grid_oracle_sphere_depth
 from .datagen import (
     StudentSpec,
     bi_gaussian_spec,
@@ -108,55 +108,57 @@ def _label_col(text: str):
         return text
 
 
-def _depth_scores(
-    method: str,
-    points: np.ndarray,
-    X: SampleSet,
-    r: float,
-    s: float,
-    seed: int,
-    threads: int,
-    grid_size: int,
-    bandwidth: float,
-    regularization: float,
-    oracle_option: str | None = None,
-) -> dict:
+def _grid_depths(points, X: SampleSet, r: float, s: float, grid_size: int, seed: int) -> list:
+    grid = DirectionGrid.generate(grid_size, X.d, seed=seed)
+    params = DepthParams(r=r, s=s)
+    return [grid_oracle_sphere_depth(z, X, params, grid).value for z in points]
+
+
+def _depth_scores(method: str, points, X: SampleSet, r: float, s: float, args, flag=None) -> dict:
     """Evaluate one depth method on every row of ``points``.
 
-    ``oracle_option`` names the calling subcommand's method flag when it
+    Each method reads only its own options from the parsed ``args``:
+    ``threads`` (sphere), ``grid_size`` and ``seed`` (oracle-grid), ``seed``
+    (halfspace), ``regularization`` (mahalanobis) and ``bandwidth``
+    (kspatial).  ``flag`` names the calling subcommand's method flag when it
     offers ``oracle-grid``; the s = 0 error then points to it.
     """
-    out: dict = {}
     if method == "sphere":
         if s == 0:
-            hint = (
-                f"; use {oracle_option} oracle-grid for the indicator depth (s = 0)"
-                if oracle_option else ""
-            )
+            hint = f"; use {flag} oracle-grid for the indicator depth (s = 0)" if flag else ""
             raise ValueError(f"method 'sphere' requires s > 0{hint}")
-        cfg = OptimizerConfig()
-        results = batch_depth(points, X, DepthParams(r=r, s=s), cfg, threads=threads)
-        out["depths"] = [res.value for res in results]
-        out["iterations"] = [res.iterations for res in results]
-        out["converged"] = [res.converged for res in results]
-    elif method == "oracle-grid":
-        grid = DirectionGrid.generate(grid_size, X.d, seed=seed)
-        params = DepthParams(r=r, s=s)
-        out["depths"] = [
-            grid_oracle_sphere_depth(z, X, params, grid).value for z in points
-        ]
+        results = batch_depth(
+            points, X, DepthParams(r=r, s=s), OptimizerConfig(), threads=args.threads
+        )
+        return {
+            "depths": [res.value for res in results],
+            "iterations": [res.iterations for res in results],
+            "converged": [res.converged for res in results],
+        }
+    if method == "oracle-grid":
+        depths = _grid_depths(points, X, r, s, args.grid_size, args.seed)
     elif method == "halfspace":
-        cfg = HalfspaceConfig(seed=seed)
-        out["depths"] = [halfspace_depth(z, X, cfg).value for z in points]
+        cfg = HalfspaceConfig(seed=args.seed)
+        depths = [halfspace_depth(z, X, cfg).value for z in points]
     elif method == "mahalanobis":
-        model = fit_mahalanobis(X, regularization)
-        out["depths"] = mahalanobis_depth(points, model).tolist()
+        depths = mahalanobis_depth(points, fit_mahalanobis(X, args.regularization)).tolist()
     elif method == "kspatial":
-        model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=bandwidth))
-        out["depths"] = kernelized_spatial_depth(points, model).tolist()
+        model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=args.bandwidth))
+        depths = kernelized_spatial_depth(points, model).tolist()
     else:
         raise ValueError(f"unknown method {method!r}; choose from {DEPTH_METHODS}")
-    return out
+    return {"depths": depths}
+
+
+def _query_points(queries: list, d: int) -> np.ndarray:
+    """Parse each ``--query`` into a finite point of dimension ``d``."""
+    points = []
+    for k, text in enumerate(queries):
+        try:
+            points.append(_as_vector([float(v) for v in text.split(",")], d, name="query"))
+        except ValueError as exc:
+            raise ValueError(f"--query {k}: {text!r}: {exc}") from None
+    return np.array(points)
 
 
 def run_depth(args) -> ExperimentReport:
@@ -164,21 +166,14 @@ def run_depth(args) -> ExperimentReport:
     if args.self_score:
         points = X.data
     elif args.query:
-        points = np.asarray([[float(v) for v in q.split(",")] for q in args.query])
+        points = _query_points(args.query, X.d)
     else:
         raise ValueError("provide --query at least once or --self-score")
     r, s = _resolve_params(X, args.r, args.s)
 
-    out = _depth_scores(
-        args.method, points, X, r, s, args.seed, args.threads,
-        args.grid_size, args.bandwidth, args.regularization, oracle_option="--method",
-    )
-    metrics = dict(out)
+    metrics = _depth_scores(args.method, points, X, r, s, args, flag="--method")
     if args.oracle_check is not None:
-        oracle = _depth_scores(
-            "oracle-grid", points, X, r, s, args.seed, args.threads,
-            args.oracle_check, args.bandwidth, args.regularization,
-        )["depths"]
+        oracle = _grid_depths(points, X, r, s, args.oracle_check, args.seed)
         metrics["oracle_depths"] = oracle
         metrics["max_oracle_gap"] = max(
             abs(a - b) for a, b in zip(metrics["depths"], oracle)
@@ -202,7 +197,7 @@ def run_depth(args) -> ExperimentReport:
     )
 
 
-def run_contour(args) -> tuple[ExperimentReport, str]:
+def run_contour(args) -> str:
     X, source = _load_features(args)
     if X.d != 2:
         raise ValueError(f"contour requires 2-D data, got d={X.d}")
@@ -212,39 +207,16 @@ def run_contour(args) -> tuple[ExperimentReport, str]:
     ys = np.linspace(ymin, ymax, ny)
     pts = np.array([[x, y] for y in ys for x in xs])
     r, s = _resolve_params(X, args.r, args.s)
-    depths = np.asarray(
-        _depth_scores(
-            args.method, pts, X, r, s, args.seed, args.threads,
-            args.grid_size, args.bandwidth, args.regularization, oracle_option="--method",
-        )["depths"]
-    ).reshape(ny, nx)
+    depths = _depth_scores(args.method, pts, X, r, s, args, flag="--method")["depths"]
 
     buf = _stdio.StringIO()
     buf.write("# spheredepth contour\n")
     buf.write(f"# method={args.method} r={r!r} s={s!r} source={source}\n")
     buf.write(f"# xmin={xmin!r} xmax={xmax!r} nx={nx}\n")
     buf.write(f"# ymin={ymin!r} ymax={ymax!r} ny={ny}\n")
-    for row in depths:
+    for row in np.reshape(depths, (ny, nx)):
         buf.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    report = ExperimentReport(
-        command="contour",
-        parameters={
-            "source": source,
-            "method": args.method,
-            "r": r,
-            "s": s,
-            "bounds": list(args.bounds),
-            "resolution": list(args.resolution),
-            "seed": args.seed,
-        },
-        metrics={
-            "min_depth": float(depths.min()),
-            "max_depth": float(depths.max()),
-        },
-        provenance=_provenance(args.seed),
-    )
-    return report, buf.getvalue()
+    return buf.getvalue()
 
 
 def run_rankbench(args) -> ExperimentReport:
@@ -260,10 +232,8 @@ def run_rankbench(args) -> ExperimentReport:
                 if method == "density":
                     scores = density
                 else:
-                    scores = np.array(_depth_scores(
-                        method, X.data, X, args.r, args.s, args.seed, args.threads,
-                        grid_size=None, bandwidth=args.bandwidth, regularization=None,
-                    )["depths"])
+                    out = _depth_scores(method, X.data, X, args.r, args.s, args)
+                    scores = np.array(out["depths"])
                 runs[method]["spearman"].append(spearman(scores, density))
                 runs[method]["kendall"].append(kendall_tau(scores, density))
         for method in methods:
@@ -337,29 +307,13 @@ def _exclude_self_terms(values, points, reference: SampleSet) -> list[float]:
     return out
 
 
-def _htest_depth_fn(
-    method: str, r: float, s: float, seed: int, threads: int, exclude_self: bool = True
-):
-    if method not in ("sphere", "mahalanobis"):
-        raise ValueError(f"htest method must be 'sphere' or 'mahalanobis', got {method!r}")
-
-    def fn(points, reference):
-        values = _depth_scores(
-            method, points, reference, r, s, seed, threads,
-            grid_size=None, bandwidth=None, regularization=0.0,
-        )["depths"]
-        if method == "sphere" and exclude_self:
+def run_htest(args) -> ExperimentReport:
+    def depth_fn(points, reference):
+        values = _depth_scores(args.method, points, reference, args.r, args.s, args)["depths"]
+        if args.method == "sphere" and args.self_terms == "exclude":
             values = _exclude_self_terms(values, points, reference)
         return np.array(values)
 
-    return fn
-
-
-def run_htest(args) -> ExperimentReport:
-    exclude_self = args.self_terms == "exclude"
-    depth_fn = _htest_depth_fn(
-        args.method, args.r, args.s, args.seed, args.threads, exclude_self=exclude_self
-    )
     orderings = {"fg": [], "gf": []} if args.both_orderings else {"fg": []}
     records = {key: {"z": [], "q": [], "reject": [], "ties": []} for key in orderings}
     for rep in range(args.reps):
@@ -417,13 +371,8 @@ def run_anomaly(args) -> ExperimentReport:
 
     metrics: dict = {"n": X.n, "d": X.d, "anomaly_rate": dataset.anomaly_rate}
     for method in args.methods:
-        depths = np.asarray(
-            _depth_scores(
-                method, X.data, X, r, s, args.seed, args.threads,
-                args.grid_size, args.bandwidth, args.regularization, oracle_option="--methods",
-            )["depths"]
-        )
-        scores = 1.0 - depths
+        depths = _depth_scores(method, X.data, X, r, s, args, flag="--methods")["depths"]
+        scores = 1.0 - np.asarray(depths)
         roc = auroc(scores, dataset.labels)
         metrics[method] = {
             "auroc": roc.auroc,
@@ -534,9 +483,13 @@ def run_speedbench(args) -> ExperimentReport:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="global RNG seed")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for sphere scoring (other methods ignore it)")
     common.add_argument("--output", type=str, default=None, help="write the report/artifact here")
+
+    # speedbench times single solves, so only the five scoring commands
+    # take --threads.
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--threads", type=_positive_int, default=1,
+                         help="worker threads for sphere scoring (other methods ignore it)")
 
     # Only depth and anomaly reports have a per-point score table, so any
     # other command refuses --format before it runs.
@@ -571,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("depth", parents=[common, report_format, data_src, depth_opts],
+    p = sub.add_parser("depth", parents=[common, scoring, report_format, data_src, depth_opts],
                        help="score query points or the sample itself")
     p.add_argument("--query", action="append", default=None,
                    help="comma-separated point, repeatable")
@@ -580,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also run a grid oracle of this size and report the gap")
     p.set_defaults(runner=run_depth)
 
-    p = sub.add_parser("contour", parents=[common, data_src, depth_opts],
+    p = sub.add_parser("contour", parents=[common, scoring, data_src, depth_opts],
                        help="2-D depth field as CSV")
     p.add_argument("--bounds", type=float, nargs=4, required=True,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"))
@@ -588,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar=("NX", "NY"))
     p.set_defaults(runner=run_contour)
 
-    p = sub.add_parser("rankbench", parents=[common],
+    p = sub.add_parser("rankbench", parents=[common, scoring],
                        help="rank correlation vs the true bi-Gaussian density")
     p.add_argument("--dims", type=int, nargs="+", default=(2, 4, 6, 8))
     p.add_argument("--n", type=int, default=200)
@@ -600,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=1.0)
     p.set_defaults(runner=run_rankbench)
 
-    p = sub.add_parser("htest", parents=[common],
+    p = sub.add_parser("htest", parents=[common, scoring],
                        help="Monte-Carlo homogeneity-test size/power")
     p.add_argument("--source-f", choices=HTEST_SOURCES, default="gauss")
     p.add_argument("--source-g", choices=HTEST_SOURCES, default="gauss")
@@ -615,9 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="drop each reference sample's own loss term from its "
                         "in-sample depth (removes a rigid 0.5/n shift)")
     p.add_argument("--both-orderings", action="store_true")
-    p.set_defaults(runner=run_htest)
+    # htest's Mahalanobis depth is unregularised; it has no --regularization.
+    p.set_defaults(runner=run_htest, regularization=0.0)
 
-    p = sub.add_parser("anomaly", parents=[common, report_format, depth_opts],
+    p = sub.add_parser("anomaly", parents=[common, scoring, report_format, depth_opts],
                        help="AUROC anomaly scoring on a labeled CSV")
     p.add_argument("--csv", type=str, required=True)
     p.add_argument("--label-column", type=str, required=True)
@@ -674,8 +628,8 @@ def main(argv=None) -> int:
         if args.output is not None:
             _check_output_directory(args.output)
         result = args.runner(args)
-        if isinstance(result, tuple):  # contour: (report, csv text)
-            text = result[1]
+        if isinstance(result, str):  # contour's CSV field
+            text = result
         elif getattr(args, "format", "json") == "csv":  # depth and anomaly only
             text = _scores_csv(result)
         else:

@@ -11,7 +11,25 @@ import numpy as np
 import pytest
 
 import spheredepth
-from spheredepth import ExperimentReport, load_features_csv, load_labeled_csv
+from spheredepth import (
+    DepthParams,
+    DirectionGrid,
+    ExperimentReport,
+    HalfspaceConfig,
+    KernelConfig,
+    SampleSet,
+    batch_depth,
+    fit_kernelized_spatial,
+    fit_mahalanobis,
+    gen_truncated_gaussian,
+    grid_oracle_sphere_depth,
+    halfspace_depth,
+    homogeneity_test,
+    kernelized_spatial_depth,
+    load_features_csv,
+    load_labeled_csv,
+    mahalanobis_depth,
+)
 from spheredepth.cli import main
 from spheredepth.io import write_text_atomic
 
@@ -335,6 +353,96 @@ class TestDepthCommand:
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("method", ["sphere", "mahalanobis", "oracle-grid", "halfspace"])
+    @pytest.mark.parametrize(
+        "queries, message",
+        [
+            (["1,2", "3"], "--query 1: '3': query has dimension 1, expected 2"),
+            (["1,2", "1,2,3"], "--query 1: '1,2,3': query has dimension 3, expected 2"),
+            (["1,,2"], "--query 0: '1,,2': could not convert string to float: ''"),
+            (["0,0", "1,nan"], "--query 1: '1,nan': query contains non-finite entries"),
+        ],
+        ids=["short", "long", "empty-coordinate", "nan"],
+    )
+    def test_bad_query_is_named_before_any_scoring(
+        self, capsys, monkeypatch, method, queries, message
+    ):
+        monkeypatch.setattr(
+            "spheredepth.cli._depth_scores", lambda *args, **kwargs: pytest.fail("scored")
+        )
+        argv = ["depth", "--n", "20", "--method", method]
+        assert main(argv + [f"--query={q}" for q in queries]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestMethodOptions:
+    """Each depth method reads its own options from the parsed arguments."""
+
+    @pytest.fixture
+    def sample(self, tmp_path):
+        X = SampleSet(np.random.default_rng(5).standard_normal((30, 4)))
+        path = tmp_path / "sample.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in X.data.tolist()))
+        return X, path
+
+    @staticmethod
+    def depths(capsys, path, *options):
+        argv = ["depth", "--csv", str(path), "--self-score", "--r", "1", "--s", "0.5", *options]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["metrics"]["depths"]
+
+    def test_oracle_grid_reads_grid_size_and_seed(self, sample, capsys):
+        X, path = sample
+        depths = self.depths(capsys, path, "--method", "oracle-grid", "--grid-size", "300",
+                             "--seed", "7")
+        grid = DirectionGrid.generate(300, 4, seed=7)
+        params = DepthParams(r=1.0, s=0.5)
+        assert depths == [grid_oracle_sphere_depth(z, X, params, grid).value for z in X.data]
+        assert depths != self.depths(capsys, path, "--method", "oracle-grid")
+
+    def test_mahalanobis_reads_regularization(self, sample, capsys):
+        X, path = sample
+        depths = self.depths(capsys, path, "--method", "mahalanobis", "--regularization", "0.5")
+        assert depths == mahalanobis_depth(X.data, fit_mahalanobis(X, 0.5)).tolist()
+        assert depths != self.depths(capsys, path, "--method", "mahalanobis")
+
+    def test_kspatial_reads_bandwidth(self, sample, capsys):
+        X, path = sample
+        depths = self.depths(capsys, path, "--method", "kspatial", "--bandwidth", "0.7")
+        model = fit_kernelized_spatial(X, KernelConfig(bandwidth_h=0.7))
+        assert depths == kernelized_spatial_depth(X.data, model).tolist()
+        assert depths != self.depths(capsys, path, "--method", "kspatial")
+
+    def test_halfspace_reads_seed(self, sample, capsys, monkeypatch):
+        # Most seeds find the same exact count, so the seed is watched on
+        # its way into the library call as well.
+        X, path = sample
+        seeds = []
+
+        def recorded(z, X, cfg):
+            seeds.append(cfg.seed)
+            return halfspace_depth(z, X, cfg)
+
+        monkeypatch.setattr("spheredepth.cli.halfspace_depth", recorded)
+        depths = self.depths(capsys, path, "--method", "halfspace", "--seed", "3")
+        cfg = HalfspaceConfig(seed=3)
+        assert depths == [halfspace_depth(z, X, cfg).value for z in X.data]
+        assert seeds == [3] * X.n
+
+    def test_sphere_reads_threads(self, sample, capsys, monkeypatch):
+        X, path = sample
+        pools = []
+
+        def recorded(points, X, params, cfg, threads=1):
+            pools.append(threads)
+            return batch_depth(points, X, params, cfg, threads=threads)
+
+        monkeypatch.setattr("spheredepth.cli.batch_depth", recorded)
+        depths = self.depths(capsys, path, "--threads", "2")
+        expected = batch_depth(X.data, X, DepthParams(r=1.0, s=0.5))
+        assert depths == [res.value for res in expected]
+        assert pools == [2]
+
 
 class TestContourCommand:
     def test_two_by_two(self, tmp_path):
@@ -471,6 +579,27 @@ class TestHtestCommand:
         assert err.startswith("error: point 0 ") and "every reference row (n = 1)" in err
         kept = main(["htest", *sizes, "--reps", "2", "--seed", "1", "--self-terms", "include"])
         assert kept == 0
+
+    def test_mahalanobis_is_unregularised(self, capsys):
+        assert main(["htest", "--n", "30", "--m", "25", "--reps", "2", "--method",
+                     "mahalanobis", "--seed", "4"]) == 0
+        fg = json.loads(capsys.readouterr().out)["metrics"]["fg"]
+
+        def depth_fn(points, reference):
+            return mahalanobis_depth(points, fit_mahalanobis(reference, 0.0))
+
+        for rep in range(2):
+            X = gen_truncated_gaussian(2, 30, (4, rep, 0), truncation_norm=10.0)
+            Y = gen_truncated_gaussian(2, 25, (4, rep, 1), truncation_norm=10.0)
+            result, _ = homogeneity_test(X, Y, depth_fn, level=0.05)
+            assert (fg["z_stats"][rep], fg["q_values"][rep]) == (result.z_stat, result.q)
+
+    def test_method_outside_sphere_and_mahalanobis_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr("spheredepth.cli.run_htest", lambda args: pytest.fail("runner ran"))
+        with pytest.raises(SystemExit) as exited:
+            main(["htest", "--method", "kspatial"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'kspatial'" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -621,6 +750,14 @@ class TestSpeedbenchCommand:
         assert metrics["iterations"]["sphere"] == {"1000": 0, "2000": 0}
         for method in methods:
             assert all(v > 0 for v in metrics["centred_iterations"][method].values())
+
+    def test_threads_is_refused_before_any_work(self, capsys, monkeypatch):
+        # speedbench times single solves; only the scoring commands take --threads.
+        monkeypatch.setattr("spheredepth.cli.run_speedbench", lambda args: pytest.fail("runner ran"))
+        with pytest.raises(SystemExit) as exited:
+            main(["speedbench", "--threads", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_decreasing_n_rejected(self, capsys):
         code = main(["speedbench", "--n-list", "2000", "1000"])
