@@ -13,7 +13,8 @@ depths take one point (and return a float) or a ``(q, d)`` array of points
 queries are scored in blocks of at most ``_BLOCK_ENTRIES`` (2**15)
 query-by-sample entries; a block of ``b`` queries costs one
 ``(b x n) @ (n x n)`` matrix product, so the memory beyond ``E`` stays a
-few block arrays at any q.
+few block arrays at any q.  A block that scores the fitted sample itself
+reads its ``b`` rows of ``E`` and makes no ``cdist`` call.
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def _queries(z, d: int) -> tuple[np.ndarray, bool]:
     """``z`` as the rows of a ``(q, d)`` array, and whether it was one point.
 
     An input of fewer than two dimensions is one point; a 2-D input is
-    checked row by row, and an error names the bad row.
+    converted and checked by :func:`~spheredepth.optim._query_rows`, and an
+    error names the bad row.
     """
     if np.ndim(z) < 2:
         return _as_vector(z, d, name="query point")[None, :], True
@@ -260,12 +262,17 @@ def kernelized_spatial_depth(z, model: KernelSpatialModel) -> float | np.ndarray
     ``z`` is one point (the depth is a float) or a ``(q, d)`` array of
     points (a ``(q,)`` array of depths).  The queries go in blocks of
     ``max(1, 2**15 // n)``; each block costs one ``cdist`` to the sample and
-    one product of its weights with ``E``.
+    one product of its weights with ``E``.  When the queries equal the
+    fitted sample row for row (self-scoring), a block reads its rows of
+    ``E`` instead and makes no ``cdist`` call; the depths keep every bit.
     """
     from scipy.spatial.distance import cdist  # deferred: it adds about 0.5 s to the import
 
     Z, single = _queries(z, model.d)
     data = np.ascontiguousarray(model.data)  # cdist would copy it per block
+    # Queries equal to the sample, row for row, have E's rows as their eta:
+    # the fit ran the same cdist, division, expm1 and negation on each pair.
+    self_scored = Z.shape == data.shape and np.array_equal(Z, data)
     rows = max(1, _BLOCK_ENTRIES // data.shape[0])
     depth = np.empty(len(Z))
     for lo in range(0, len(Z), rows):
@@ -273,10 +280,13 @@ def kernelized_spatial_depth(z, model: KernelSpatialModel) -> float | np.ndarray
         # delta_ij = phi(z_i) - phi(x_j), via expm1 for full precision near
         # coincidence.  cdist sums coordinate differences, so the data may
         # sit far from the origin.
-        eta = cdist(Z[lo : lo + rows], data, "sqeuclidean")
-        eta /= -model.h2
-        np.expm1(eta, out=eta)
-        np.negative(eta, out=eta)
+        if self_scored:
+            eta = model.complement[lo : lo + rows].copy()
+        else:
+            eta = cdist(Z[lo : lo + rows], data, "sqeuclidean")
+            eta /= -model.h2
+            np.expm1(eta, out=eta)
+            np.negative(eta, out=eta)
         keep = eta > 0.0
         # <delta_i, delta_j> = eta_i + eta_j - E_ij; weights a_i = 1 / ||delta_i||
         # and b_i = a_i * eta_i give m**2 norm2 = 2 (sum b)(sum a) - a'Ea.

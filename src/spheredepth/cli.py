@@ -526,9 +526,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth", parents=[common, scoring, report_format, data_src, depth_opts],
                        help="score query points or the sample itself")
-    p.add_argument("--query", action="append", default=None,
-                   help="comma-separated point, repeatable")
-    p.add_argument("--self-score", action="store_true")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--query", action="append", default=None,
+                        help="comma-separated point, repeatable")
+    points.add_argument("--self-score", action="store_true")
     p.add_argument("--oracle-check", type=_positive_int, default=None,
                    help="also run a grid oracle of this size and report the gap")
     p.set_defaults(runner=run_depth)

@@ -124,9 +124,13 @@ def _read_table(
 
     ``rows`` holds ``(file line, cells)`` for each data row; blank lines are
     skipped but still counted, so errors name the row as it is in the file
-    (1-based, as are the columns).
+    (1-based, as are the columns).  A leading UTF-8 byte-order mark is
+    dropped.  A table whose rows all have the first row's width and whose
+    cells are all finite numbers is converted in one call (numpy parses a
+    cell by ``float()``'s rules); any other table is read row by row, which
+    raises at its first bad row or cell.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
@@ -135,6 +139,13 @@ def _read_table(
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0][1])
+    if all(len(row) == width for _, row in rows):
+        try:
+            values = np.array([row for _, row in rows], dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return header, values, rows
     values = np.empty((len(rows), width))
     for i, (line, row) in enumerate(rows):
         if len(row) != width:

@@ -409,11 +409,19 @@ def batch_depth(
 
 
 def _query_rows(points, d: int) -> np.ndarray:
-    """The query points as the rows of a float array, each checked as
-    :func:`riemannian_descent` checks it; an error names the point's index."""
-    pts = list(points)
+    """The query points as the rows of a C-ordered float64 array, each
+    checked as :func:`riemannian_descent` checks it; an error names the
+    point's index.
+
+    A 2-D ndarray is converted in one call, without splitting it into rows
+    first; any other input is converted from the list of its points.  When
+    that conversion fails or its shape or values do not pass, the points are
+    checked one by one, which names the first bad one.  The result is
+    C-ordered whatever the input's order, so Fortran-ordered queries score
+    to the bit as C-ordered ones do."""
+    pts = points if isinstance(points, np.ndarray) and points.ndim == 2 else list(points)
     try:
-        queries = np.array(pts, dtype=np.float64)
+        queries = np.array(pts, dtype=np.float64, order="C")
     except (TypeError, ValueError):
         queries = None  # ragged or not numeric: the loop below says which point
     if queries is not None and queries.shape == (len(pts), d) and np.isfinite(queries).all():

@@ -430,3 +430,90 @@ class TestArrayForm:
             tracemalloc.stop()
         allowance = 8 * 2**15 * 8  # eight float64 arrays of the 2**15-entry block limit
         assert peak <= model.complement.nbytes + allowance
+
+
+def _kspatial_general_path(Z, model):
+    """Kernel-spatial depths with each block's ``eta`` from ``cdist`` and
+    ``expm1``, as :func:`kernelized_spatial_depth` computes it for queries
+    that are not the fitted sample."""
+    from scipy.spatial.distance import cdist
+
+    data = np.ascontiguousarray(model.data)
+    rows = max(1, baselines._BLOCK_ENTRIES // len(data))
+    depth = np.empty(len(Z))
+    for lo in range(0, len(Z), rows):
+        eta = cdist(Z[lo : lo + rows], data, "sqeuclidean")
+        eta /= -model.h2
+        np.expm1(eta, out=eta)
+        np.negative(eta, out=eta)
+        keep = eta > 0.0
+        a = np.multiply(eta, 2.0)
+        np.sqrt(a, out=a)
+        np.divide(1.0, a, out=a, where=keep)
+        eta /= 2.0
+        b = np.sqrt(eta, out=eta)
+        aea = np.einsum("ij,ij->i", a @ model.complement, a)
+        m = np.maximum(np.count_nonzero(keep, axis=1), 1)
+        norm2 = (2.0 * b.sum(axis=1) * a.sum(axis=1) - aea) / m**2
+        depth[lo : lo + rows] = 1.0 - np.sqrt(np.maximum(norm2, 0.0))
+    return np.clip(depth, 0.0, 1.0)
+
+
+@pytest.fixture
+def cdist_rows(monkeypatch):
+    """The row count of each ``cdist`` call's first argument, in call order."""
+    import scipy.spatial.distance as distance
+
+    rows = []
+    cdist = distance.cdist
+
+    def counted(XA, XB, metric):
+        rows.append(len(XA))
+        return cdist(XA, XB, metric)
+
+    monkeypatch.setattr(distance, "cdist", counted)
+    return rows
+
+
+class TestKspatialSelfScores:
+    """Scoring the fitted sample reads ``E``'s rows instead of recomputing them."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    @pytest.mark.parametrize("layout", ["plain", "duplicates", "offset"])
+    def test_equal_the_general_path_bit_for_bit(self, d, n, layout):
+        data = np.random.default_rng((27, d, n)).standard_normal((n, d))
+        if layout == "duplicates":
+            data[n // 2 :] = data[: n - n // 2]
+        elif layout == "offset":
+            data += 1e6
+        model = fit_kernelized_spatial(SampleSet(data), KernelConfig(bandwidth_h=0.7))
+        values = kernelized_spatial_depth(model.data, model)
+        assert values.tobytes() == _kspatial_general_path(model.data, model).tobytes()
+
+    def test_scoring_the_sample_calls_cdist_only_in_the_fit(self, cdist_rows):
+        X = SampleSet(np.random.default_rng(28).standard_normal((400, 3)))
+        model = fit_kernelized_spatial(X)
+        assert cdist_rows == [400]
+        kernelized_spatial_depth(X.data, model)
+        kernelized_spatial_depth(np.array(X.data, order="C"), model)
+        kernelized_spatial_depth(np.asfortranarray(X.data), model)
+        assert cdist_rows == [400]
+
+    def test_a_c_ordered_copy_takes_the_self_path(self, cdist_rows):
+        X = SampleSet(np.random.default_rng(29).standard_normal((50, 2)))
+        model = fit_kernelized_spatial(X)
+        copy = np.array(X.data, order="C")
+        values = kernelized_spatial_depth(copy, model)
+        assert cdist_rows == [50]
+        assert values.tobytes() == _kspatial_general_path(copy, model).tobytes()
+
+    def test_one_changed_entry_takes_the_general_path(self, monkeypatch, cdist_rows):
+        X = SampleSet(np.random.default_rng(30).standard_normal((40, 2)))
+        model = fit_kernelized_spatial(X)
+        Z = X.data.copy()
+        Z[17, 1] = np.nextafter(Z[17, 1], np.inf)
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 300)  # 7 queries of n = 40
+        values = kernelized_spatial_depth(Z, model)
+        assert cdist_rows == [40, 7, 7, 7, 7, 7, 5]
+        assert values.tobytes() == _kspatial_general_path(Z, model).tobytes()

@@ -31,7 +31,7 @@ from spheredepth import (
     mahalanobis_depth,
 )
 from spheredepth.cli import main
-from spheredepth.io import write_text_atomic
+from spheredepth.io import _read_table, write_text_atomic
 
 
 @pytest.fixture
@@ -163,6 +163,64 @@ def test_typo_in_first_data_row_raises(tmp_path, text, load, message):
         load(path)
 
 
+class TestReadTable:
+    """The table is converted in one call when it can be, and read row by
+    row otherwise; the values and the errors are ``float()``'s."""
+
+    # Cells ``float()`` accepts (some it rejects follow in the error cases):
+    # digit groups, padding, a bare sign and point, Arabic-Indic digits, an
+    # underflow to 0 and a repr that needs all 17 digits.
+    SPELLINGS = [
+        "1_000", " 1.5 ", "+.5e-3", "\u0661\u0662.\u0665", "1e-400",
+        "0.1000000000000000055511151231257827",
+    ]
+
+    def test_values_are_float_of_each_cell(self, tmp_path):
+        path = tmp_path / "spellings.csv"
+        path.write_text(",".join(self.SPELLINGS) + "\n" + ",".join(["-0"] * 6) + "\n",
+                        encoding="utf-8")
+        header, values, rows = _read_table(path, ",")
+        assert header is None and [line for line, _ in rows] == [1, 2]
+        expected = np.array([[float(c) for c in self.SPELLINGS], [-0.0] * 6])
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('a,b\n1,2\n3,"1,5"\n0x10,4\n', "row 3, column 2: cannot parse '1,5' as a number"),
+            ("1,2\n3,\n5,6\n", "row 2, column 2: cannot parse '' as a number"),
+            ("1,2\n3,nan\n5,x\n", "row 2, column 2: non-finite value 'nan'"),
+            ("1,2\n3,1e400\n", "row 2, column 2: non-finite value '1e400'"),
+            ("1,2\n3,0x10\n5,6,7\n", "row 2, column 2: cannot parse '0x10' as a number"),
+            ("1,2\n\n\n3,x\n\n5\n", "row 4, column 2: cannot parse 'x' as a number"),
+            ("1,2\n\n3,4\n\n5\n6,x\n", "row 5 has 1 cells, expected 2"),
+        ],
+        ids=["comma-in-quotes", "empty", "nan-before-bad", "overflow", "ragged-after-bad",
+             "blank-lines-bad", "blank-lines-ragged"],
+    )
+    def test_first_error_is_raised(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            _read_table(path, ",")
+
+
+@pytest.mark.parametrize(
+    "text, label_column",
+    [("1.5,2,0\n3,4,1\n5,6,0\n", 2), ("x0,x1,x2\n0,1.5,2\n1,3,4\n0,5,6\n", "x0")],
+    ids=["headerless", "header"],
+)
+def test_a_utf8_byte_order_mark_is_dropped(tmp_path, text, label_column):
+    # Spreadsheet "CSV UTF-8" exports start with U+FEFF, which must neither
+    # spoil the first cell nor the first column's name.
+    path = tmp_path / "excel.csv"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    data = load_labeled_csv(path, label_column)
+    np.testing.assert_array_equal(data.samples.data, [[1.5, 2], [3, 4], [5, 6]])
+    np.testing.assert_array_equal(data.labels, [0, 1, 0])
+
+
 class TestExperimentReport:
     def test_json_is_sorted_and_stable(self):
         report = ExperimentReport(
@@ -257,6 +315,24 @@ class TestDepthCommand:
             main(argv)
         assert info.value.code == 2
         assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, first, second",
+        [
+            (["depth", "--n", "20", "--self-score", "--query", "1,2,3", "--r", "1", "--s", "1"],
+             "--self-score", "--query"),
+            (["depth", "--query=0,0", "--query=1,1", "--self-score"], "--query", "--self-score"),
+        ],
+        ids=["self-score-first", "query-first"],
+    )
+    def test_query_and_self_score_are_refused_together_before_any_work(
+        self, capsys, monkeypatch, argv, first, second
+    ):
+        monkeypatch.setattr("spheredepth.cli.run_depth", lambda args: pytest.fail("runner ran"))
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {second}: not allowed with argument {first}" in capsys.readouterr().err
 
     def test_label_column_is_left_out(self, tmp_path, capsys):
         rng = np.random.default_rng(31)

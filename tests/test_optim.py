@@ -533,6 +533,49 @@ class TestBatchDepth:
             batch_depth(points, X, DepthParams(r=1.0, s=1.0), threads=threads)
 
 
+class TestQueryRows:
+    """``_query_rows`` returns the C-ordered float64 rows that ``np.array``
+    makes of the points' list, whatever the input's form or order."""
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda A: A,
+            lambda A: np.asfortranarray(A),
+            lambda A: A[::-1],
+            lambda A: np.round(10 * A).astype(np.int64),
+            lambda A: A.tolist(),
+            lambda A: (row for row in A),
+        ],
+        ids=["c-order", "fortran-order", "negative-stride", "integer", "list", "generator"],
+    )
+    def test_matches_the_rows_list(self, form):
+        A = np.random.default_rng(26).standard_normal((7, 3))
+        expected = np.array(list(form(A)), dtype=np.float64)
+        queries = optim._query_rows(form(A), 3)
+        assert queries.dtype == np.float64 and queries.flags.c_contiguous
+        assert queries.shape == (7, 3) and queries.tobytes() == expected.tobytes()
+
+    def test_returns_a_copy(self):
+        A = np.random.default_rng(27).standard_normal((4, 2))
+        queries = optim._query_rows(A, 2)
+        queries[0, 0] = 99.0
+        assert A[0, 0] != 99.0
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (np.zeros((4, 3)), "^point 0: query point has dimension 3, expected 2"),
+            (np.array([[0.0, 0.0], [1.0, np.nan]]), "^point 1: query point contains non-finite"),
+            (np.array([["0", "1"], ["x", "2"]]), "^point 1: could not convert string to float"),
+        ],
+        ids=["width", "non-finite", "not-numeric"],
+    )
+    def test_a_bad_array_raises_as_its_points_do(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            optim._query_rows(points, 2)
+
+
 class TestLockstepParity:
     """``batch_depth`` solves blocks of queries in lockstep; every result
     must equal the per-point solver's bit for bit."""
