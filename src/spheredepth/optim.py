@@ -21,9 +21,14 @@ sphere depth these cost less as floats than as numpy calls, and
 :func:`tangent_project` and :func:`exp_map` call the same helpers.  The
 dot products add left to right on every Python version (the builtin
 ``sum`` compensates from 3.12), so they can differ from BLAS's in the
-last bit.  Only the passes over the data stay in numpy: each is one
-product with the sample's centred matrix (``core._Objective``), whose
-``d + 2`` coefficients are built on the floats, and it writes into one of
+last bit.  At very small ``s`` the gradient grows as ``1/s`` and the
+tangent's squared norm can overflow; its norm is then taken from the
+tangent over the power of two of its largest entry (:func:`_norm`), in
+both loops alike, and an ``s`` whose ``1/s`` or ``2r/s`` overflows is
+refused by ``DepthParams``.  Only the passes over the data stay in
+numpy: each is one product with the sample's centred matrix
+(``core._Objective``), whose ``d + 2`` coefficients are built on the
+floats, and it writes into one of
 two kept-row vectors that the query's objective owns.  For ``n d`` at or
 below the lockstep limit of ``2**12`` (below) the last coefficient, the
 constant, multiplies the matrix's column of ones, as in the lockstep
@@ -228,6 +233,22 @@ def _tangent(u: list[float], g: list[float]) -> tuple[list[float], float]:
     return tangent, squared
 
 
+def _norm(tangent: list[float], squared: float) -> float:
+    """The norm of ``tangent`` from its squared norm, or, where that
+    overflows, from the tangent over the power of two of its largest entry:
+    an exact scaling whose squares are below 1, added left to right as
+    :func:`_tangent` adds them (:func:`_lockstep`'s ``aim`` takes the same
+    steps, row by row)."""
+    if squared < math.inf:
+        return math.sqrt(squared)
+    k = math.frexp(max(map(abs, tangent)))[1]
+    squared = 0.0
+    for a in tangent:
+        b = math.ldexp(a, -k)
+        squared += b * b
+    return math.ldexp(math.sqrt(squared), k)
+
+
 def _geodesic(u: list[float], v: list[float], alpha: float) -> list[float]:
     cos, sin = math.cos(alpha), math.sin(alpha)
     out = [cos * a + sin * b for a, b in zip(u, v)]
@@ -289,7 +310,7 @@ def riemannian_descent(
         steps = 0
         for it in range(1, _MAX_ITER + 1):
             tangent, squared = _tangent(point, grad)
-            tnorm = math.sqrt(squared)
+            tnorm = _norm(tangent, squared)
             if tnorm < _STATIONARY_NORM:
                 converged = True
                 break
@@ -468,6 +489,12 @@ def _lockstep(stack: _Stack, starts: list[np.ndarray]) -> list[DepthResult]:
         mask, over them, of those that are stationary."""
         tangent = grad - _rowdot(grad, at)[:, None] * at
         norm = np.sqrt(_rowdot(tangent, tangent))
+        if norm.max(initial=0.0) == math.inf:
+            # _norm's scaled sum, for the rows whose squared norm overflows
+            big = norm == math.inf
+            k = np.frexp(np.abs(tangent[big]).max(axis=1))[1][:, None]
+            scaled = np.ldexp(tangent[big], -k)
+            norm[big] = np.ldexp(np.sqrt(_rowdot(scaled, scaled)), k[:, 0])
         tnorm[where] = norm
         flat = norm < _STATIONARY_NORM
         norm[flat] = 1.0  # a stationary query stops before its direction is used

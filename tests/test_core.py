@@ -1167,20 +1167,23 @@ def _recursive_cells(directions):
 
 
 def _check_bounds(monkeypatch):
-    """Make each oracle call assert that every cell bound it hands to
-    ``_grid_minimum`` is at most the value of each of the cell's members in
-    one block of every direction."""
+    """Make each oracle call assert that every bound that ``_grid_minimum``
+    computes, of cells or of subcells, is at most the value of each of the
+    bounded cell's members in one block of every direction."""
     grid_minimum = core._grid_minimum
 
-    def checking(grid, n, block_values, cell_bounds):
-        cells = grid._cells
+    def checking(grid, n, block_values, cell_bounds, **kwargs):
         with np.errstate(over="ignore"):
             values = block_values(grid.directions)
-            lower = cell_bounds(cells, slice(None))
-        least = np.full(cells.firsts.size, np.inf)
-        np.minimum.at(least, cells.cell_of, values)
-        assert np.all(lower <= least)
-        return grid_minimum(grid, n, block_values, cell_bounds)
+
+        def bounds(cells, chunk):
+            lower = cell_bounds(cells, chunk)
+            least = np.full(cells.firsts.size, np.inf)
+            np.minimum.at(least, cells.cell_of, values)
+            assert np.all(lower <= least[chunk])
+            return lower
+
+        return grid_minimum(grid, n, block_values, bounds, **kwargs)
 
     monkeypatch.setattr(core, "_grid_minimum", checking)
 
@@ -1268,7 +1271,7 @@ class TestCellBounds:
             for subset in subsets:
                 blocks = []
 
-                def opening(grid, n, block_values, cell_bounds):
+                def opening(grid, n, block_values, cell_bounds, **kwargs):
                     def recording(directions):
                         values = block_values(directions)
                         blocks.append(([index_of[u.tobytes()] for u in directions], values))
@@ -1277,7 +1280,7 @@ class TestCellBounds:
                     def bounds(cells, chunk):
                         return np.where(np.isin(np.arange(65)[chunk], subset), -1.0, np.inf)
 
-                    return grid_minimum(grid, n, recording, bounds)
+                    return grid_minimum(grid, n, recording, bounds, **kwargs)
 
                 monkeypatch.setattr(core, "_grid_minimum", opening)
                 res = _oracle(kind, z, X, grid)
@@ -1522,6 +1525,143 @@ class TestCellBounds:
             _assert_full_scan(z, X, params, DirectionGrid.generate(256, d, seed=seed))
 
 
+def _subcell_grids(d):
+    """Grids for the subcell tests: generated ones, copies of one direction
+    (more than a cell holds, and more than a subcell), a lattice, and grids
+    smaller than one subcell."""
+    if d == 1:
+        return [np.tile([[1.0], [-1.0]], (40, 1)), np.array([[1.0]]), np.array([[1.0], [-1.0]])]
+    generated = DirectionGrid.generate(1024, d, seed=7).directions
+    return [
+        generated,
+        np.repeat(generated[:1], 70, axis=0),
+        np.repeat(generated[:1], 5, axis=0),
+        np.repeat(generated[:40], 3, axis=0),
+        _lattice(d),
+        generated[:1],
+        generated[:3],
+    ]
+
+
+def _splitting(monkeypatch):
+    """Make every search on a split grid descend wherever a cell qualifies,
+    and count the subcell bound calls; returns the list that counts them."""
+    monkeypatch.setattr(core, "_SPLIT_ENTRIES", 1)
+    descents = []
+    grid_minimum = core._grid_minimum
+
+    def counting(grid, n, block_values, cell_bounds, **kwargs):
+        def bounds(cells, chunk):
+            if cells is not grid._cells:
+                descents.append(len(np.arange(cells.firsts.size)[chunk]))
+            return cell_bounds(cells, chunk)
+
+        return grid_minimum(grid, n, block_values, bounds, **kwargs)
+
+    monkeypatch.setattr(core, "_grid_minimum", counting)
+    return descents
+
+
+class TestSubcells:
+    """Each cell splits into subcells of nearby directions, and a search
+    that descends to them keeps the value and index of one block of every
+    direction."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_subcells_nest_and_bound_their_members(self, d):
+        large = [DirectionGrid.generate(4096, d).directions] if d > 1 else []
+        for directions in _subcell_grids(d) + large:
+            grid = DirectionGrid(directions)
+            cells = grid._cells
+            subcells, parent = grid._subcells
+            sizes = np.bincount(subcells.cell_of)
+            assert sizes.min() >= 1 and sizes.max() <= core._cell_size(d) // 4
+            # Every subcell lies in one cell, the one that parent names.
+            assert np.array_equal(cells.cell_of, parent[subcells.cell_of])
+            firsts = [np.flatnonzero(subcells.cell_of == k)[0] for k in range(sizes.size)]
+            assert np.array_equal(subcells.firsts, np.sort(firsts))
+            np.testing.assert_allclose(np.linalg.norm(subcells.centers, axis=1), 1.0, atol=1e-15)
+            gaps = np.linalg.norm(grid.directions.astype(np.longdouble)
+                                  - subcells.centers[subcells.cell_of], axis=1)
+            widest = np.zeros(sizes.size, dtype=np.longdouble)
+            np.maximum.at(widest, subcells.cell_of, gaps)
+            assert np.all(widest <= subcells.chords)
+            again, _ = core._subdivide(grid.directions.copy(), cells)
+            assert all(np.array_equal(a, b) for a, b in zip(subcells, again))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_subcells_are_the_deeper_leaves(self, d):
+        # A node of the k-d tree of a quarter of a cell's size splits as in
+        # the tree of a cell's size, so the subcells of the grid's own cells
+        # are the deeper tree's leaves.
+        directions = DirectionGrid.generate(4096, d).directions
+        grid = DirectionGrid(directions)
+        leaves = core._leaves(core._unit(directions), core._cell_size(d) // 4)
+        assert np.array_equal(grid._subcells[0].cell_of, leaves)
+
+    @pytest.mark.parametrize("kind", [1.0, 0.1, 0.01, 0.0, "halfspace"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_split_search_equals_one_block(self, d, kind, monkeypatch):
+        descents = _splitting(monkeypatch)
+        _check_bounds(monkeypatch)
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(d), 150, (79, d))
+        rng = np.random.default_rng((80, d))
+        queries = [*X.data[:4], *rng.uniform(-3.0, 3.0, (3, d)), np.full(d, 7.0)]
+        for directions in _subcell_grids(d):
+            grid = DirectionGrid(directions)
+            _oracle(kind, queries[0], X, grid)  # splits the grid
+            for z in queries:
+                res = _oracle(kind, z, X, grid)
+                if kind == "halfspace":
+                    values = np.mean((X.data - z) @ grid.directions.T >= 0.0, axis=0)
+                else:  # the oracle kernel's one block of every direction
+                    kernel = core._Differences(z, X, DepthParams(r=1.0, s=kind))
+                    with np.errstate(over="ignore"):
+                        values = kernel.values(grid.directions)
+                assert (res.index, res.value) == (int(np.argmin(values)), values.min())
+        # The halfspace oracle never descends; the sphere oracle does, at
+        # least at the larger s.
+        if kind == "halfspace":
+            assert not descents
+        elif kind in (1.0, 0.1) and d > 1:
+            assert descents
+
+    def test_first_search_on_a_grid_does_not_descend(self, monkeypatch):
+        descents = _splitting(monkeypatch)
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(2), 200, (81, 1))
+        grid = DirectionGrid.generate(4096, 2)
+        grid_oracle_sphere_depth(X.data[0], X, DepthParams(r=1.0, s=1.0), grid)
+        assert descents == [] and "_subcells" not in vars(grid)
+        grid_oracle_sphere_depth(X.data[0], X, DepthParams(r=1.0, s=1.0), grid)
+        assert descents and "_subcells" in vars(grid)
+
+    def test_descent_skips_most_members_of_split_cells(self, monkeypatch):
+        # The shipped rule on the oracle-sweep benchmark's shape: at s = 1
+        # most queries descend, and the split search evaluates fewer
+        # directions than the cell search.
+        X = datagen.gen_mixture(datagen.bi_gaussian_spec(2), 200, (82, 1))
+        grid = DirectionGrid.generate(4096, 2)
+        params = DepthParams(r=1.0, s=1.0)
+        grid_minimum = core._grid_minimum
+        evaluated = {}
+        for split in (False, True):
+            count = [0]
+
+            def counting(grid, n, block_values, cell_bounds, split=split, **kwargs):
+                def values(directions):
+                    count[0] += len(directions)
+                    return block_values(directions)
+
+                return grid_minimum(grid, n, values, cell_bounds, split=split)
+
+            monkeypatch.setattr(core, "_grid_minimum", counting)
+            grid_oracle_sphere_depth(X.data[0], X, params, grid)
+            results = [grid_oracle_sphere_depth(z, X, params, grid) for z in X.data[:20]]
+            evaluated[split] = (count[0], [(r.index, r.value) for r in results])
+        assert evaluated[True][1] == evaluated[False][1]
+        assert evaluated[True][0] < 0.7 * evaluated[False][0]
+
+
 class TestHalfspaceCellBounds:
     """The halfspace oracle bounds its cells as the sphere oracle does, and
     gives the value and index of one block of every direction."""
@@ -1557,12 +1697,12 @@ class TestHalfspaceCellBounds:
         evaluated = [0]
         grid_minimum = core._grid_minimum
 
-        def counting(grid, n, block_values, cell_bounds):
+        def counting(grid, n, block_values, cell_bounds, **kwargs):
             def values(directions):
                 evaluated[0] += len(directions)
                 return block_values(directions)
 
-            return grid_minimum(grid, n, values, cell_bounds)
+            return grid_minimum(grid, n, values, cell_bounds, **kwargs)
 
         monkeypatch.setattr(core, "_grid_minimum", counting)
         for z in X.data[:20]:

@@ -364,6 +364,20 @@ class TestDepthCommand:
         err = capsys.readouterr().err
         assert f"--delimiter: must be exactly one character, got {delimiter!r}" in err
 
+    @pytest.mark.parametrize("s", ["1e-200", "1e-250", "1e-300"])
+    def test_very_small_s_reports_finite_depths(self, s, tmp_path):
+        out = tmp_path / "report.json"
+        args = ["depth", "--n", "20", "--d", "2", "--self-score", "--r", "1", "--s", s]
+        for seed in ("0", "1", "2", "3"):
+            assert main([*args, "--seed", seed, "--output", str(out)]) == 0
+            depths = json.loads(out.read_text())["metrics"]["depths"]
+            assert len(depths) == 20 and all(0.0 <= v <= 1.0 for v in depths)
+
+    def test_subnormal_s_is_an_error(self, capsys):
+        args = ["depth", "--n", "20", "--d", "2", "--self-score", "--r", "1", "--s", "1e-310"]
+        assert main([*args, "--seed", "1"]) == 2
+        assert "1/s or 2r/s overflows" in capsys.readouterr().err
+
     def test_missing_csv_is_an_error_not_a_traceback(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         assert main(["depth", "--csv", str(missing), "--query", "0,0"]) == 2

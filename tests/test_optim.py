@@ -833,6 +833,55 @@ class TestFloatingPointErrors:
         assert np.all(np.isfinite(grad))
 
 
+class TestVerySmallS:
+    """At very small s the gradient grows as 1/s, and the tangent's squared
+    norm overflows; its norm is then taken from the tangent over the power
+    of two of its largest entry, in both loops alike."""
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-250, 1e-300])
+    def test_loops_agree_and_stay_finite(self, s, monkeypatch):
+        overflowed = []
+        norm = optim._norm
+
+        def watching(tangent, squared):
+            overflowed.append(squared == math.inf)
+            return norm(tangent, squared)
+
+        monkeypatch.setattr(optim, "_norm", watching)
+        params = DepthParams(r=1.0, s=s)
+        for seed in range(4):
+            # The sample and queries of `depth --n 20 --d 2 --self-score`.
+            X = SampleSet(np.random.default_rng(seed).standard_normal((20, 2)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loop = [riemannian_descent(z, X, params) for z in X.data]
+                batch = batch_depth(X.data, X, params)
+            _assert_same_results(batch, loop)
+            assert all(0.0 <= res.value <= 1.0 for res in loop)
+            assert all(np.all(np.isfinite(res.direction)) for res in loop)
+        assert any(overflowed)
+
+    def test_norm_keeps_the_bits_of_a_finite_squared_norm(self):
+        rng = np.random.default_rng(90)
+        for _ in range(200):
+            scale = 10.0 ** rng.integers(-150, 150)
+            t = (rng.standard_normal(rng.integers(2, 6)) * scale).tolist()
+            squared = 0.0
+            for a in t:
+                squared += a * a
+            assert optim._norm(t, squared) == math.sqrt(squared)
+            big = [a * 1e300 for a in t]
+            expected = float(np.linalg.norm(np.array(big, dtype=np.longdouble)))
+            assert optim._norm(big, math.inf) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [1e-310, 5e-324])
+    def test_subnormal_s_is_refused(self, s):
+        with pytest.raises(ValueError, match="1/s or 2r/s overflows"):
+            DepthParams(r=1.0, s=s)
+        with pytest.raises(ValueError, match="1/s or 2r/s overflows"):
+            DepthParams(r=1e300, s=1e-10)
+
+
 class TestSolverOracleAgreement:
     def test_random_instances_within_band(self):
         params = DepthParams(r=1.0, s=1.0)
